@@ -65,15 +65,11 @@ class CertReport:
 
 def _exclude_base(points, base, point_ndim: int):
     pts = list(points)
-    if point_ndim == 0:
-        b = complex(base)
-        kept = [p for p in pts if abs(complex(p) - b) > _BASE_EXCLUSION]
-    else:
-        b = np.asarray(base, dtype=complex)
-        kept = [
-            p for p in pts
-            if np.max(np.abs(np.asarray(p, complex) - b)) > _BASE_EXCLUSION
-        ]
+    if not pts:
+        return pts, False
+    offset = np.asarray(pts, dtype=complex) - np.asarray(base, dtype=complex)
+    dist = np.abs(offset) if point_ndim == 0 else np.max(np.abs(offset), axis=1)
+    kept = [p for p, keep in zip(pts, (dist > _BASE_EXCLUSION).tolist()) if keep]
     return kept, len(kept) < len(pts)
 
 

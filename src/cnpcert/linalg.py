@@ -5,11 +5,16 @@ eigenvalue computation; the measured asymmetry is kept on the matrix so
 reports can distinguish kernel bugs from rounding. Certification is a
 three-valued verdict quantized around a tolerance, so "positive
 semi-definite" stays honest under floating point.
+
+The smallest eigenvalue of a large matrix comes from a randomized block
+Rayleigh-Ritz solve when the matrix has low numerical rank, which the
+normalized-defect matrices of dense sample sets do; see smallest_eigenvalue.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,6 +24,15 @@ from .errors import DimensionMismatch, DomainViolation, LengthMismatch, NoConver
 from .kernels import Kernel
 
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
+
+# Randomized Rayleigh-Ritz (see smallest_eigenvalue)
+RITZ_MIN_N = 256         # below this order eigvalsh is cheap enough
+RITZ_BLOCK = 32          # Gaussian test vectors added per step
+RITZ_SEED = 20110        # fixed, so repeated solves are bitwise identical
+RITZ_RESIDUAL = 1e-10    # accepted Weyl residual, relative to max(1, scale)
+RITZ_MIN_SHRINK = 10.0   # a step must cut the residual by this factor
+RITZ_MAX_FRAC = 8        # basis size stays <= n / RITZ_MAX_FRAC
+RITZ_ROW_CHUNK = 64      # rows of the residual formed at a time
 
 
 class Verdict(Enum):
@@ -42,7 +56,7 @@ class PsdVerdict:
     def to_json_dict(self):
         return {
             "status": self.status.value,
-            "min_eig": float(self.min_eig),
+            "min_eig": None if math.isnan(self.min_eig) else float(self.min_eig),
             "tol": float(self.tol),
         }
 
@@ -61,6 +75,11 @@ class HermitianMatrix:
         return self.entries.shape[0]
 
     @property
+    def finite(self) -> bool:
+        """True when every entry is finite (scale is their max modulus)."""
+        return math.isfinite(self.scale)
+
+    @property
     def asym_warning(self) -> bool:
         return self.asymmetry > HERM_TOL * max(self.scale, 1e-300)
 
@@ -69,9 +88,10 @@ def hermitian_from_raw(raw, assembly: str = "") -> HermitianMatrix:
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] < 1:
         raise ValueError("expected a square matrix of dimension >= 1")
-    herm = 0.5 * (raw + raw.conj().T)
-    asym = float(np.max(np.abs(raw - raw.conj().T)))
-    scale = float(np.max(np.abs(herm)))
+    with np.errstate(invalid="ignore", over="ignore"):   # non-finite: scale says so
+        herm = 0.5 * (raw + raw.conj().T)
+        asym = float(np.max(np.abs(raw - raw.conj().T)))
+        scale = float(np.max(np.abs(herm)))
     herm.setflags(write=False)
     return HermitianMatrix(herm, scale, assembly, asym)
 
@@ -114,8 +134,73 @@ def gram(kernel: Kernel, pts) -> HermitianMatrix:
     return hermitian_from_raw(raw, f"{kernel.describe()} on {points.shape[0]} samples")
 
 
+def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of the Hermitian a - q b q^H, formed RITZ_ROW_CHUNK rows
+    at a time from the diagonal on, each off-diagonal entry counted twice."""
+    qb, qh = q @ b, q.conj().T
+    total = 0.0
+    for i in range(0, a.shape[0], RITZ_ROW_CHUNK):
+        j = i + RITZ_ROW_CHUNK
+        t = a[i:j, i:] - qb[i:j] @ qh[:, i:]
+        diag = t[:, :RITZ_ROW_CHUNK]
+        total += 2.0 * np.vdot(t, t).real - np.vdot(diag, diag).real
+    return math.sqrt(total)
+
+
+def _ritz_min_eig(a: np.ndarray, scale: float) -> float | None:
+    """Smallest eigenvalue of Hermitian ``a`` to within RITZ_RESIDUAL * max(1,
+    scale), or None when ``a`` is not of low enough numerical rank.
+
+    Randomized range finder (Halko, Martinsson & Tropp 2011) with a
+    Rayleigh-Ritz step: an orthonormal basis q grows by blocks of a @ omega for
+    Gaussian omega, each block added through a joint QR of [q, a @ omega] so q
+    stays orthonormal to rounding. With b = q^H a q, Weyl's inequality bounds
+    |lambda_min(a) - lambda_min(q b q^H)| by r = ||a - q b q^H||_F, and
+    lambda_min(q b q^H) = min(lambda_min(b), 0) since q has fewer than n
+    columns. A negative result is the Rayleigh quotient of the explicit vector
+    q y (y the bottom eigenvector of b), hence an upper bound on lambda_min(a).
+    Gives up when a step cuts r by less than RITZ_MIN_SHRINK or the basis
+    would pass n / RITZ_MAX_FRAC columns.
+    """
+    n = a.shape[0]
+    target = RITZ_RESIDUAL * max(1.0, scale)
+    rng = np.random.default_rng(RITZ_SEED)
+    q = np.empty((n, 0), dtype=complex)
+    aq = np.empty((n, 0), dtype=complex)
+    resid = float(np.linalg.norm(a))   # the residual of the empty basis
+    if not math.isfinite(resid):
+        return None
+    while resid > target:
+        k = q.shape[1]
+        if k + RITZ_BLOCK > n // RITZ_MAX_FRAC:
+            return None
+        omega = rng.standard_normal((n, RITZ_BLOCK)) + 1j * rng.standard_normal((n, RITZ_BLOCK))
+        new = np.linalg.qr(np.hstack([q, a @ omega]))[0][:, k:]
+        q = np.hstack([q, new])
+        aq = np.hstack([aq, a @ new])
+        b = q.conj().T @ aq
+        b = 0.5 * (b + b.conj().T)
+        prev, resid = resid, _ritz_residual(a, q, b)
+        if not resid <= prev / RITZ_MIN_SHRINK:   # NaN from overflow bails too
+            return None
+    if q.shape[1] == 0:
+        return 0.0
+    return min(float(np.linalg.eigvalsh(b)[0]), 0.0)
+
+
 def smallest_eigenvalue(m: HermitianMatrix) -> float:
-    """Smallest eigenvalue of the symmetrized matrix."""
+    """Smallest eigenvalue of the symmetrized matrix.
+
+    From order RITZ_MIN_N on, a finite matrix first goes through the low-rank
+    Rayleigh-Ritz solve of _ritz_min_eig, accurate to RITZ_RESIDUAL * max(1,
+    scale); the dense eigvalsh runs below that order and whenever the
+    low-rank solve gives up.
+    """
+    if m.n >= RITZ_MIN_N and m.finite:
+        with np.errstate(over="ignore", invalid="ignore"):   # overflow makes it give up
+            me = _ritz_min_eig(m.entries, m.scale)
+        if me is not None:
+            return me
     try:
         vals = np.linalg.eigvalsh(m.entries)
     except np.linalg.LinAlgError as exc:
@@ -124,11 +209,17 @@ def smallest_eigenvalue(m: HermitianMatrix) -> float:
 
 
 def psd_verdict(m: HermitianMatrix, tol: float | None = None) -> PsdVerdict:
-    """Three-valued positivity verdict with bands (-tol, -10 tol)."""
+    """Three-valued positivity verdict with bands (-tol, -10 tol).
+
+    A matrix with a non-finite entry is INCONCLUSIVE with min_eig NaN and no
+    eigensolve; its default tolerance ignores the meaningless scale.
+    """
     if tol is None:
-        tol = 1e-9 * max(1.0, m.scale)
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+        tol = 1e-9 * (max(1.0, m.scale) if m.finite else 1.0)
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    if not m.finite:
+        return PsdVerdict(Verdict.INCONCLUSIVE, float("nan"), float(tol))
     try:
         me = smallest_eigenvalue(m)
     except NoConvergence:

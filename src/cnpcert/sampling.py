@@ -13,6 +13,28 @@ DEFAULT_RANDOM = 8
 MIN_SEPARATION = 1e-8
 
 
+def _close_pairs(arr: np.ndarray):
+    """Index pairs (i, j), i < j, of points closer than MIN_SEPARATION, sorted
+    by j then i.
+
+    Sort-and-sweep: only points whose real parts differ by less than the
+    separation can be that close, so the distances formed are those of the
+    candidate pairs within that strip of the sorted real parts (all pairs
+    only for points piled up on one vertical line).
+    """
+    order = np.argsort(arr.real, kind="stable")
+    re = arr.real[order]
+    stop = np.searchsorted(re, re + 2.0 * MIN_SEPARATION, side="left")
+    width = np.maximum(stop - np.arange(arr.size) - 1, 0)
+    first = np.repeat(np.arange(arr.size), width)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(width) - width, width)
+    a, b = order[first], order[first + 1 + offset]
+    close = np.abs(arr[a] - arr[b]) < MIN_SEPARATION
+    i, j = np.minimum(a, b)[close], np.maximum(a, b)[close]
+    by_j = np.lexsort((i, j))
+    return i[by_j].tolist(), j[by_j].tolist()
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Finite set of pairwise-distinct points in the open unit disk."""
@@ -27,12 +49,10 @@ class SampleSet:
             raise ValueError("sample points must be finite")
         if arr.size and np.max(np.abs(arr)) >= 1.0:
             raise ValueError("sample points must lie strictly inside the unit disk")
-        if arr.size >= 2:
-            diff = np.abs(arr[:, None] - arr[None, :]) + np.eye(arr.size)
-            if diff.min() < MIN_SEPARATION:
-                raise ValueError(
-                    f"sample points closer than {MIN_SEPARATION:g} are not allowed"
-                )
+        if _close_pairs(arr)[0]:
+            raise ValueError(
+                f"sample points closer than {MIN_SEPARATION:g} are not allowed"
+            )
         object.__setattr__(self, "points", pts)
 
     def __len__(self):
@@ -42,13 +62,15 @@ class SampleSet:
         return iter(self.points)
 
     def extended(self, extra, label: str = "+extra") -> "SampleSet":
-        """Append points, silently dropping near-duplicates of existing ones."""
-        pts = list(self.points)
-        for p in extra:
-            p = complex(p)
-            if all(abs(p - q) >= MIN_SEPARATION for q in pts):
-                pts.append(p)
-        return SampleSet(tuple(pts), gen=self.gen + label)
+        """Append points, silently dropping near-duplicates of existing ones
+        and of extra points appended before them."""
+        pts = self.points + tuple(complex(p) for p in extra)
+        keep = [True] * len(pts)
+        for i, j in zip(*_close_pairs(np.asarray(pts, dtype=complex))):
+            if keep[i]:      # pairs come ordered by j, so keep[i] is settled
+                keep[j] = False
+        kept = tuple(p for p, k in zip(pts, keep) if k)
+        return SampleSet(kept, gen=self.gen + label)
 
     @classmethod
     def radial_grid(cls, n_r: int, n_theta: int, r_max: float = DEFAULT_RMAX) -> "SampleSet":

@@ -1,14 +1,18 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cnpcert.descriptors import kernel_from_json
 from cnpcert.errors import DimensionMismatch, LengthMismatch
-from cnpcert.kernels import Congruence, Constant, Szego
+from cnpcert.kernels import Congruence, Constant, NormalizedDefect, Szego
 from cnpcert.linalg import (
+    RITZ_MIN_N,
     Verdict,
+    _ritz_min_eig,
     block_pick_matrix,
     gram,
     hermitian_from_raw,
@@ -18,7 +22,7 @@ from cnpcert.linalg import (
     psd_verdict,
     smallest_eigenvalue,
 )
-from cnpcert.sampling import SampleSet
+from cnpcert.sampling import SampleSet, ball_points
 from cnpcert.series import PowerSeries
 
 
@@ -86,6 +90,103 @@ def test_psd_verdict_bands():
     assert bad.status is Verdict.NOT_PSD
     with pytest.raises(ValueError):
         psd_verdict(herm(np.eye(2)), tol=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_is_inconclusive_without_warning(bad):
+    raw = np.eye(4, dtype=complex)
+    raw[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = hermitian_from_raw(raw, "non-finite")
+        v = psd_verdict(m)
+    assert not m.finite
+    assert v.status is Verdict.INCONCLUSIVE
+    assert np.isnan(v.min_eig)
+    assert v.tol == 1e-9
+    json.dumps(v.to_json_dict(), allow_nan=False)
+
+
+def test_psd_verdict_rejects_non_finite_tolerance():
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            psd_verdict(herm(np.eye(2)), tol=tol)
+
+
+# ------------------------------------------------- low-rank Rayleigh-Ritz
+
+def planted(n, diag, seed):
+    """Hermitian n x n matrix with the given nonzero eigenvalues (rank
+    len(diag)) and zeros elsewhere."""
+    rng = np.random.default_rng(seed)
+    r = len(diag)
+    v, _ = np.linalg.qr(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
+    return hermitian_from_raw((v * np.asarray(diag)) @ v.conj().T, "planted low rank")
+
+
+def test_ritz_planted_rank_12_with_negative_eigenvalues():
+    diag = [-2.5, -1.0, -0.3, 0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 2.0, 2.4, 3.0]
+    m = planted(600, diag, seed=1)
+    me = smallest_eigenvalue(m)
+    assert me == _ritz_min_eig(m.entries, m.scale)
+    assert abs(me - (-2.5)) < 1e-10 * m.scale
+    assert psd_verdict(m).status is Verdict.NOT_PSD
+
+
+def test_ritz_planted_rank_2_psd():
+    m = planted(1160, [1.5, 0.2], seed=2)
+    v = psd_verdict(m)
+    assert v.status is Verdict.PSD
+    assert abs(v.min_eig) <= 1e-10 * max(1.0, m.scale)
+    assert _ritz_min_eig(m.entries, m.scale) is not None
+
+
+def test_ritz_full_rank_falls_back_to_eigvalsh():
+    n = 300
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    m = hermitian_from_raw(q @ np.diag(rng.uniform(-3.0, 3.0, n)) @ q.conj().T, "full rank")
+    assert m.n >= RITZ_MIN_N
+    assert _ritz_min_eig(m.entries, m.scale) is None
+    assert smallest_eigenvalue(m) == float(np.linalg.eigvalsh(m.entries)[0])
+
+
+def test_ritz_overflow_falls_back_without_warning():
+    m = planted(300, [1e300, -1e300], seed=5)
+    assert m.finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        me = smallest_eigenvalue(m)
+    assert me == float(np.linalg.eigvalsh(m.entries)[0])
+    assert psd_verdict(m).status is Verdict.NOT_PSD
+
+
+def test_ritz_is_deterministic():
+    m = planted(600, [-0.7, 0.5, 1.0], seed=4)
+    assert smallest_eigenvalue(m) == smallest_eigenvalue(m)
+
+
+@pytest.mark.parametrize("desc, base", [
+    ({"kind": "dbr", "b": {"family": "affine", "A": [0.5, 0], "B": [2, 0]}}, 0.3 + 0j),
+    ({"kind": "dbr", "b": {"family": "blaschke", "zeros": [[0, 0], [0.5, 0]]}}, 0.3 + 0j),
+    ({"kind": "drury_arveson", "dim": 2}, (0.3 + 0j, 0j)),
+])
+def test_ritz_matches_eigvalsh_on_defect_matrices(desc, base):
+    kernel = kernel_from_json(desc)
+    if kernel.point_ndim == 0:
+        pts = SampleSet.default(grid=(20, 40)).points
+    else:
+        pts = ball_points(808, 2)
+    m = gram(NormalizedDefect(kernel, base), [p for p in pts if p != base])
+    me = _ritz_min_eig(m.entries, m.scale)
+    assert me is not None and m.n >= 800
+    assert smallest_eigenvalue(m) == me
+    ref = float(np.linalg.eigvalsh(m.entries)[0])
+    assert abs(me - ref) <= 1e-10 * max(1.0, m.scale)
+    tol = 1e-9 * max(1.0, m.scale)
+    ref_status = (Verdict.PSD if ref >= -tol
+                  else Verdict.NOT_PSD if ref < -10 * tol else Verdict.INCONCLUSIVE)
+    assert psd_verdict(m).status is ref_status
 
 
 # --------------------------------------------------------------- pick forms

@@ -1,0 +1,52 @@
+import numpy as np
+import pytest
+
+from cnpcert.sampling import SampleSet
+
+# SampleSet.default()'s seeded random points (seed 20210, r_max 0.9)
+DEFAULT_RANDOM_POINTS = (
+    -0.5005093828244584 + 0.30854121813288526j,
+    0.3357329864958777 + 0.2025857478651789j,
+    -0.40924026223146814 + 0.1887684169921095j,
+    0.4549325639177408 + 0.4085136261445851j,
+    -0.09980422850073747 + 0.6276343409858728j,
+    -0.051462228741849525 + 0.7577052361421415j,
+    0.6190219860439947 + 0.642584217576159j,
+    -0.7936995135554382 - 0.27967694532242915j,
+)
+
+
+def test_default_points_pinned():
+    pts = SampleSet.default()
+    radii = 0.9 * (np.arange(1, 7) / 6)
+    angles = 2.0 * np.pi * np.arange(12) / 12
+    grid = np.outer(radii, np.exp(1j * angles)).ravel()   # ring by ring, angle 0 first
+    assert pts.points == tuple(complex(p) for p in grid) + DEFAULT_RANDOM_POINTS
+    assert all(type(p) is complex for p in pts.points)
+    assert pts.gen == "radial_grid(6x12, rmax=0.9)+random(8, seed=20210)"
+
+
+def test_extended_drops_near_duplicates_in_order():
+    pts = SampleSet.explicit([0.5, -0.5]).extended(
+        [0.5 + 5e-9, 0.1, 0.1 + 5e-9j, 0.2, -0.5 - 2e-9j, 0.2]
+    )
+    assert pts.points == (0.5, -0.5, 0.1, 0.2)
+
+
+def test_extended_compares_only_with_kept_points():
+    # 7e-9 is dropped as a near-duplicate of 0; 1.4e-8 is then kept, being
+    # within 1e-8 of the dropped point only.
+    pts = SampleSet.explicit([0.0]).extended([7e-9, 1.4e-8])
+    assert pts.points == (0.0, 1.4e-8)
+
+
+def test_separation_check_on_a_vertical_line():
+    line = [0.3 + 2e-8j * k for k in range(50)]
+    assert len(SampleSet.explicit(line)) == 50
+    with pytest.raises(ValueError, match="closer than"):
+        SampleSet.explicit(line + [0.3 + 5e-9j])
+
+
+def test_extended_rejects_non_finite_points():
+    with pytest.raises(ValueError, match="finite"):
+        SampleSet.explicit([0.5]).extended([complex("nan")])
