@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import VanishingKernel
 from .kernels import Kernel, NormalizedDefect
-from .linalg import PsdVerdict, Verdict, gram, psd_verdict
+from .linalg import HermitianMatrix, PsdVerdict, Verdict, gram, hermitian_from_raw, psd_verdict
 
 EVIDENCE_NOTE = (
     "PSD over the sampled points is supporting evidence only; "
@@ -64,31 +64,52 @@ class CertReport:
 
 
 def _exclude_base(points, base, point_ndim: int):
+    """The samples away from the base, and the mask of which were kept."""
     pts = list(points)
     if not pts:
-        return pts, False
+        return pts, np.zeros(0, dtype=bool)
     offset = np.asarray(pts, dtype=complex) - np.asarray(base, dtype=complex)
     dist = np.abs(offset) if point_ndim == 0 else np.max(np.abs(offset), axis=1)
-    kept = [p for p, keep in zip(pts, (dist > _BASE_EXCLUSION).tolist()) if keep]
-    return kept, len(kept) < len(pts)
+    keep = dist > _BASE_EXCLUSION
+    return [p for p, k in zip(pts, keep.tolist()) if k], keep
 
 
-def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None) -> CertReport:
+def _asym_note(what: str, m: HermitianMatrix) -> str:
+    return (
+        f"assembly warning: {what} asymmetry {m.asymmetry:.3e} "
+        f"exceeds tolerance at scale {m.scale:.3e}"
+    )
+
+
+def cnp_certify(
+    kernel: Kernel, base, pts, tol: float | None = None, *,
+    kernel_gram: HermitianMatrix | None = None,
+) -> CertReport:
     """Certify positivity of the base-normalized defect on a sample set.
 
     The base point is dropped from the samples if present (its defect row and
     column vanish identically and add nothing). A vanishing kernel value while
     assembling the defect yields an INCONCLUSIVE report with ``vanish_flag``
     set instead of an exception, so sweeps stay total.
+
+    The defect's Gram is a rank-one rescale of the kernel's Gram K(z, w) on
+    the kept samples, the only n x n kernel evaluation. ``kernel_gram`` is
+    that Gram on all of ``pts``, when the caller has it already (a base-point
+    sweep builds it once for every base); without it, it is computed here.
     """
     points = getattr(pts, "points", pts)
-    kept, dropped = _exclude_base(points, base, kernel.point_ndim)
+    kept, keep = _exclude_base(points, base, kernel.point_ndim)
+    if kernel_gram is not None and kernel_gram.n != keep.size:
+        raise ValueError(f"kernel_gram is {kernel_gram.n}x{kernel_gram.n} for {keep.size} samples")
+    dropped = not keep.all()
     notes = []
     if dropped:
         notes.append("dropped sample point(s) coinciding with the base")
     try:
         defect = NormalizedDefect(kernel, base)
-        matrix = gram(defect, kept)
+        if kernel_gram is None:
+            kernel_gram, keep = gram(kernel, kept), np.ones(len(kept), dtype=bool)
+        matrix = _defect_gram(defect, kernel_gram, keep, kept)
     except VanishingKernel as exc:
         notes.append(f"{exc.code}: {exc}")
         notes.append(EVIDENCE_NOTE)
@@ -96,20 +117,46 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None) -> CertRepo
         verdict = PsdVerdict(Verdict.INCONCLUSIVE, float("nan"), used_tol)
         return CertReport(verdict, base, tuple(kept), True, tuple(notes))
     verdict = psd_verdict(matrix, tol)
+    if kernel_gram.asym_warning:
+        notes.append(_asym_note("kernel Gram", kernel_gram))
     if matrix.asym_warning:
-        notes.append(
-            f"assembly warning: Hermitian asymmetry {matrix.asymmetry:.3e} "
-            f"exceeds tolerance at scale {matrix.scale:.3e}"
-        )
+        notes.append(_asym_note("Hermitian", matrix))
     notes.append(EVIDENCE_NOTE)
     return CertReport(verdict, base, tuple(kept), False, tuple(notes))
+
+
+def _defect_gram(
+    defect: NormalizedDefect, kernel_gram: HermitianMatrix, keep: np.ndarray, kept: list
+) -> HermitianMatrix:
+    """The defect's symmetrized Gram on the ``kept`` samples, the ``keep``
+    rows and columns of the kernel's Gram."""
+    if not kept:
+        raise ValueError("at least one sample point away from the base is required")
+    points = np.asarray(kept, dtype=complex)
+    if keep.all():
+        raw = defect.rescale(kernel_gram.entries, points)
+    else:   # the principal submatrix is a copy: the defect is assembled in it
+        kzw = kernel_gram.entries[np.ix_(keep, keep)]
+        raw = defect.rescale(kzw, points, out=kzw)
+    return hermitian_from_raw(raw, f"{defect.describe()} on {len(kept)} samples")
 
 
 def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):
     """One certification per base point; disagreement is flagged, because the
     property holds at every base or at none, so a split can only mean the
-    samples were too thin."""
-    reports = [cnp_certify(kernel, base, pts, tol) for base in bases]
+    samples were too thin.
+
+    The kernel's Gram on the samples does not depend on the base, so it is
+    built once and every base's defect is assembled from it.
+    """
+    bases = list(bases)
+    if not bases:
+        return []
+    try:
+        kernel_gram = gram(kernel, pts)
+    except VanishingKernel:   # a defect kernel vanishing on pts: each base reports it
+        kernel_gram = None
+    reports = [cnp_certify(kernel, base, pts, tol, kernel_gram=kernel_gram) for base in bases]
     statuses = {
         r.verdict.status for r in reports if r.verdict.status is not Verdict.INCONCLUSIVE
     }

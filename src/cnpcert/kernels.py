@@ -112,7 +112,12 @@ class DruryArveson(Kernel):
         return ("ball", self.dim)
 
     def evaluate(self, z, w):
-        inner = np.sum(np.asarray(z, complex) * np.conj(np.asarray(w, complex)), axis=-1)
+        zz = np.asarray(z, complex)
+        ww = np.conj(np.asarray(w, complex))
+        # <z, w> one coordinate at a time: no (..., dim) product array
+        inner = zz[..., 0] * ww[..., 0]
+        for k in range(1, max(zz.shape[-1], ww.shape[-1])):
+            inner += zz[..., k] * ww[..., k]
         den = 1.0 - inner
         _guard_min_modulus(den, DOM_EPS, NearSingular, "Drury-Arveson denominator")
         return 1.0 / den
@@ -282,6 +287,24 @@ class Congruence(Kernel):
         return f"congruence({self.inner.describe()})"
 
 
+def _defect_quotient(kzb, kbw, kbb: float, kzw, out=None):
+    """1 - kzb kbw / (kbb kzw), broadcast, formed in one output array:
+    ``out`` when given (it may be ``kzw`` itself), else a new one. The
+    numerator is the only other full-size array.
+
+    Raises ``VanishingKernel`` when any kernel value in the quotient is
+    numerically zero, since the criterion is meaningless there.
+    """
+    _guard_min_modulus(kzb, DEFECT_EPS, VanishingKernel, "K(z, base)")
+    _guard_min_modulus(kbw, DEFECT_EPS, VanishingKernel, "K(base, w)")
+    _guard_min_modulus(kzw, DEFECT_EPS, VanishingKernel, "K(z, w)")
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(kzb), np.shape(kbw), np.shape(kzw)), complex)
+    np.multiply(kbb, kzw, out=out)
+    np.divide(kzb * kbw, out, out=out)
+    return np.subtract(1.0, out, out=out)
+
+
 @dataclass(frozen=True, eq=False)
 class NormalizedDefect(Kernel):
     """D(z, w) = 1 - K(z, base) K(base, w) / (K(base, base) K(z, w)).
@@ -320,10 +343,21 @@ class NormalizedDefect(Kernel):
         kzb = np.asarray(self.inner.evaluate(z, base), complex)
         kbw = np.asarray(self.inner.evaluate(base, w), complex)
         kzw = np.asarray(self.inner.evaluate(z, w), complex)
-        _guard_min_modulus(kzb, DEFECT_EPS, VanishingKernel, "K(z, base)")
-        _guard_min_modulus(kbw, DEFECT_EPS, VanishingKernel, "K(base, w)")
-        _guard_min_modulus(kzw, DEFECT_EPS, VanishingKernel, "K(z, w)")
-        return 1.0 - kzb * kbw / (self._kbb * kzw)
+        return _defect_quotient(kzb, kbw, self._kbb, kzw)
+
+    def rescale(self, kzw: np.ndarray, points: np.ndarray, out=None) -> np.ndarray:
+        """The defect's (unsymmetrized) Gram on ``points`` from the inner
+        kernel's Gram ``kzw`` on them.
+
+        Only the vectors K(z, base) and K(base, w) are evaluated; the n x n
+        work is a rank-one elementwise rescale of ``kzw``, written into
+        ``out`` (which may be ``kzw`` itself) when given.
+        """
+        base = np.asarray(self.base, complex)
+        n = kzw.shape[0]
+        kzb = np.broadcast_to(np.asarray(self.inner.evaluate(points, base), complex), (n,))
+        kbw = np.broadcast_to(np.asarray(self.inner.evaluate(base, points), complex), (n,))
+        return _defect_quotient(kzb[:, None], kbw[None, :], self._kbb, kzw, out)
 
     def describe(self):
         return f"defect({self.inner.describe()})"

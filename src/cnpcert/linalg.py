@@ -13,7 +13,6 @@ normalized-defect matrices of dense sample sets do; see smallest_eigenvalue.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +23,7 @@ from .errors import DimensionMismatch, DomainViolation, LengthMismatch, NoConver
 from .kernels import Kernel
 
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
+HERM_ROW_CHUNK = 64   # rows symmetrized and reduced at a time
 
 # Randomized Rayleigh-Ritz (see smallest_eigenvalue)
 RITZ_MIN_N = 256         # below this order eigvalsh is cheap enough
@@ -85,15 +85,29 @@ class HermitianMatrix:
 
 
 def hermitian_from_raw(raw, assembly: str = "") -> HermitianMatrix:
+    """0.5 (raw + raw^H), with its max modulus as scale and max |raw - raw^H|
+    as asymmetry.
+
+    One full-size array is allocated (the result, which starts as raw^H);
+    both maxima are taken over the upper triangle, HERM_ROW_CHUNK rows at a
+    time, which is exact since the moduli are symmetric. They are reduced
+    with np.max, so a NaN entry anywhere makes both NaN.
+    """
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] < 1:
         raise ValueError("expected a square matrix of dimension >= 1")
+    herm = np.conjugate(raw.T, out=np.empty(raw.shape, dtype=complex))
+    asym, scale = [], []
     with np.errstate(invalid="ignore", over="ignore"):   # non-finite: scale says so
-        herm = 0.5 * (raw + raw.conj().T)
-        asym = float(np.max(np.abs(raw - raw.conj().T)))
-        scale = float(np.max(np.abs(herm)))
+        for i in range(0, raw.shape[0], HERM_ROW_CHUNK):
+            j = i + HERM_ROW_CHUNK
+            asym.append(np.max(np.abs(raw[i:j, i:] - herm[i:j, i:])))
+            rows = herm[i:j]
+            rows += raw[i:j]
+            rows *= 0.5
+            scale.append(np.max(np.abs(rows[:, i:])))
     herm.setflags(write=False)
-    return HermitianMatrix(herm, scale, assembly, asym)
+    return HermitianMatrix(herm, float(np.max(scale)), assembly, float(np.max(asym)))
 
 
 def _point_array(pts, point_ndim: int) -> np.ndarray:
@@ -305,7 +319,3 @@ def matrix_to_json_dict(m: HermitianMatrix) -> dict:
             [[float(v.real), float(v.imag)] for v in row] for row in m.entries
         ],
     }
-
-
-def matrix_to_json(m: HermitianMatrix) -> str:
-    return json.dumps(matrix_to_json_dict(m), sort_keys=True)

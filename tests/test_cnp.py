@@ -1,10 +1,19 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from cnpcert.cnp import EVIDENCE_NOTE, cnp_basepoint_sweep, cnp_certify
-from cnpcert.kernels import Congruence, DeBrangesRovnyak, DruryArveson, Szego
-from cnpcert.linalg import Verdict
+from cnpcert.kernels import (
+    Congruence,
+    DeBrangesRovnyak,
+    DruryArveson,
+    Kernel,
+    NormalizedDefect,
+    Szego,
+)
+from cnpcert.linalg import Verdict, gram
 from cnpcert.pickinterp import blaschke_product
 from cnpcert.sampling import SampleSet, ball_points
 from cnpcert.series import PowerSeries
@@ -101,3 +110,74 @@ def test_report_json_ball_base():
     rep = cnp_certify(DruryArveson(2), (0j, 0j), pts)
     d = rep.to_json_dict()
     assert d["base"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+# ------------------------------------------- sweep against per-base certify
+
+def assert_sweep_matches_certify(kernel, bases, pts):
+    sweep = cnp_basepoint_sweep(kernel, bases, pts)
+    assert len(sweep) == len(bases)
+    for base, rep in zip(bases, sweep):
+        one = cnp_certify(kernel, base, pts)
+        assert rep.verdict.status is one.verdict.status
+        assert rep.n_samples == one.n_samples
+        assert rep.notes == one.notes
+        assert rep.vanish_flag == one.vanish_flag
+        if one.vanish_flag:
+            assert math.isnan(rep.verdict.min_eig) and math.isnan(one.verdict.min_eig)
+        else:
+            scale = one.verdict.tol / 1e-9   # the default tol is 1e-9 max(1, scale)
+            assert abs(rep.verdict.min_eig - one.verdict.min_eig) <= 1e-12 * scale
+    return sweep
+
+
+def test_sweep_matches_certify_with_base_on_a_sample():
+    pts = SampleSet.default(seed=5, grid=(6, 12))
+    kernel = DeBrangesRovnyak(blaschke_product([0.0, 0.5]))
+    bases = [0j, pts.points[7], -0.2 + 0.4j]
+    sweep = assert_sweep_matches_certify(kernel, bases, pts)
+    assert [r.n_samples for r in sweep] == [80, 79, 80]
+    assert any("dropped" in note for note in sweep[1].notes)
+    assert all(r.verdict.status is Verdict.NOT_PSD for r in sweep)
+
+
+@pytest.mark.parametrize("outer_defect", [False, True])
+def test_sweep_matches_certify_for_vanishing_kernel(outer_defect):
+    k = Congruence(Szego(), PowerSeries([-0.5, 1.0]))  # vanishes at z = 1/2
+    if outer_defect:   # then the kernel's own Gram raises VanishingKernel
+        k = NormalizedDefect(k, 0.1j)
+    pts = SampleSet.explicit([0.5, -0.3, 0.2j])
+    sweep = assert_sweep_matches_certify(k, [0j, -0.3 + 0j, 0.1 + 0.1j], pts)
+    for rep in sweep:
+        assert rep.vanish_flag
+        assert rep.verdict.status is Verdict.INCONCLUSIVE
+        assert any("VANISHING_KERNEL" in n for n in rep.notes)
+
+
+def test_sweep_matches_certify_on_the_ball():
+    pts = ball_points(60, 2, seed=9)
+    bases = [(0j, 0j), (0.3 + 0j, 0j), tuple(pts[3])]
+    sweep = assert_sweep_matches_certify(DruryArveson(2), bases, pts)
+    assert [r.n_samples for r in sweep] == [60, 60, 59]
+    assert all(r.verdict.status is Verdict.PSD for r in sweep)
+
+
+def test_certify_rejects_kernel_gram_of_other_samples():
+    pts = SampleSet.explicit([0.4, -0.2j])
+    with pytest.raises(ValueError):
+        cnp_certify(Szego(), 0j, pts, kernel_gram=gram(Szego(), [0.4]))
+
+
+class SkewedSzego(Kernel):
+    """Szego plus 1e-6 z w: not conjugate-symmetric, as a buggy kernel would
+    be, yet exact at the base 0, so only K(z, w) carries the asymmetry."""
+
+    def evaluate(self, z, w):
+        return Szego().evaluate(z, w) + 1e-6 * np.asarray(z, complex) * np.asarray(w, complex)
+
+
+def test_asymmetric_kernel_gets_an_assembly_warning():
+    pts = SampleSet.default(seed=3, grid=(4, 8))
+    for rep in [cnp_certify(SkewedSzego(), 0j, pts)] + cnp_basepoint_sweep(
+            SkewedSzego(), [0j], pts):
+        assert any(note.startswith("assembly warning") for note in rep.notes)

@@ -25,7 +25,7 @@ from cnpcert.kernels import (
     unit_ball_probe,
 )
 from cnpcert.linalg import gram
-from cnpcert.sampling import SampleSet
+from cnpcert.sampling import SampleSet, ball_points
 from cnpcert.series import PowerSeries
 
 
@@ -89,6 +89,14 @@ def test_drury_arveson_dim1_matches_szego():
 def test_drury_arveson_domain():
     with pytest.raises(DomainViolation):
         kernel_eval(DruryArveson(2), [0.8, 0.7], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_drury_arveson_matches_summed_inner_product_bitwise(dim):
+    pts = np.asarray(ball_points(60, dim, seed=300 + dim), dtype=complex)
+    z, w = pts[:, None, :], pts[None, :, :]
+    ref = 1.0 / (1.0 - np.sum(z * np.conj(w), axis=-1))
+    assert DruryArveson(dim).evaluate(z, w).tobytes() == ref.tobytes()
 
 
 def test_weighted_hardy_all_ones_matches_szego():
@@ -217,6 +225,18 @@ def test_defect_squared_symbol_closed_form():
     for z, w in [(0.5, 0.5), (0.5, -0.5), (0.3j, 0.2)]:
         t = z * np.conj(w)
         assert abs(kernel_eval(d, z, w) - t / (1 + t)) < 1e-14
+
+
+def test_defect_rescale_of_kernel_gram_matches_evaluate():
+    k = DeBrangesRovnyak(half_map(16))
+    d = NormalizedDefect(k, 0.2 - 0.1j)
+    zs = np.asarray(SampleSet.default(seed=4, grid=(4, 8)).points)
+    kzw = k.evaluate(zs[:, None], zs[None, :])
+    ref = d.evaluate(zs[:, None], zs[None, :])
+    assert d.rescale(kzw, zs).tobytes() == ref.tobytes()
+    out = kzw.copy()
+    assert d.rescale(out, zs, out=out) is out
+    assert out.tobytes() == ref.tobytes()
 
 
 def test_defect_vanishing_kernel_raises():

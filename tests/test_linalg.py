@@ -107,6 +107,31 @@ def test_non_finite_entry_is_inconclusive_without_warning(bad):
     json.dumps(v.to_json_dict(), allow_nan=False)
 
 
+@pytest.mark.parametrize("pos, bad", [((140, 100), np.nan), ((100, 100), np.inf)])
+def test_non_finite_entry_off_the_upper_triangle_reaches_scale(pos, bad):
+    # a NaN only below the diagonal, an inf only on it, in a later row chunk
+    raw = np.eye(150, dtype=complex)
+    raw[pos] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = hermitian_from_raw(raw, "non-finite")
+        v = psd_verdict(m)
+    assert not m.finite
+    assert v.status is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_hermitian_from_raw_matches_full_array_formulas(order):
+    rng = np.random.default_rng(17)
+    raw = rng.standard_normal((150, 150)) + 1j * rng.standard_normal((150, 150))
+    raw = np.asarray(raw, order=order)
+    m = hermitian_from_raw(raw, "random")
+    ref = 0.5 * (raw + raw.conj().T)
+    assert m.entries.tobytes() == np.ascontiguousarray(ref).tobytes()
+    assert m.scale == np.max(np.abs(ref))
+    assert m.asymmetry == np.max(np.abs(raw - raw.conj().T))
+
+
 def test_psd_verdict_rejects_non_finite_tolerance():
     for tol in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
