@@ -7,6 +7,8 @@ criterion for de Branges-Rovnyak kernels, and Schur-recursion Pick
 interpolation for the Szego kernel.
 """
 
+__version__ = "0.1.0"
+
 from .cnp import CertReport, cnp_basepoint_sweep, cnp_certify
 from .dbr import (
     CriterionReport,
@@ -60,5 +62,3 @@ from .pickinterp import (
 )
 from .sampling import SampleSet, ball_points
 from .series import PowerSeries, divide
-
-__version__ = "0.1.0"

@@ -27,6 +27,7 @@ from .cnp import cnp_certify
 from .dbr import CriterionVerdict, cnp_criterion
 from .descriptors import complex_to_json, kernel_from_json, symbol_from_json, witness_from_json
 from .errors import CnpcertError, NotStrictlySolvable, SuiteFormat
+from .families import DEFAULT_ORDER
 from .gallery import default_suite_dict, run_suite
 from .linalg import Verdict
 from .pickinterp import (
@@ -126,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cnp.add_argument("--base", default="0", help="base point (default: %(default)s)")
     p_cnp.add_argument("--tol", type=float, default=None,
                        help="verdict tolerance (default: 1e-9 * max(1, scale))")
-    p_cnp.add_argument("--order", type=int, default=64, help="series truncation order (default: %(default)s)")
+    p_cnp.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                       help="series truncation order (default: %(default)s)")
     p_cnp.add_argument("--json", dest="json_path", default=None, help="also write report here")
     _sample_args(p_cnp)
     p_cnp.set_defaults(func=cmd_cnp)
@@ -137,14 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--witness", default=None,
         help="extension witness: 'shipped', or series JSON (path or inline)",
     )
-    p_hb.add_argument("--order", type=int, default=64, help="series truncation order (default: %(default)s)")
+    p_hb.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                      help="series truncation order (default: %(default)s)")
     p_hb.add_argument("--json", dest="json_path", default=None, help="also write report here")
     _sample_args(p_hb)
     p_hb.set_defaults(func=cmd_hbcheck)
 
     p_gal = sub.add_parser("gallery", help="run a verdict suite")
     p_gal.add_argument("--suite", default=None, help="suite JSON path (default: the shipped gallery)")
-    p_gal.add_argument("--order", type=int, default=64, help="series truncation order (default: %(default)s)")
+    p_gal.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                       help="series truncation order (default: %(default)s)")
     p_gal.add_argument("--tol", type=float, default=None,
                        help="verdict tolerance (default: 1e-9 * max(1, scale))")
     p_gal.add_argument("--json", dest="json_path", default=None, help="also write report here")
@@ -156,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pick.add_argument("--construct", action="store_true", help="build the interpolant")
     p_pick.add_argument("--tol", type=float, default=None,
                         help="verdict tolerance (default: 1e-9 * max(1, scale))")
-    p_pick.add_argument("--order", type=int, default=64, help="series truncation order (default: %(default)s)")
+    p_pick.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                        help="series truncation order (default: %(default)s)")
     p_pick.add_argument("--json", dest="json_path", default=None, help="also write report here")
     p_pick.set_defaults(func=cmd_pick)
 
@@ -182,12 +187,10 @@ def cmd_cnp(args) -> int:
 def cmd_hbcheck(args) -> int:
     b_spec = _load_json_arg(args.b)
     b = symbol_from_json(b_spec, args.order)
-    if args.witness is None:
-        witness = None
-    elif args.witness.strip() == "shipped":
-        witness = witness_from_json("shipped", b_spec, args.order)
-    else:
-        witness = witness_from_json(_load_json_arg(args.witness), b_spec, args.order)
+    w_spec = args.witness
+    if w_spec is not None:
+        w_spec = "shipped" if w_spec.strip() == "shipped" else _load_json_arg(w_spec)
+    witness = witness_from_json(w_spec, b_spec)
     pts = _samples_from_args(args)
     report = cnp_criterion(b, witness, pts)
     _emit(report.to_json_dict(), args.json_path)

@@ -14,8 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import VanishingKernel
-from .kernels import Kernel, NormalizedDefect
-from .linalg import HermitianMatrix, PsdVerdict, Verdict, gram, hermitian_from_raw, psd_verdict
+from .kernels import Kernel, NormalizedDefect, row_blocks
+from .linalg import (
+    HermitianMatrix, PsdVerdict, Verdict, empty_matrix, gram, hermitian_in_place, psd_verdict,
+)
 
 EVIDENCE_NOTE = (
     "PSD over the sampled points is supporting evidence only; "
@@ -63,13 +65,18 @@ class CertReport:
         }
 
 
-def _exclude_base(points, base, point_ndim: int):
-    """The samples away from the base, and the mask of which were kept."""
+def _exclude_base(points, base, kernel: Kernel):
+    """The samples away from the base, and the mask of which were kept.
+    ``kernel.contains`` sees the base and the samples first, so points of the
+    wrong dimension raise DomainMismatch instead of failing to broadcast."""
     pts = list(points)
+    at, arr = np.asarray(base, dtype=complex), np.asarray(pts, dtype=complex)
+    kernel.contains(at)
+    kernel.contains(arr)
     if not pts:
         return pts, np.zeros(0, dtype=bool)
-    offset = np.asarray(pts, dtype=complex) - np.asarray(base, dtype=complex)
-    dist = np.abs(offset) if point_ndim == 0 else np.max(np.abs(offset), axis=1)
+    offset = arr - at
+    dist = np.abs(offset) if kernel.point_ndim == 0 else np.max(np.abs(offset), axis=1)
     keep = dist > _BASE_EXCLUSION
     return [p for p, k in zip(pts, keep.tolist()) if k], keep
 
@@ -83,7 +90,7 @@ def _asym_note(what: str, m: HermitianMatrix) -> str:
 
 def cnp_certify(
     kernel: Kernel, base, pts, tol: float | None = None, *,
-    kernel_gram: HermitianMatrix | None = None,
+    kernel_gram: HermitianMatrix | None = None, work: np.ndarray | None = None,
 ) -> CertReport:
     """Certify positivity of the base-normalized defect on a sample set.
 
@@ -96,9 +103,11 @@ def cnp_certify(
     the kept samples, the only n x n kernel evaluation. ``kernel_gram`` is
     that Gram on all of ``pts``, when the caller has it already (a base-point
     sweep builds it once for every base); without it, it is computed here.
+    The defect is assembled in ``work``, a writable C-contiguous complex
+    array of at least len(pts)**2 entries, when given (a sweep passes one
+    to every base), else in a new array.
     """
-    points = getattr(pts, "points", pts)
-    kept, keep = _exclude_base(points, base, kernel.point_ndim)
+    kept, keep = _exclude_base(pts, base, kernel)
     if kernel_gram is not None and kernel_gram.n != keep.size:
         raise ValueError(f"kernel_gram is {kernel_gram.n}x{kernel_gram.n} for {keep.size} samples")
     dropped = not keep.all()
@@ -109,7 +118,7 @@ def cnp_certify(
         defect = NormalizedDefect(kernel, base)
         if kernel_gram is None:
             kernel_gram, keep = gram(kernel, kept), np.ones(len(kept), dtype=bool)
-        matrix = _defect_gram(defect, kernel_gram, keep, kept)
+        matrix = _defect_gram(defect, kernel_gram, keep, kept, work)
     except VanishingKernel as exc:
         notes.append(f"{exc.code}: {exc}")
         notes.append(EVIDENCE_NOTE)
@@ -126,19 +135,23 @@ def cnp_certify(
 
 
 def _defect_gram(
-    defect: NormalizedDefect, kernel_gram: HermitianMatrix, keep: np.ndarray, kept: list
+    defect: NormalizedDefect, kernel_gram: HermitianMatrix, keep: np.ndarray, kept: list, work
 ) -> HermitianMatrix:
     """The defect's symmetrized Gram on the ``kept`` samples, the ``keep``
-    rows and columns of the kernel's Gram."""
+    rows and columns of the kernel's Gram, assembled and symmetrized in
+    ``work`` (or a new array)."""
     if not kept:
         raise ValueError("at least one sample point away from the base is required")
-    points = np.asarray(kept, dtype=complex)
+    points, m = np.asarray(kept, dtype=complex), len(kept)
+    raw = empty_matrix(m) if work is None else work.reshape(-1)[: m * m].reshape(m, m)
     if keep.all():
-        raw = defect.rescale(kernel_gram.entries, points)
-    else:   # the principal submatrix is a copy: the defect is assembled in it
-        kzw = kernel_gram.entries[np.ix_(keep, keep)]
-        raw = defect.rescale(kzw, points, out=kzw)
-    return hermitian_from_raw(raw, f"{defect.describe()} on {len(kept)} samples")
+        kzw = kernel_gram.entries
+    else:   # the principal submatrix, copied into raw by row blocks
+        kzw, idx = raw, np.flatnonzero(keep)
+        for rows in row_blocks(idx.size, raw[:1].nbytes):
+            raw[rows] = kernel_gram.entries[np.ix_(idx[rows], idx)]
+    defect.rescale(kzw, points, out=raw)
+    return hermitian_in_place(raw, f"{defect.describe()} on {len(kept)} samples")
 
 
 def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):
@@ -147,7 +160,7 @@ def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):
     samples were too thin.
 
     The kernel's Gram on the samples does not depend on the base, so it is
-    built once and every base's defect is assembled from it.
+    built once and every base's defect is assembled from it, in one array.
     """
     bases = list(bases)
     if not bases:
@@ -156,7 +169,10 @@ def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):
         kernel_gram = gram(kernel, pts)
     except VanishingKernel:   # a defect kernel vanishing on pts: each base reports it
         kernel_gram = None
-    reports = [cnp_certify(kernel, base, pts, tol, kernel_gram=kernel_gram) for base in bases]
+    work = empty_matrix(len(pts))
+    reports = [
+        cnp_certify(kernel, base, pts, tol, kernel_gram=kernel_gram, work=work) for base in bases
+    ]
     statuses = {
         r.verdict.status for r in reports if r.verdict.status is not Verdict.INCONCLUSIVE
     }

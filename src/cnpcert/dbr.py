@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NearZeroSample, NonInvertible, NotSchurClass, WitnessInconsistent
 from .kernels import Congruence, Constant, DeBrangesRovnyak, Pullback, Szego, unit_ball_probe
 from .linalg import PsdVerdict, gram, hermitian_from_raw, psd_verdict
-from .sampling import SampleSet
+from .sampling import SampleSet, polar_grid
 from .series import PowerSeries
 
 COLL_EPS = 1e-7        # collision threshold for the injectivity probe
@@ -104,7 +104,7 @@ def injectivity_probe(b: PowerSeries, pts) -> InjectivityStatus:
     while the arguments are separated by more than SEP_MIN. Any failed
     evaluation, or fewer than two points, is INCONCLUSIVE.
     """
-    arr = np.asarray(list(getattr(pts, "points", pts)), dtype=complex)
+    arr = np.asarray(list(pts), dtype=complex)
     if arr.size < 2:
         return InjectivityStatus.INCONCLUSIVE
     vals = np.asarray(b(arr), dtype=complex)
@@ -144,19 +144,13 @@ def schwarz_pick_margin(b: PowerSeries, pts) -> float:
     restricted to b's range; it is necessary but never sufficient. Samples at
     the origin are rejected (the limit there is a separate, removable case).
     """
-    arr = np.asarray(list(getattr(pts, "points", pts)), dtype=complex)
+    arr = np.asarray(list(pts), dtype=complex)
     if np.any(np.abs(arr) < _ORIGIN_EPS):
         raise ValueError("samples for the margin check must exclude the origin")
     b0 = complex(b.coeffs[0])
     vals = np.asarray(b(arr), dtype=complex)
     margins = np.abs(arr) * np.abs(1.0 - np.conj(b0) * vals) - np.abs(vals - b0)
     return float(margins.min())
-
-
-def _disk_grid(n_radii: int = 32, n_angles: int = 64, r_max: float = 0.99) -> np.ndarray:
-    radii = r_max * (np.arange(1, n_radii + 1) / n_radii)
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    return np.concatenate(([0.0 + 0.0j], np.outer(radii, np.exp(1j * angles)).ravel()))
 
 
 def extension_margin(b: PowerSeries, witness: ExtensionWitness, pts) -> float:
@@ -168,7 +162,7 @@ def extension_margin(b: PowerSeries, witness: ExtensionWitness, pts) -> float:
     nonnegative means the witness satisfies the modulus inequality everywhere
     it was sampled.
     """
-    arr = np.asarray(list(getattr(pts, "points", pts)), dtype=complex)
+    arr = np.asarray(list(pts), dtype=complex)
     b0 = complex(b.coeffs[0])
     q = witness.series
     vals = np.asarray(b(arr), dtype=complex)
@@ -178,7 +172,7 @@ def extension_margin(b: PowerSeries, witness: ExtensionWitness, pts) -> float:
             f"witness disagrees with (z - b(0))/h on the sampled range "
             f"(residual {resid:.3e}, tolerance {CONSISTENCY_TOL:g})"
         )
-    zs = _disk_grid()
+    zs = np.concatenate(([0.0 + 0.0j], polar_grid(32, 64, 0.99)))
     margins = np.abs(1.0 - np.conj(b0) * zs) - np.abs(np.asarray(q(zs), complex))
     return float(margins.min())
 
@@ -200,7 +194,7 @@ def decomposition_check(b: PowerSeries, pts, tol: float | None = None) -> PsdVer
     k1 = Congruence(Pullback(Szego(), b), f_series)
     k2 = Congruence(k1, PowerSeries.identity(order=1))
     k0 = Constant(1.0 - abs(b0) ** 2)
-    points = list(getattr(pts, "points", pts))
+    points = list(pts)
     m1 = gram(k1, points)
     m2 = gram(k2, points)
     m0 = gram(k0, points)
@@ -222,7 +216,7 @@ def decomposition_identity_residual(b: PowerSeries, f: PowerSeries, pts) -> floa
     is about the left inverse's argument) and samples away from the origin.
     """
     functional_inverse(b)  # precondition: the inverse exists
-    arr = np.asarray(list(getattr(pts, "points", pts)), dtype=complex)
+    arr = np.asarray(list(pts), dtype=complex)
     if np.any(np.abs(arr) < _ORIGIN_EPS):
         raise NearZeroSample(
             "samples within 1e-6 of the origin make the identity division degenerate"

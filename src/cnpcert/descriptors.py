@@ -10,6 +10,7 @@ import numpy as np
 
 from . import families
 from .dbr import ExtensionWitness, dbr_kernel
+from .families import complex_from_json, integer_from_json
 from .kernels import (
     Congruence,
     Constant,
@@ -22,14 +23,6 @@ from .kernels import (
     WeightedHardy,
 )
 from .series import PowerSeries
-
-
-def complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
 
 
 def complex_to_json(c: complex):
@@ -45,51 +38,25 @@ def series_from_json(obj: dict) -> PowerSeries:
     return PowerSeries(coeffs, center)
 
 
-def series_to_json(s: PowerSeries) -> dict:
-    return {
-        "center": complex_to_json(s.center),
-        "coeffs": [complex_to_json(c) for c in s.coeffs],
-    }
-
-
-def _family_params(spec: dict) -> dict:
-    name = spec["family"]
-    params = {}
-    if name in ("affine", "moebius_over"):
-        params["A"] = complex_from_json(spec["A"])
-        params["B"] = complex_from_json(spec["B"])
-    elif name == "scaled_identity":
-        params["R"] = complex_from_json(spec["R"])
-    elif name == "power":
-        params["k"] = int(spec["k"])
-    elif name == "blaschke":
-        params["zeros"] = [complex_from_json(z) for z in spec["zeros"]]
-    else:
-        raise ValueError(f"unknown symbol family {name!r}")
-    return params
-
-
 def symbol_from_json(spec: dict, order: int = families.DEFAULT_ORDER) -> PowerSeries:
     """A symbol from either a named family spec or an explicit series."""
     if not isinstance(spec, dict):
         raise ValueError("symbol spec must be a JSON object")
     if "family" in spec:
-        return families.family_symbol(spec["family"], _family_params(spec), order)
+        return families.family_symbol(spec["family"], families.params_from_json(spec), order)
     if "series" in spec:
         return series_from_json(spec["series"])
     raise ValueError("symbol spec needs either 'family' or 'series'")
 
 
-def witness_from_json(
-    spec, b_spec: dict, order: int = families.DEFAULT_ORDER
-) -> ExtensionWitness | None:
+def witness_from_json(spec, b_spec: dict) -> ExtensionWitness | None:
     """Witness from a spec: None, 'shipped' (family closed form), or a series."""
     if spec is None:
         return None
     if spec == "shipped":
         if "family" not in b_spec:
             raise ValueError("'shipped' witnesses exist only for named families")
-        q = families.family_witness(b_spec["family"], _family_params(b_spec), order)
+        q = families.family_witness(b_spec["family"], families.params_from_json(b_spec))
         if q is None:
             raise ValueError(
                 f"family {b_spec['family']!r} with these parameters has no shipped witness"
@@ -107,7 +74,7 @@ def kernel_from_json(obj: dict, order: int = families.DEFAULT_ORDER) -> Kernel:
     if kind == "szego":
         return Szego()
     if kind == "drury_arveson":
-        return DruryArveson(int(obj["dim"]))
+        return DruryArveson(integer_from_json(obj["dim"]))
     if kind == "weighted_hardy":
         return WeightedHardy(np.asarray(obj["weights"], dtype=float))
     if kind == "dbr":

@@ -1,4 +1,4 @@
-"""Named symbol families shipped with the gallery and CLI.
+"""Named symbol families shipped with the gallery and CLI: the one registry.
 
 Each family is a simple rational self-map of the disk given by one or two
 constants, together with (where the construction provides one) the
@@ -13,9 +13,14 @@ closed-form witness series for the criterion's extension check:
   blaschke         finite Blaschke product with the given zeros; only the
                    degree-1 case has a witness, 1 + conj(z0) z, and there the
                    modulus inequality holds with equality.
+
+``FAMILIES`` declares each family once: how its parameters are read from
+JSON, its truncated series and its witness. Everything else looks it up.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,6 +28,22 @@ from .pickinterp import blaschke_product
 from .series import PowerSeries
 
 DEFAULT_ORDER = 64
+
+
+def complex_from_json(v) -> complex:
+    if isinstance(v, (int, float)):
+        return complex(v)
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return complex(float(v[0]), float(v[1]))
+    raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
+
+
+def integer_from_json(v) -> int:
+    """An integral JSON number (2 or 2.0); anything else is a ValueError
+    rather than silently truncated."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
 
 
 def affine_symbol(A, B, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -63,42 +84,68 @@ def power_symbol(k: int, order: int = DEFAULT_ORDER) -> PowerSeries:
         raise ValueError("power family requires exponent k >= 1")
     coeffs = np.zeros(max(order, k) + 1, dtype=complex)
     coeffs[k] = 1.0
-    return PowerSeries(coeffs[: order + 1] if order >= k else coeffs, 0j)
+    return PowerSeries(coeffs, 0j)
 
 
-def blaschke_symbol(zeros, order: int = DEFAULT_ORDER) -> PowerSeries:
-    return blaschke_product(zeros, order)
+blaschke_symbol = blaschke_product
 
 
-FAMILY_BUILDERS = {
-    "affine": lambda p, order: affine_symbol(p["A"], p["B"], order),
-    "moebius_over": lambda p, order: moebius_over_symbol(p["A"], p["B"], order),
-    "scaled_identity": lambda p, order: scaled_identity_symbol(p["R"], order),
-    "power": lambda p, order: power_symbol(p["k"], order),
-    "blaschke": lambda p, order: blaschke_symbol(p["zeros"], order),
+def _blaschke_witness(zeros) -> PowerSeries | None:
+    zeros = [complex(z) for z in zeros]
+    if len(zeros) == 1:
+        return PowerSeries(np.array([1.0, np.conj(zeros[0])]), 0j)
+    return None
+
+
+class Family(NamedTuple):
+    """One named family. ``readers`` maps each parameter, in argument order,
+    to its JSON reader; ``series(*params, order)`` is the truncated symbol and
+    ``witness(*params)`` the closed-form witness, or None where there is none."""
+
+    readers: dict
+    series: Callable
+    witness: Callable
+
+
+_AB = {"A": complex_from_json, "B": complex_from_json}
+FAMILIES = {
+    "affine": Family(_AB, affine_symbol, lambda A, B: PowerSeries.constant(1.0 / complex(B))),
+    "moebius_over": Family(
+        _AB, moebius_over_symbol,
+        lambda A, B: PowerSeries(np.array([complex(A) / complex(B), -1.0 / complex(B)]), 0j),
+    ),
+    "scaled_identity": Family(
+        {"R": complex_from_json}, scaled_identity_symbol,
+        lambda R: PowerSeries.constant(1.0 / complex(R)),
+    ),
+    "power": Family(
+        {"k": integer_from_json}, power_symbol,
+        lambda k: PowerSeries.constant(1.0) if int(k) == 1 else None,
+    ),
+    "blaschke": Family(
+        {"zeros": lambda v: [complex_from_json(z) for z in v]}, blaschke_symbol, _blaschke_witness
+    ),
 }
 
 
-def family_symbol(name: str, params: dict, order: int = DEFAULT_ORDER) -> PowerSeries:
-    if name not in FAMILY_BUILDERS:
+def _family(name: str) -> Family:
+    family = FAMILIES.get(name) if isinstance(name, str) else None
+    if family is None:
         raise ValueError(f"unknown symbol family {name!r}")
-    return FAMILY_BUILDERS[name](params, order)
+    return family
 
 
-def family_witness(name: str, params: dict, order: int = DEFAULT_ORDER) -> PowerSeries | None:
+def params_from_json(spec: dict) -> dict:
+    """The parameters of the family ``spec["family"]`` read, in order, from it."""
+    return {p: read(spec[p]) for p, read in _family(spec["family"]).readers.items()}
+
+
+def family_symbol(name: str, params: dict, order: int = DEFAULT_ORDER) -> PowerSeries:
+    family = _family(name)
+    return family.series(*(params[p] for p in family.readers), order)
+
+
+def family_witness(name: str, params: dict) -> PowerSeries | None:
     """Closed-form witness series for the family, or None when there is none."""
-    if name == "affine":
-        return PowerSeries.constant(1.0 / complex(params["B"]))
-    if name == "moebius_over":
-        A, B = complex(params["A"]), complex(params["B"])
-        return PowerSeries(np.array([A / B, -1.0 / B]), 0j)
-    if name == "scaled_identity":
-        return PowerSeries.constant(1.0 / complex(params["R"]))
-    if name == "power":
-        return PowerSeries.constant(1.0) if int(params["k"]) == 1 else None
-    if name == "blaschke":
-        zeros = [complex(z) for z in params["zeros"]]
-        if len(zeros) == 1:
-            return PowerSeries(np.array([1.0, np.conj(zeros[0])]), 0j)
-        return None
-    raise ValueError(f"unknown symbol family {name!r}")
+    family = _family(name)
+    return family.witness(*(params[p] for p in family.readers))

@@ -16,13 +16,13 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
+from . import __version__
 from .cnp import cnp_certify
 from .dbr import cnp_criterion, dbr_kernel
 from .descriptors import complex_from_json, symbol_from_json, witness_from_json
 from .errors import SuiteFormat
+from .families import DEFAULT_ORDER
 from .sampling import DEFAULT_GRID, DEFAULT_RANDOM, DEFAULT_RMAX, DEFAULT_SEED, SampleSet
-
-__version__ = "0.1.0"
 
 _EXPECTED_CNP = {"PSD", "NOT_PSD", "INCONCLUSIVE"}
 _EXPECTED_CRITERION = {"PASS_NECESSARY", "PASS_WITH_EXTENSION", "FAIL"}
@@ -112,9 +112,9 @@ def sample_set_from_config(cfg: dict) -> SampleSet:
     return pts
 
 
-def run_entry(entry: GalleryEntry, order: int = 64, tol: float | None = None) -> dict:
+def run_entry(entry: GalleryEntry, order: int = DEFAULT_ORDER, tol: float | None = None) -> dict:
     b = symbol_from_json(entry.b_spec, order)
-    witness = witness_from_json(entry.witness_spec, entry.b_spec, order)
+    witness = witness_from_json(entry.witness_spec, entry.b_spec)
     pts = sample_set_from_config(entry.samples_cfg)
     criterion = cnp_criterion(b, witness, pts)
     cert = cnp_certify(dbr_kernel(b), 0j, pts, tol)
@@ -141,7 +141,7 @@ def _inputs_digest(suite_doc: dict, order: int, tol) -> str:
 
 
 def run_suite(
-    suite_doc: dict, order: int = 64, tol: float | None = None, command: str = ""
+    suite_doc: dict, order: int = DEFAULT_ORDER, tol: float | None = None, command: str = ""
 ) -> dict:
     """Run every entry (ordered by name) and consolidate a run report."""
     entries = sorted(load_suite(suite_doc), key=lambda e: e.name)

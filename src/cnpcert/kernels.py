@@ -26,6 +26,7 @@ from .errors import (
     RangeViolation,
     VanishingKernel,
 )
+from .sampling import polar_grid
 from .series import PowerSeries
 
 DOM_EPS = 1e-12      # denominators below this modulus count as singular
@@ -33,8 +34,21 @@ DEFECT_EPS = 1e-12   # kernel values below this modulus count as vanishing
 SCHUR_SLACK = 1e-9   # sampled sup |b| may exceed 1 by at most this much
 
 
+ROW_BLOCK_BYTES = 1 << 20   # large matrices are built in row blocks of this size
+
+
+def row_blocks(n_rows: int, row_bytes: int):
+    """Slices of range(n_rows), in order, of at most ROW_BLOCK_BYTES (one row at least)."""
+    step = max(1, ROW_BLOCK_BYTES // max(1, row_bytes))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
 def _guard_min_modulus(values, eps, exc_cls, what):
-    mags = np.abs(np.asarray(values))
+    arr = np.asarray(values)
+    if arr.nbytes > ROW_BLOCK_BYTES and not any(   # no full-size temporary unless it fails
+            np.any(np.abs(arr[rows]) < eps) for rows in row_blocks(arr.shape[0], arr[0].nbytes)):
+        return
+    mags = np.abs(arr)
     bad = mags < eps
     if np.any(bad):
         where = np.argwhere(np.atleast_1d(bad))[:4].tolist()
@@ -49,10 +63,7 @@ def unit_ball_probe(
     A cheap necessary check for membership in the closed unit ball of bounded
     analytic functions; returns inf when an evaluation overflows.
     """
-    radii = r_max * (np.arange(1, n_radii + 1) / n_radii)
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
-    zs = np.outer(radii, np.exp(1j * angles)).ravel()
-    vals = np.abs(b(zs))
+    vals = np.abs(b(polar_grid(n_radii, n_angles, r_max)))
     if not np.all(np.isfinite(vals)):
         return float("inf")
     return float(vals.max())
@@ -74,10 +85,15 @@ class Kernel:
         raise NotImplementedError
 
     def contains(self, pts) -> np.ndarray:
-        """Boolean mask of points inside the open domain."""
+        """Boolean mask of points inside the open domain. Ball points are
+        the last array axis; any length other than the ball's dimension
+        raises ``DomainMismatch``."""
         arr = np.asarray(pts, dtype=complex)
         if self.point_ndim == 0:
             return np.abs(arr) < 1.0
+        dim = self.domain()[1]
+        if arr.size and arr.shape[-1:] != (dim,):
+            raise DomainMismatch(f"points of shape {arr.shape} are not in the ball of C^{dim}")
         return np.sum(np.abs(arr) ** 2, axis=-1) < 1.0
 
     def describe(self) -> str:
@@ -287,19 +303,17 @@ class Congruence(Kernel):
         return f"congruence({self.inner.describe()})"
 
 
-def _defect_quotient(kzb, kbw, kbb: float, kzw, out=None):
-    """1 - kzb kbw / (kbb kzw), broadcast, formed in one output array:
-    ``out`` when given (it may be ``kzw`` itself), else a new one. The
-    numerator is the only other full-size array.
-
-    Raises ``VanishingKernel`` when any kernel value in the quotient is
-    numerically zero, since the criterion is meaningless there.
-    """
+def _guard_defect(kzb, kbw, kzw):
+    """Raise ``VanishingKernel`` when any kernel value in the defect quotient
+    is numerically zero, since the criterion is meaningless there."""
     _guard_min_modulus(kzb, DEFECT_EPS, VanishingKernel, "K(z, base)")
     _guard_min_modulus(kbw, DEFECT_EPS, VanishingKernel, "K(base, w)")
     _guard_min_modulus(kzw, DEFECT_EPS, VanishingKernel, "K(z, w)")
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(kzb), np.shape(kbw), np.shape(kzw)), complex)
+
+
+def _defect_quotient(kzb, kbw, kbb: float, kzw, out):
+    """1 - kzb kbw / (kbb kzw), broadcast, formed in ``out`` (which may be
+    ``kzw`` itself); the numerator is the only other array of its size."""
     np.multiply(kbb, kzw, out=out)
     np.divide(kzb * kbw, out, out=out)
     return np.subtract(1.0, out, out=out)
@@ -343,21 +357,27 @@ class NormalizedDefect(Kernel):
         kzb = np.asarray(self.inner.evaluate(z, base), complex)
         kbw = np.asarray(self.inner.evaluate(base, w), complex)
         kzw = np.asarray(self.inner.evaluate(z, w), complex)
-        return _defect_quotient(kzb, kbw, self._kbb, kzw)
+        _guard_defect(kzb, kbw, kzw)
+        out = np.empty(np.broadcast_shapes(kzb.shape, kbw.shape, kzw.shape), complex)
+        return _defect_quotient(kzb, kbw, self._kbb, kzw, out)
 
     def rescale(self, kzw: np.ndarray, points: np.ndarray, out=None) -> np.ndarray:
         """The defect's (unsymmetrized) Gram on ``points`` from the inner
         kernel's Gram ``kzw`` on them.
 
         Only the vectors K(z, base) and K(base, w) are evaluated; the n x n
-        work is a rank-one elementwise rescale of ``kzw``, written into
-        ``out`` (which may be ``kzw`` itself) when given.
+        work is a rank-one elementwise rescale of ``kzw``, a row block at a
+        time, written into ``out`` (which may be ``kzw`` itself) when given.
         """
         base = np.asarray(self.base, complex)
         n = kzw.shape[0]
-        kzb = np.broadcast_to(np.asarray(self.inner.evaluate(points, base), complex), (n,))
-        kbw = np.broadcast_to(np.asarray(self.inner.evaluate(base, points), complex), (n,))
-        return _defect_quotient(kzb[:, None], kbw[None, :], self._kbb, kzw, out)
+        kzb = np.broadcast_to(np.asarray(self.inner.evaluate(points, base), complex), (n,))[:, None]
+        kbw = np.broadcast_to(np.asarray(self.inner.evaluate(base, points), complex), (n,))[None, :]
+        _guard_defect(kzb, kbw, kzw)
+        out = np.empty((n, n), complex) if out is None else out
+        for rows in row_blocks(n, out[:1].nbytes):
+            _defect_quotient(kzb[rows], kbw, self._kbb, kzw[rows], out[rows])
+        return out
 
     def describe(self):
         return f"defect({self.inner.describe()})"

@@ -14,16 +14,17 @@ normalized-defect matrices of dense sample sets do; see smallest_eigenvalue.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainViolation, LengthMismatch, NoConvergence
-from .kernels import Kernel
+from .errors import CnpcertError, DimensionMismatch, DomainViolation, LengthMismatch, NoConvergence
+from .kernels import Kernel, row_blocks
 
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
-HERM_ROW_CHUNK = 64   # rows symmetrized and reduced at a time
+MAPPED_MIN_BYTES = 1 << 22   # matrices from this size are memory-mapped (see empty_matrix)
 
 # Randomized Rayleigh-Ritz (see smallest_eigenvalue)
 RITZ_MIN_N = 256         # below this order eigvalsh is cheap enough
@@ -84,41 +85,64 @@ class HermitianMatrix:
         return self.asymmetry > HERM_TOL * max(self.scale, 1e-300)
 
 
+def empty_matrix(n: int) -> np.ndarray:
+    """An uninitialized n x n complex array; from MAPPED_MIN_BYTES on (and
+    where mmap has MAP_PRIVATE) a memory mapping of its own, unmapped when
+    the array is dropped. A malloc block that large may stay in the heap
+    after it is freed or not, by glibc's adaptive thresholds and the blocks
+    around it, so the peak memory of a sweep would vary between runs."""
+    nbytes = 16 * n * n
+    if nbytes < MAPPED_MIN_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty((n, n), dtype=complex)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):   # as numpy advises its own large arrays
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=complex).reshape(n, n)
+
+
 def hermitian_from_raw(raw, assembly: str = "") -> HermitianMatrix:
     """0.5 (raw + raw^H), with its max modulus as scale and max |raw - raw^H|
-    as asymmetry.
-
-    One full-size array is allocated (the result, which starts as raw^H);
-    both maxima are taken over the upper triangle, HERM_ROW_CHUNK rows at a
-    time, which is exact since the moduli are symmetric. They are reduced
-    with np.max, so a NaN entry anywhere makes both NaN.
-    """
+    as asymmetry: hermitian_in_place on a copy of raw."""
     raw = np.asarray(raw, dtype=complex)
     if raw.ndim != 2 or raw.shape[0] != raw.shape[1] or raw.shape[0] < 1:
         raise ValueError("expected a square matrix of dimension >= 1")
-    herm = np.conjugate(raw.T, out=np.empty(raw.shape, dtype=complex))
+    herm = empty_matrix(raw.shape[0])
+    herm[...] = raw
+    return hermitian_in_place(herm, assembly)
+
+
+def hermitian_in_place(raw: np.ndarray, assembly: str = "") -> HermitianMatrix:
+    """hermitian_from_raw over ``raw``, a writable square complex array,
+    which becomes the read-only entries. Entry (i, j) is
+    (conj(raw[j, i]) + raw[i, j]) * 0.5, formed a row block and its mirrored
+    column block at a time. Both maxima are taken over the upper triangle,
+    exact since the moduli are symmetric, with np.max, so a NaN entry
+    anywhere makes both NaN.
+    """
     asym, scale = [], []
     with np.errstate(invalid="ignore", over="ignore"):   # non-finite: scale says so
-        for i in range(0, raw.shape[0], HERM_ROW_CHUNK):
-            j = i + HERM_ROW_CHUNK
-            asym.append(np.max(np.abs(raw[i:j, i:] - herm[i:j, i:])))
-            rows = herm[i:j]
-            rows += raw[i:j]
-            rows *= 0.5
-            scale.append(np.max(np.abs(rows[:, i:])))
-    herm.setflags(write=False)
-    return HermitianMatrix(herm, float(np.max(scale)), assembly, float(np.max(asym)))
+        for blk in row_blocks(raw.shape[0], raw[:1].nbytes):
+            i, j = blk.start, blk.stop
+            upper = raw[i:j, i:]
+            rows = np.conjugate(raw[i:, i:j].T)   # raw^H on the same entries
+            asym.append(np.max(np.abs(upper - rows)))
+            below = np.conjugate(upper[:, j - i:].T)
+            below += raw[j:, i:j]
+            below *= 0.5
+            np.add(rows, upper, out=upper)
+            upper *= 0.5
+            scale.append(np.max(np.abs(upper)))
+            raw[j:, i:j] = below
+    raw.setflags(write=False)
+    return HermitianMatrix(raw, float(np.max(scale)), assembly, float(np.max(asym)))
 
 
 def _point_array(pts, point_ndim: int) -> np.ndarray:
-    points = getattr(pts, "points", pts)
-    arr = np.asarray(list(points), dtype=complex)
-    if point_ndim == 0:
-        if arr.ndim != 1:
-            raise ValueError("expected a flat sequence of disk points")
-    else:
-        if arr.ndim != 2:
-            raise ValueError("expected a sequence of equal-length ball points")
+    arr = np.asarray(list(pts), dtype=complex)
+    if point_ndim == 0 and arr.ndim != 1:
+        raise ValueError("expected a flat sequence of disk points")
+    if point_ndim != 0 and arr.ndim != 2:
+        raise ValueError("expected a sequence of equal-length ball points")
     return arr
 
 
@@ -132,9 +156,13 @@ def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:
         Z, W = points[:, None], points[None, :]
     else:
         Z, W = points[:, None, :], points[None, :, :]
-    raw = np.asarray(kernel.evaluate(Z, W), dtype=complex)
-    if raw.shape != (n, n):
-        raw = np.broadcast_to(raw, (n, n))
+    raw = empty_matrix(n)
+    for rows in row_blocks(n, raw[:1].nbytes):
+        try:
+            raw[rows] = kernel.evaluate(Z[rows], W)
+        except CnpcertError:   # raised again on the whole matrix, so positions index it
+            kernel.evaluate(Z, W)
+            raise
     return raw
 
 
@@ -145,7 +173,7 @@ def gram(kernel: Kernel, pts) -> HermitianMatrix:
     if points.shape[0] < 1:
         raise ValueError("at least one sample point is required")
     raw = _kernel_matrix(kernel, points)
-    return hermitian_from_raw(raw, f"{kernel.describe()} on {points.shape[0]} samples")
+    return hermitian_in_place(raw, f"{kernel.describe()} on {points.shape[0]} samples")
 
 
 def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:

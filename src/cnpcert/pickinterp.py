@@ -19,6 +19,7 @@ import numpy as np
 from .errors import LengthMismatch, NotStrictlySolvable
 from .kernels import Kernel, Szego
 from .linalg import PsdVerdict, pick_matrix, psd_verdict
+from .sampling import polar_grid
 from .series import PowerSeries
 
 STRICT_EPS = 1e-8   # smallest Pick eigenvalue the construction will accept
@@ -130,8 +131,7 @@ def schur_interpolant(problem: InterpolationProblem) -> SchurInterpolant:
 
 def sampled_sup(f, radius: float = 0.999, n_angles: int = 512) -> float:
     """Max modulus of f over n equispaced points on the given circle."""
-    zs = radius * np.exp(2j * np.pi * np.arange(n_angles) / n_angles)
-    return float(np.max(np.abs(np.asarray(f(zs), complex))))
+    return float(np.max(np.abs(np.asarray(f(polar_grid(1, n_angles, radius)), complex))))
 
 
 def blaschke_product(zeros, order: int = 64) -> PowerSeries:

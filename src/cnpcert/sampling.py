@@ -13,6 +13,14 @@ DEFAULT_RANDOM = 8
 MIN_SEPARATION = 1e-8
 
 
+def polar_grid(n_r: int, n_theta: int, r_max: float) -> np.ndarray:
+    """The points r_max (i / n_r) e^(2 pi i j / n_theta), i = 1..n_r,
+    j = 0..n_theta-1, radius-major."""
+    radii = r_max * (np.arange(1, n_r + 1) / n_r)
+    angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    return np.outer(radii, np.exp(1j * angles)).ravel()
+
+
 def _close_pairs(arr: np.ndarray):
     """Index pairs (i, j), i < j, of points closer than MIN_SEPARATION, sorted
     by j then i.
@@ -76,10 +84,7 @@ class SampleSet:
     def radial_grid(cls, n_r: int, n_theta: int, r_max: float = DEFAULT_RMAX) -> "SampleSet":
         if n_r < 1 or n_theta < 1 or not (0.0 < r_max < 1.0):
             raise ValueError("radial grid needs n_r, n_theta >= 1 and 0 < r_max < 1")
-        radii = r_max * (np.arange(1, n_r + 1) / n_r)
-        angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        pts = np.outer(radii, np.exp(1j * angles)).ravel()
-        return cls(tuple(pts), gen=f"radial_grid({n_r}x{n_theta}, rmax={r_max:g})")
+        return cls(tuple(polar_grid(n_r, n_theta, r_max)), gen=f"radial_grid({n_r}x{n_theta}, rmax={r_max:g})")
 
     @classmethod
     def random_disk(

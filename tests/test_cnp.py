@@ -181,3 +181,26 @@ def test_asymmetric_kernel_gets_an_assembly_warning():
     for rep in [cnp_certify(SkewedSzego(), 0j, pts)] + cnp_basepoint_sweep(
             SkewedSzego(), [0j], pts):
         assert any(note.startswith("assembly warning") for note in rep.notes)
+
+
+def test_certify_rejects_ball_points_of_another_dimension():
+    # DA(2) with a base and samples in C^3 must not certify (it read PSD)
+    from cnpcert.errors import DomainMismatch
+
+    with pytest.raises(DomainMismatch):
+        cnp_certify(DruryArveson(2), (0j,) * 3, ball_points(10, 3, seed=1))
+    with pytest.raises(DomainMismatch):   # not a numpy broadcast ValueError
+        cnp_certify(DruryArveson(2), (0j,) * 2, ball_points(10, 3, seed=1))
+    with pytest.raises(DomainMismatch):
+        cnp_basepoint_sweep(DruryArveson(2), [(0j,) * 3], ball_points(10, 2, seed=1))
+
+
+def test_defect_error_positions_index_the_whole_matrix():
+    # the defect is assembled in row blocks; K(z, base) vanishing at a sample
+    # in a later block is reported at its row in the whole matrix
+    pts = list(0.9 * np.exp(2j * np.pi * np.arange(400) / 400))
+    pts[300] = 0.5   # where the congruence factor z - 0.5 vanishes
+    kernel = Congruence(Szego(), PowerSeries([-0.5, 1.0]))
+    for rep in [cnp_certify(kernel, 0.1, pts)] + cnp_basepoint_sweep(kernel, [0.1], pts):
+        assert rep.vanish_flag and rep.verdict.status is Verdict.INCONCLUSIVE
+        assert rep.notes[0].endswith("K(z, base) below 1e-12 in modulus at positions [[300, 0]]")

@@ -1,0 +1,114 @@
+import json
+import math
+
+import pytest
+
+from cnpcert.cli import main
+from cnpcert.descriptors import kernel_from_json, symbol_from_json, witness_from_json
+from cnpcert.families import (
+    FAMILIES,
+    family_symbol,
+    family_witness,
+    integer_from_json,
+    params_from_json,
+    power_symbol,
+)
+from cnpcert.kernels import DruryArveson
+
+
+def run_cli(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# one spec per family, with a shipped witness where the family has one
+SPECS = {
+    "affine": ({"A": [0.5, 0], "B": [2, 0]}, True),
+    "moebius_over": ({"A": [1.2, 0.9], "B": [4, 0]}, True),
+    "scaled_identity": ({"R": 2}, True),
+    "power": ({"k": 2}, False),
+    "blaschke": ({"zeros": [[0.3, 0.1]]}, True),
+}
+
+
+def test_every_family_has_a_spec_here():
+    assert set(SPECS) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_json_spec_goes_through_the_registry(name):
+    params, has_witness = SPECS[name]
+    spec = {"family": name, **params}
+    b = symbol_from_json(spec, order=16)
+    direct = family_symbol(name, params_from_json(spec), order=16)
+    assert b.order == 16
+    assert (b.coeffs == direct.coeffs).all() and b.center == direct.center
+    witness = family_witness(name, params_from_json(spec))
+    assert (witness is not None) is has_witness
+    if has_witness:
+        assert (witness_from_json("shipped", spec).series.coeffs == witness.coeffs).all()
+
+
+def test_python_params_ignore_extra_keys():
+    b = family_symbol("affine", {"A": 0.5, "B": 2.0, "note": "unused"}, order=4)
+    assert b.coeffs[0] == 0.25 and b.coeffs[1] == 0.5
+
+
+@pytest.mark.parametrize(
+    "spec, shipped, message",
+    [
+        ({"family": "x"}, False, "input error [ValueError]: unknown symbol family 'x'"),
+        ({"family": [1]}, False, "input error [ValueError]: unknown symbol family [1]"),
+        ({"family": "affine", "A": [0, 0]}, False, "input error [KeyError]: 'B'"),
+        (
+            {"family": "power", "k": 2}, True,
+            "input error [ValueError]: family 'power' with these parameters "
+            "has no shipped witness",
+        ),
+        (
+            {"family": "blaschke", "zeros": [[0, 0], [0.5, 0]]}, True,
+            "input error [ValueError]: family 'blaschke' with these parameters "
+            "has no shipped witness",
+        ),
+    ],
+)
+def test_registry_error_paths_exit_3(capsys, spec, shipped, message):
+    argv = ["hbcheck", "--b", json.dumps(spec)] + (["--witness", "shipped"] if shipped else [])
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.strip() == message
+
+
+@pytest.mark.parametrize("value, expected", [(2, 2), (2.0, 2), (-3, -3), (0.0, 0)])
+def test_integer_reader_accepts_integral_numbers(value, expected):
+    got = integer_from_json(value)
+    assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize("value", [1.5, 2.9, True, "2", None, [2], math.inf, math.nan])
+def test_integer_reader_rejects_everything_else(value):
+    with pytest.raises(ValueError, match="expected an integer"):
+        integer_from_json(value)
+
+
+def test_power_exponent_must_be_integral(capsys):
+    # k = 1.5 must not be truncated to 1 and pass with the k = 1 witness
+    code, out, err = run_cli(
+        capsys, ["hbcheck", "--b", '{"family":"power","k":1.5}', "--witness", "shipped"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "expected an integer, got 1.5" in err
+    b = symbol_from_json({"family": "power", "k": 2.0})
+    assert (b.coeffs == power_symbol(2).coeffs).all()
+
+
+def test_drury_arveson_dimension_must_be_integral(capsys):
+    # dim = 2.9 must not be truncated to DA(2) and certified PSD
+    code, out, err = run_cli(capsys, ["cnp", "--kernel", '{"kind":"drury_arveson","dim":2.9}'])
+    assert code == 3
+    assert out == ""
+    assert "expected an integer, got 2.9" in err
+    assert kernel_from_json({"kind": "drury_arveson", "dim": 2.0}) == DruryArveson(2)

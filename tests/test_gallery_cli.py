@@ -282,3 +282,14 @@ def test_module_entry_point_runs_gallery():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_match"] is True
+
+
+def test_cnp_ball_base_of_another_dimension_exit_3(capsys):
+    # exit 3 on DOMAIN_MISMATCH, not on a raw numpy broadcast ValueError
+    code, out, err = run_cli(
+        capsys,
+        ["cnp", "--kernel", '{"kind":"drury_arveson","dim":2}', "--base", "0,0,0"],
+    )
+    assert code == 3
+    assert out == ""
+    assert "DOMAIN_MISMATCH" in err

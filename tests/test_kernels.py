@@ -267,3 +267,16 @@ def test_conjugate_symmetry(points):
                 a = kernel_eval(k, z, w)
                 b = kernel_eval(k, w, z)
                 assert abs(a - np.conj(b)) <= 1e-12 * (1 + abs(a))
+
+
+def test_drury_arveson_rejects_points_of_another_dimension():
+    # a point of C^3 must not broadcast against DA(2) (it evaluated to 1.0526)
+    with pytest.raises(DomainMismatch):
+        kernel_eval(DruryArveson(2), [0.1] * 3, [0.2, 0, 0.3])
+    with pytest.raises(DomainMismatch):
+        gram(DruryArveson(2), ball_points(10, 3, seed=1))
+    with pytest.raises(DomainMismatch):
+        NormalizedDefect(DruryArveson(2), (0j, 0j, 0j))
+    with pytest.raises(DomainMismatch):
+        DruryArveson(2).contains(0.1)
+    assert DruryArveson(2).contains(np.zeros((0, 3))).shape == (0,)

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -313,3 +314,32 @@ def test_json_export_roundtrip():
     back = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
     assert np.allclose(back, m.entries)
     assert d["n"] == 2
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_hermitian_from_raw_across_row_blocks(order):
+    # n = 600 spans six row blocks; the result is still the full-array formula
+    rng = np.random.default_rng(23)
+    raw = rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600))
+    raw[-1, 3] = np.nan   # below the diagonal, in the last block
+    m = hermitian_from_raw(np.asarray(raw, order=order), "random")
+    ref = 0.5 * (raw + raw.conj().T)
+    assert m.entries.tobytes() == np.ascontiguousarray(ref).tobytes()
+    assert not m.entries.flags.writeable
+    assert math.isnan(m.scale) and math.isnan(m.asymmetry)
+    raw[-1, 3] = 1.0
+    m = hermitian_from_raw(raw, "random")
+    assert m.scale == np.max(np.abs(0.5 * (raw + raw.conj().T)))
+    assert m.asymmetry == np.max(np.abs(raw - raw.conj().T))
+
+
+def test_gram_error_positions_index_the_whole_matrix():
+    # the matrix is built in row blocks; a guard failing in a later block
+    # still names its row in the whole matrix
+    from cnpcert.errors import VanishingKernel
+
+    pts = list(0.9 * np.exp(2j * np.pi * np.arange(400) / 400))
+    pts[300] = 0.5   # where the congruence factor z - 0.5 vanishes
+    kernel = NormalizedDefect(Congruence(Szego(), PowerSeries([-0.5, 1.0])), 0.1)
+    with pytest.raises(VanishingKernel, match=r"K\(z, base\) .* positions \[\[300, 0\]\]$"):
+        gram(kernel, pts)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cnpcert.sampling import SampleSet
+from cnpcert.pickinterp import sampled_sup
+from cnpcert.sampling import SampleSet, polar_grid
 
 # SampleSet.default()'s seeded random points (seed 20210, r_max 0.9)
 DEFAULT_RANDOM_POINTS = (
@@ -50,3 +51,21 @@ def test_separation_check_on_a_vertical_line():
 def test_extended_rejects_non_finite_points():
     with pytest.raises(ValueError, match="finite"):
         SampleSet.explicit([0.5]).extended([complex("nan")])
+
+
+def test_polar_grid_radius_major():
+    grid = polar_grid(3, 5, 0.9)
+    assert grid.shape == (15,)
+    for i in range(3):
+        for j in range(5):
+            assert abs(grid[5 * i + j] - 0.3 * (i + 1) * np.exp(2j * np.pi * j / 5)) < 1e-15
+    assert tuple(SampleSet.radial_grid(3, 5, 0.9)) == tuple(complex(p) for p in grid)
+
+
+def test_polar_grid_single_ring_is_the_former_circle():
+    # sampled_sup's circle is one ring of the grid, bitwise
+    for n, r in [(512, 0.999), (7, 0.5), (64, 0.9)]:
+        circle = r * np.exp(2j * np.pi * np.arange(n) / n)
+        assert np.array_equal(polar_grid(1, n, r), circle)
+    assert sampled_sup(lambda z: z) == float(np.max(np.abs(0.999 * np.exp(
+        2j * np.pi * np.arange(512) / 512))))
