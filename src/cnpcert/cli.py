@@ -172,13 +172,13 @@ def cmd_cnp(args) -> int:
     kernel = kernel_from_json(_load_json_arg(args.kernel), args.order)
     if kernel.point_ndim == 0:
         base = _parse_complex(args.base)
+    else:
+        dim = kernel.domain()[1]
+        base = tuple(_parse_points(args.base)) if args.base != "0" else (0j,) * dim
+    if kernel.point_ndim == 0 or args.points:   # --points are disk points, shape-checked by cnp_certify
         pts = _samples_from_args(args)
     else:
-        base = tuple(_parse_points(args.base)) if args.base != "0" else (
-            (0j,) * kernel.domain()[1]
-        )
-        count = max(args.random, 48)
-        pts = ball_points(count, kernel.domain()[1], args.rmax, args.seed)
+        pts = ball_points(max(args.random, 48), dim, args.rmax, args.seed)
     report = cnp_certify(kernel, base, pts, args.tol)
     _emit(report.to_json_dict(), args.json_path)
     return _VERDICT_EXIT[report.verdict.status]

@@ -45,11 +45,7 @@ class CertReport:
         return len(self.samples)
 
     def to_json_dict(self):
-        if isinstance(self.base, tuple):
-            base = [[c.real, c.imag] for c in self.base]
-        else:
-            b = complex(self.base)
-            base = [b.real, b.imag]
+        b = np.asarray(self.base, dtype=complex)
         def _num(x):
             x = float(x)
             return None if math.isnan(x) else x
@@ -58,7 +54,7 @@ class CertReport:
             "verdict": self.verdict.status.value,
             "min_eig": _num(self.verdict.min_eig),
             "tol": _num(self.verdict.tol),
-            "base": base,
+            "base": np.stack([b.real, b.imag], axis=-1).tolist(),
             "n_samples": self.n_samples,
             "vanish_flag": self.vanish_flag,
             "notes": list(self.notes),
@@ -67,17 +63,13 @@ class CertReport:
 
 def _exclude_base(points, base, kernel: Kernel):
     """The samples away from the base, and the mask of which were kept.
-    ``kernel.contains`` sees the base and the samples first, so points of the
-    wrong dimension raise DomainMismatch instead of failing to broadcast."""
+    Both go through ``kernel.points`` first, so points of the wrong shape
+    raise DomainMismatch instead of failing to broadcast."""
     pts = list(points)
-    at, arr = np.asarray(base, dtype=complex), np.asarray(pts, dtype=complex)
-    kernel.contains(at)
-    kernel.contains(arr)
+    (at,), arr = kernel.points([base]), kernel.points(pts)
     if not pts:
         return pts, np.zeros(0, dtype=bool)
-    offset = arr - at
-    dist = np.abs(offset) if kernel.point_ndim == 0 else np.max(np.abs(offset), axis=1)
-    keep = dist > _BASE_EXCLUSION
+    keep = np.abs(arr - at).reshape(len(pts), -1).max(axis=1) > _BASE_EXCLUSION
     return [p for p, k in zip(pts, keep.tolist()) if k], keep
 
 

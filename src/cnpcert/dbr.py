@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NearZeroSample, NonInvertible, NotSchurClass, WitnessInconsistent
 from .kernels import Congruence, Constant, DeBrangesRovnyak, Pullback, Szego, unit_ball_probe
 from .linalg import PsdVerdict, gram, hermitian_from_raw, psd_verdict
-from .sampling import SampleSet, polar_grid
+from .sampling import PROBE_GRID, SampleSet, polar_grid
 from .series import PowerSeries
 
 COLL_EPS = 1e-7        # collision threshold for the injectivity probe
@@ -172,7 +172,7 @@ def extension_margin(b: PowerSeries, witness: ExtensionWitness, pts) -> float:
             f"witness disagrees with (z - b(0))/h on the sampled range "
             f"(residual {resid:.3e}, tolerance {CONSISTENCY_TOL:g})"
         )
-    zs = np.concatenate(([0.0 + 0.0j], polar_grid(32, 64, 0.99)))
+    zs = np.concatenate(([0.0 + 0.0j], polar_grid(*PROBE_GRID)))
     margins = np.abs(1.0 - np.conj(b0) * zs) - np.abs(np.asarray(q(zs), complex))
     return float(margins.min())
 
@@ -235,7 +235,6 @@ def cnp_criterion(
     b: PowerSeries,
     witness: ExtensionWitness | None = None,
     pts: SampleSet | None = None,
-    margin_tol: float = MARGIN_TOL,
 ) -> CriterionReport:
     """Run the full criterion and produce a tri-state report.
 
@@ -274,11 +273,11 @@ def cnp_criterion(
     failed = (
         inj is InjectivityStatus.NOT_INJ
         or not rev_ok
-        or margin < -margin_tol
+        or margin < -MARGIN_TOL
     )
     if failed:
         overall = CriterionVerdict.FAIL
-    elif witness is not None and ext_margin >= -margin_tol:
+    elif witness is not None and ext_margin >= -MARGIN_TOL:
         overall = CriterionVerdict.PASS_WITH_EXTENSION
     else:
         overall = CriterionVerdict.PASS_NECESSARY

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import families
 from .dbr import ExtensionWitness, dbr_kernel
-from .families import complex_from_json, integer_from_json
+from .families import complex_from_json, complex_list_from_json, integer_from_json
 from .kernels import (
     Congruence,
     Constant,
@@ -91,10 +91,6 @@ def kernel_from_json(obj: dict, order: int = families.DEFAULT_ORDER) -> Kernel:
         )
     if kind == "normalized_defect":
         inner = kernel_from_json(obj["inner"], order)
-        base = obj["base"]
-        if inner.point_ndim == 1:
-            base = tuple(complex_from_json(c) for c in base)
-        else:
-            base = complex_from_json(base)
-        return NormalizedDefect(inner, base)
+        read_base = complex_from_json if inner.point_ndim == 0 else complex_list_from_json
+        return NormalizedDefect(inner, read_base(obj["base"]))
     raise ValueError(f"unknown kernel kind {kind!r}")

@@ -38,6 +38,13 @@ def complex_from_json(v) -> complex:
     raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
 
 
+def complex_list_from_json(v) -> list:
+    """A JSON array of complex_from_json values; anything else is a ValueError."""
+    if not isinstance(v, list):
+        raise ValueError(f"expected an array of numbers or [re, im] pairs, got {v!r}")
+    return [complex_from_json(c) for c in v]
+
+
 def integer_from_json(v) -> int:
     """An integral JSON number (2 or 2.0); anything else is a ValueError
     rather than silently truncated."""
@@ -123,7 +130,7 @@ FAMILIES = {
         lambda k: PowerSeries.constant(1.0) if int(k) == 1 else None,
     ),
     "blaschke": Family(
-        {"zeros": lambda v: [complex_from_json(z) for z in v]}, blaschke_symbol, _blaschke_witness
+        {"zeros": complex_list_from_json}, blaschke_symbol, _blaschke_witness
     ),
 }
 

@@ -19,9 +19,9 @@ from importlib import resources
 from . import __version__
 from .cnp import cnp_certify
 from .dbr import cnp_criterion, dbr_kernel
-from .descriptors import complex_from_json, symbol_from_json, witness_from_json
+from .descriptors import symbol_from_json, witness_from_json
 from .errors import SuiteFormat
-from .families import DEFAULT_ORDER
+from .families import DEFAULT_ORDER, complex_list_from_json, integer_from_json
 from .sampling import DEFAULT_GRID, DEFAULT_RANDOM, DEFAULT_RMAX, DEFAULT_SEED, SampleSet
 
 _EXPECTED_CNP = {"PSD", "NOT_PSD", "INCONCLUSIVE"}
@@ -56,6 +56,10 @@ def _entry_problems(obj, index: int) -> list:
             )
     elif "expected" in obj:
         problems.append(f"{label}: 'expected' must be an object")
+    try:
+        _samples_from_config(obj.get("samples", {}))
+    except ValueError as exc:
+        problems.append(f"{label}: malformed 'samples': {exc}")
     return problems
 
 
@@ -98,18 +102,29 @@ def default_suite_dict() -> dict:
     return json.loads(text)
 
 
+def _samples_from_config(cfg) -> tuple:
+    """The SampleSet.default keywords and the extra points of an entry's
+    ``samples`` block; ValueError when a field is malformed."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"expected an object, got {cfg!r}")
+    grid, rmax = cfg.get("grid", DEFAULT_GRID), cfg.get("rmax", DEFAULT_RMAX)
+    if not isinstance(grid, (list, tuple)) or len(grid) != 2:
+        raise ValueError(f"grid must be an array of two integers, got {grid!r}")
+    if isinstance(rmax, bool) or not isinstance(rmax, (int, float)):
+        raise ValueError(f"rmax must be a number, got {rmax!r}")
+    kwargs = {
+        "seed": integer_from_json(cfg.get("seed", DEFAULT_SEED)),
+        "grid": tuple(integer_from_json(g) for g in grid),
+        "r_max": float(rmax),
+        "n_random": integer_from_json(cfg.get("random", DEFAULT_RANDOM)),
+    }
+    return kwargs, complex_list_from_json(cfg.get("extra", []))
+
+
 def sample_set_from_config(cfg: dict) -> SampleSet:
-    grid = cfg.get("grid", list(DEFAULT_GRID))
-    pts = SampleSet.default(
-        seed=int(cfg.get("seed", DEFAULT_SEED)),
-        grid=(int(grid[0]), int(grid[1])),
-        r_max=float(cfg.get("rmax", DEFAULT_RMAX)),
-        n_random=int(cfg.get("random", DEFAULT_RANDOM)),
-    )
-    extra = [complex_from_json(p) for p in cfg.get("extra", [])]
-    if extra:
-        pts = pts.extended(extra)
-    return pts
+    kwargs, extra = _samples_from_config(cfg)
+    pts = SampleSet.default(**kwargs)
+    return pts.extended(extra) if extra else pts
 
 
 def run_entry(entry: GalleryEntry, order: int = DEFAULT_ORDER, tol: float | None = None) -> dict:

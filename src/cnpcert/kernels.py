@@ -26,7 +26,7 @@ from .errors import (
     RangeViolation,
     VanishingKernel,
 )
-from .sampling import polar_grid
+from .sampling import PROBE_GRID, polar_grid
 from .series import PowerSeries
 
 DOM_EPS = 1e-12      # denominators below this modulus count as singular
@@ -55,15 +55,13 @@ def _guard_min_modulus(values, eps, exc_cls, what):
         raise exc_cls(f"{what} below {eps:g} in modulus at positions {where}")
 
 
-def unit_ball_probe(
-    b: PowerSeries, n_radii: int = 32, n_angles: int = 64, r_max: float = 0.99
-) -> float:
-    """Sampled sup of |b| over a polar grid of the disk.
+def unit_ball_probe(b: PowerSeries) -> float:
+    """Sampled sup of |b| over the PROBE_GRID polar grid of the disk.
 
     A cheap necessary check for membership in the closed unit ball of bounded
     analytic functions; returns inf when an evaluation overflows.
     """
-    vals = np.abs(b(polar_grid(n_radii, n_angles, r_max)))
+    vals = np.abs(b(polar_grid(*PROBE_GRID)))
     if not np.all(np.isfinite(vals)):
         return float("inf")
     return float(vals.max())
@@ -95,6 +93,25 @@ class Kernel:
         if arr.size and arr.shape[-1:] != (dim,):
             raise DomainMismatch(f"points of shape {arr.shape} are not in the ball of C^{dim}")
         return np.sum(np.abs(arr) ** 2, axis=-1) < 1.0
+
+    def points(self, pts) -> np.ndarray:
+        """``pts`` as a complex array of shape (n,) on the disk or (n, d) on
+        the ball of C^d; any other shape raises ``DomainMismatch``."""
+        arr = np.asarray(list(pts), dtype=complex)
+        shape = () if self.point_ndim == 0 else (self.domain()[1],)
+        if arr.shape[0] == 0:
+            arr = arr.reshape((0,) + shape)
+        if arr.shape[1:] != shape:
+            where = "disk" if not shape else f"ball of C^{shape[0]}"
+            raise DomainMismatch(f"points of shape {arr.shape} are not points of the {where}")
+        return arr
+
+    def require_inside(self, pts, exc_cls, what: str):
+        """Raise ``exc_cls`` naming the first positions of ``pts`` outside
+        the open domain."""
+        outside = ~np.atleast_1d(self.contains(pts))
+        if np.any(outside):
+            raise exc_cls(f"{what} at positions {np.argwhere(outside)[:4].tolist()}")
 
     def describe(self) -> str:
         return type(self).__name__.lower()
@@ -270,13 +287,8 @@ class Pullback(Kernel):
         mz = np.asarray(self.map(z), complex)
         mw = np.asarray(self.map(w), complex)
         for name, arr in (("z", mz), ("w", mw)):
-            inside = self.inner.contains(arr)
-            if not np.all(inside):
-                where = np.argwhere(~np.atleast_1d(inside))[:4].tolist()
-                raise RangeViolation(
-                    f"pull-back map leaves the kernel domain on argument {name} "
-                    f"at positions {where}"
-                )
+            self.inner.require_inside(
+                arr, RangeViolation, f"pull-back map leaves the kernel domain on argument {name}")
         return self.inner.evaluate(mz, mw)
 
     def describe(self):
@@ -334,15 +346,11 @@ class NormalizedDefect(Kernel):
     base: object
 
     def __post_init__(self):
-        if self.inner.point_ndim == 0:
-            base = complex(self.base)
-        else:
-            base = tuple(complex(c) for c in self.base)
-        if not np.all(self.inner.contains(np.asarray(base, complex))):
-            raise DomainViolation("defect base point lies outside the kernel domain")
+        (base,) = self.inner.points([self.base])
+        self.inner.require_inside(
+            base, DomainViolation, "defect base point lies outside the kernel domain")
         object.__setattr__(self, "base", base)
-        kbb = complex(np.asarray(self.inner.evaluate(
-            np.asarray(base, complex), np.asarray(base, complex)), complex))
+        kbb = complex(np.asarray(self.inner.evaluate(base, base), complex))
         if abs(kbb.imag) > 1e-10 * max(1.0, abs(kbb)) or kbb.real <= DEFECT_EPS:
             raise VanishingKernel(
                 f"K(base, base) = {kbb:.6g} is not real and positive"
@@ -353,9 +361,8 @@ class NormalizedDefect(Kernel):
         return self.inner.domain()
 
     def evaluate(self, z, w):
-        base = np.asarray(self.base, complex)
-        kzb = np.asarray(self.inner.evaluate(z, base), complex)
-        kbw = np.asarray(self.inner.evaluate(base, w), complex)
+        kzb = np.asarray(self.inner.evaluate(z, self.base), complex)
+        kbw = np.asarray(self.inner.evaluate(self.base, w), complex)
         kzw = np.asarray(self.inner.evaluate(z, w), complex)
         _guard_defect(kzb, kbw, kzw)
         out = np.empty(np.broadcast_shapes(kzb.shape, kbw.shape, kzw.shape), complex)
@@ -369,8 +376,7 @@ class NormalizedDefect(Kernel):
         work is a rank-one elementwise rescale of ``kzw``, a row block at a
         time, written into ``out`` (which may be ``kzw`` itself) when given.
         """
-        base = np.asarray(self.base, complex)
-        n = kzw.shape[0]
+        base, n = self.base, kzw.shape[0]
         kzb = np.broadcast_to(np.asarray(self.inner.evaluate(points, base), complex), (n,))[:, None]
         kbw = np.broadcast_to(np.asarray(self.inner.evaluate(base, points), complex), (n,))[None, :]
         _guard_defect(kzb, kbw, kzw)
@@ -392,12 +398,7 @@ def kernel_eval(kernel: Kernel, z, w):
     zz = np.asarray(z, dtype=complex)
     ww = np.asarray(w, dtype=complex)
     for name, arr in (("z", zz), ("w", ww)):
-        inside = kernel.contains(arr)
-        if not np.all(inside):
-            where = np.argwhere(~np.atleast_1d(inside))[:4].tolist()
-            raise DomainViolation(
-                f"argument {name} outside the kernel domain at positions {where}"
-            )
+        kernel.require_inside(arr, DomainViolation, f"argument {name} outside the kernel domain")
     out = np.asarray(kernel.evaluate(zz, ww), dtype=complex)
     if out.ndim == 0:
         return complex(out)

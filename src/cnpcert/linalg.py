@@ -137,25 +137,10 @@ def hermitian_in_place(raw: np.ndarray, assembly: str = "") -> HermitianMatrix:
     return HermitianMatrix(raw, float(np.max(scale)), assembly, float(np.max(asym)))
 
 
-def _point_array(pts, point_ndim: int) -> np.ndarray:
-    arr = np.asarray(list(pts), dtype=complex)
-    if point_ndim == 0 and arr.ndim != 1:
-        raise ValueError("expected a flat sequence of disk points")
-    if point_ndim != 0 and arr.ndim != 2:
-        raise ValueError("expected a sequence of equal-length ball points")
-    return arr
-
-
 def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     n = points.shape[0]
-    inside = kernel.contains(points)
-    if not np.all(inside):
-        where = np.flatnonzero(~np.atleast_1d(inside))[:8].tolist()
-        raise DomainViolation(f"sample(s) outside the kernel domain at indices {where}")
-    if kernel.point_ndim == 0:
-        Z, W = points[:, None], points[None, :]
-    else:
-        Z, W = points[:, None, :], points[None, :, :]
+    kernel.require_inside(points, DomainViolation, "sample(s) outside the kernel domain")
+    Z, W = points[:, None], points[None]
     raw = empty_matrix(n)
     for rows in row_blocks(n, raw[:1].nbytes):
         try:
@@ -169,7 +154,7 @@ def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:
 def gram(kernel: Kernel, pts) -> HermitianMatrix:
     """Gram matrix K(p_i, p_j), symmetrized; guard errors from the kernel
     evaluation propagate with the offending broadcast positions attached."""
-    points = _point_array(pts, kernel.point_ndim)
+    points = kernel.points(pts)
     if points.shape[0] < 1:
         raise ValueError("at least one sample point is required")
     raw = _kernel_matrix(kernel, points)
@@ -284,7 +269,7 @@ def pick_matrix(kernel: Kernel, nodes, targets) -> HermitianMatrix:
     argument; the transposed pairing would certify the conjugate-target
     problem instead, which differs once data leaves the real line.
     """
-    points = _point_array(nodes, kernel.point_ndim)
+    points = kernel.points(nodes)
     lam = np.asarray(list(targets), dtype=complex)
     if lam.ndim != 1 or lam.size != points.shape[0]:
         raise LengthMismatch(
@@ -306,7 +291,7 @@ def block_pick_matrix(kernel: Kernel, nodes, mats) -> HermitianMatrix:
     so its positivity matches solvability of the matrix interpolation
     problem. For real targets this coincides with the (I - W_i^* W_j) form.
     """
-    points = _point_array(nodes, kernel.point_ndim)
+    points = kernel.points(nodes)
     try:
         W = np.asarray(list(mats), dtype=complex)
     except ValueError as exc:

@@ -19,11 +19,10 @@ import numpy as np
 from .errors import LengthMismatch, NotStrictlySolvable
 from .kernels import Kernel, Szego
 from .linalg import PsdVerdict, pick_matrix, psd_verdict
-from .sampling import polar_grid
+from .sampling import _close_pairs, polar_grid
 from .series import PowerSeries
 
 STRICT_EPS = 1e-8   # smallest Pick eigenvalue the construction will accept
-_NODE_SEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,8 @@ class InterpolationProblem:
         arr = np.asarray(nodes, dtype=complex)
         if np.max(np.abs(arr)) >= 1.0:
             raise ValueError("nodes must lie strictly inside the unit disk")
-        if len(nodes) >= 2:
-            diff = np.abs(arr[:, None] - arr[None, :]) + np.eye(len(nodes))
-            if diff.min() < _NODE_SEP:
-                raise ValueError("interpolation nodes must be pairwise distinct")
+        if _close_pairs(arr)[0]:
+            raise ValueError("interpolation nodes must be pairwise distinct")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "targets", targets)
 
@@ -129,9 +126,9 @@ def schur_interpolant(problem: InterpolationProblem) -> SchurInterpolant:
     return SchurInterpolant(tuple(stages))
 
 
-def sampled_sup(f, radius: float = 0.999, n_angles: int = 512) -> float:
-    """Max modulus of f over n equispaced points on the given circle."""
-    return float(np.max(np.abs(np.asarray(f(polar_grid(1, n_angles, radius)), complex))))
+def sampled_sup(f, radius: float = 0.999) -> float:
+    """Max modulus of f over 512 equispaced points on the given circle."""
+    return float(np.max(np.abs(np.asarray(f(polar_grid(1, 512, radius)), complex))))
 
 
 def blaschke_product(zeros, order: int = 64) -> PowerSeries:

@@ -11,6 +11,7 @@ DEFAULT_GRID = (6, 12)
 DEFAULT_RMAX = 0.9
 DEFAULT_RANDOM = 8
 MIN_SEPARATION = 1e-8
+PROBE_GRID = (32, 64, 0.99)   # polar_grid arguments of the sup |b| and witness-margin probes
 
 
 def polar_grid(n_r: int, n_theta: int, r_max: float) -> np.ndarray:
@@ -88,18 +89,14 @@ class SampleSet:
 
     @classmethod
     def random_disk(
-        cls,
-        count: int,
-        r_max: float = DEFAULT_RMAX,
-        seed: int = DEFAULT_SEED,
-        min_radius: float = 1e-3,
+        cls, count: int, r_max: float = DEFAULT_RMAX, seed: int = DEFAULT_SEED
     ) -> "SampleSet":
         rng = np.random.default_rng(seed)
         pts: list = []
         while len(pts) < count:
             r = r_max * np.sqrt(rng.uniform())
             p = r * np.exp(2j * np.pi * rng.uniform())
-            if abs(p) < min_radius:
+            if abs(p) < 1e-3:   # kept off the origin
                 continue
             if any(abs(p - q) < MIN_SEPARATION for q in pts):
                 continue

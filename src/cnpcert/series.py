@@ -188,17 +188,17 @@ class PowerSeries:
         t[0] = 0.0
         return PowerSeries(_compose_zero(self.coeffs, t, n), inner.center)
 
-    def revert(self, rev_eps: float = REV_EPS) -> "PowerSeries":
+    def revert(self) -> "PowerSeries":
         """Compositional inverse: a series g centered at coeffs[0] with
         g(self(z)) = z through the truncation order.
 
-        Requires a linear coefficient of modulus above ``rev_eps``; a smaller
+        Requires a linear coefficient of modulus above REV_EPS; a smaller
         one means the map is not invertible near its center.
         """
-        if self.order < 1 or abs(self.coeffs[1]) <= rev_eps:
+        if self.order < 1 or abs(self.coeffs[1]) <= REV_EPS:
             raise NonInvertible(
                 "linear coefficient too small for functional inversion "
-                f"(threshold {rev_eps:g})"
+                f"(threshold {REV_EPS:g})"
             )
         n = self.order
         t = self.coeffs.astype(complex).copy()
@@ -220,22 +220,22 @@ class PowerSeries:
         return PowerSeries(coeffs, center=a0)
 
 
-def divide(num: PowerSeries, den: PowerSeries, div_eps: float = DIV_EPS) -> PowerSeries:
+def divide(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     """Formal quotient num/den with their common leading zero cancelled.
 
     The leading order of a series is the index of its first coefficient of
-    modulus above ``div_eps``. The denominator's leading order may not exceed
+    modulus above DIV_EPS. The denominator's leading order may not exceed
     the numerator's (the quotient would have a pole). The result is truncated
     to min(order(num), order(den)) minus the cancelled order.
     """
     num._check_center(den)
     dmag = np.abs(den.coeffs)
-    nz = np.flatnonzero(dmag > div_eps)
+    nz = np.flatnonzero(dmag > DIV_EPS)
     if nz.size == 0:
         raise DivisionOrder("denominator vanishes to its truncation order")
     ord_d = int(nz[0])
     nmag = np.abs(num.coeffs)
-    nnz = np.flatnonzero(nmag > div_eps)
+    nnz = np.flatnonzero(nmag > DIV_EPS)
     ord_n = int(nnz[0]) if nnz.size else None
     if ord_n is not None and ord_n < ord_d:
         raise DivisionOrder(

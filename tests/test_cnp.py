@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cnpcert.cnp import EVIDENCE_NOTE, cnp_basepoint_sweep, cnp_certify
+from cnpcert.errors import DomainMismatch
 from cnpcert.kernels import (
     Congruence,
     DeBrangesRovnyak,
@@ -204,3 +205,21 @@ def test_defect_error_positions_index_the_whole_matrix():
     for rep in [cnp_certify(kernel, 0.1, pts)] + cnp_basepoint_sweep(kernel, [0.1], pts):
         assert rep.vanish_flag and rep.verdict.status is Verdict.INCONCLUSIVE
         assert rep.notes[0].endswith("K(z, base) below 1e-12 in modulus at positions [[300, 0]]")
+
+
+def test_report_json_ball_base_given_as_a_list():
+    # a list base raised a TypeError in to_json_dict, which read only tuples as ball points
+    rep = cnp_certify(DruryArveson(2), [0j, 0j], ball_points(8, 2, seed=5))
+    assert rep.to_json_dict()["base"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_flat_samples_on_a_ball_kernel_are_a_domain_mismatch():
+    # the flat pair [0.5, 0.1] was read as one ball point and failed with a numpy AxisError
+    with pytest.raises(DomainMismatch):
+        cnp_certify(DruryArveson(2), (0j, 0j), [0.5, 0.1])
+
+
+def test_pair_base_on_a_disk_kernel_is_a_domain_mismatch():
+    # raised a TypeError from complex((0.1, 0.2))
+    with pytest.raises(DomainMismatch):
+        cnp_certify(Szego(), (0.1, 0.2), SampleSet.default(grid=(2, 3)))

@@ -112,3 +112,23 @@ def test_drury_arveson_dimension_must_be_integral(capsys):
     assert out == ""
     assert "expected an integer, got 2.9" in err
     assert kernel_from_json({"kind": "drury_arveson", "dim": 2.0}) == DruryArveson(2)
+
+
+@pytest.mark.parametrize("zeros", [0.5, None])
+def test_blaschke_zeros_must_be_an_array(capsys, zeros):
+    # a number or null died with a TypeError traceback: exit 1, read as FAIL
+    spec = json.dumps({"family": "blaschke", "zeros": zeros})
+    code, out, err = run_cli(capsys, ["hbcheck", "--b", spec])
+    assert code == 3
+    assert out == ""
+    assert "expected an array" in err
+
+
+def test_ball_defect_base_must_be_an_array(capsys):
+    # base 5 for a ball inner died with a TypeError traceback: exit 1, read as NOT_PSD
+    desc = {"kind": "normalized_defect", "inner": {"kind": "drury_arveson", "dim": 2}, "base": 5}
+    with pytest.raises(ValueError, match="expected an array"):
+        kernel_from_json(desc)
+    code, out, err = run_cli(capsys, ["cnp", "--kernel", json.dumps(desc)])
+    assert code == 3
+    assert out == ""

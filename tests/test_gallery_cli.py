@@ -293,3 +293,31 @@ def test_cnp_ball_base_of_another_dimension_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "DOMAIN_MISMATCH" in err
+
+
+def test_cnp_explicit_points_on_a_ball_kernel_exit_3(capsys):
+    # the points were silently replaced by 48 random ball points (exit 0)
+    code, out, err = run_cli(
+        capsys,
+        ["cnp", "--kernel", '{"kind":"drury_arveson","dim":2}', "--points", "0.5,0.1"],
+    )
+    assert code == 3
+    assert out == ""
+    assert "DOMAIN_MISMATCH" in err
+
+
+@pytest.mark.parametrize("samples", [
+    "zap", {"grid": 5}, {"grid": [6]}, {"extra": 5}, {"rmax": None}, {"grid": [6.5, 12]},
+])
+def test_malformed_samples_block_is_a_suite_format_error(tmp_path, capsys, samples):
+    # each died with a traceback (exit 1, read as mismatches) or, for 6.5, was truncated
+    doc = default_suite_dict()
+    doc["entries"][0]["samples"] = samples
+    with pytest.raises(SuiteFormat, match=f"{doc['entries'][0]['name']}: malformed 'samples'"):
+        load_suite(doc)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["gallery", "--suite", str(path)])
+    assert code == 3
+    assert out == ""
+    assert "SUITE_FORMAT" in err

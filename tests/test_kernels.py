@@ -280,3 +280,14 @@ def test_drury_arveson_rejects_points_of_another_dimension():
     with pytest.raises(DomainMismatch):
         DruryArveson(2).contains(0.1)
     assert DruryArveson(2).contains(np.zeros((0, 3))).shape == (0,)
+
+
+def test_points_have_one_shape_per_domain():
+    assert Szego().points([0.1, 0.2j]).shape == (2,)
+    assert Constant(1.0).points(np.array([0.1])).shape == (1,)
+    assert DruryArveson(3).points(ball_points(4, 3)).shape == (4, 3)
+    assert DruryArveson(2).points([]).shape == (0, 2)
+    for kernel, pts in [(Szego(), [[0.1, 0.2]]), (DruryArveson(2), [0.5, 0.1]),
+                        (DruryArveson(2), [(0.1, 0.2, 0.3)])]:
+        with pytest.raises(DomainMismatch):
+            kernel.points(pts)

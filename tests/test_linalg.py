@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cnpcert.descriptors import kernel_from_json
-from cnpcert.errors import DimensionMismatch, LengthMismatch
+from cnpcert.errors import DimensionMismatch, DomainMismatch, LengthMismatch
 from cnpcert.kernels import Congruence, Constant, NormalizedDefect, Szego
 from cnpcert.linalg import (
     RITZ_MIN_N,
@@ -343,3 +343,8 @@ def test_gram_error_positions_index_the_whole_matrix():
     kernel = NormalizedDefect(Congruence(Szego(), PowerSeries([-0.5, 1.0])), 0.1)
     with pytest.raises(VanishingKernel, match=r"K\(z, base\) .* positions \[\[300, 0\]\]$"):
         gram(kernel, pts)
+
+
+def test_gram_rejects_ball_shaped_points_on_a_disk_kernel():
+    with pytest.raises(DomainMismatch):
+        gram(Szego(), [[0.1, 0.2]])
