@@ -177,6 +177,8 @@ def cmd_cnp(args) -> int:
         base = tuple(_parse_points(args.base)) if args.base != "0" else (0j,) * dim
     if kernel.point_ndim == 0 or args.points:   # --points are disk points, shape-checked by cnp_certify
         pts = _samples_from_args(args)
+    elif args.random < 0:
+        raise ValueError(f"--random must be >= 0, got {args.random}")
     else:
         pts = ball_points(max(args.random, 48), dim, args.rmax, args.seed)
     report = cnp_certify(kernel, base, pts, args.tol)

@@ -4,19 +4,29 @@ The certificate is asymmetric by nature: a NOT_PSD defect Gram on a concrete
 finite sample is a rigorous disproof, while PSD on samples is supporting
 evidence only, since the property quantifies over every finite set. Reports
 say so explicitly.
+
+From RITZ_MIN_N samples on, the defect is not formed: with R = 1/K entrywise
+and u = K(z, base) / sqrt(K(base, base)) it is exactly J - diag(u) R diag(conj u)
+(J all ones). R, base-free and numerically low-rank, is factored once,
+R ~ q m q^H to Frobenius residual r, so by Weyl's inequality each base's
+smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
+[1, diag(u) q, 0] = U T (thin QR) and C = diag(1, -m, 0). A base whose bound
+exceeds RITZ_RESIDUAL * max(1, scale) has its defect assembled instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import VanishingKernel
-from .kernels import Kernel, NormalizedDefect, row_blocks
+from .kernels import DEFECT_EPS, Kernel, NormalizedDefect, row_blocks
 from .linalg import (
-    HermitianMatrix, PsdVerdict, Verdict, empty_matrix, gram, hermitian_in_place, psd_verdict,
+    RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, empty_matrix, gram,
+    hermitian_in_place, psd_verdict, range_finder,
 )
 
 EVIDENCE_NOTE = (
@@ -83,6 +93,7 @@ def _asym_note(what: str, m: HermitianMatrix) -> str:
 def cnp_certify(
     kernel: Kernel, base, pts, tol: float | None = None, *,
     kernel_gram: HermitianMatrix | None = None, work: np.ndarray | None = None,
+    reciprocal: Reciprocal | None = None,
 ) -> CertReport:
     """Certify positivity of the base-normalized defect on a sample set.
 
@@ -91,13 +102,13 @@ def cnp_certify(
     assembling the defect yields an INCONCLUSIVE report with ``vanish_flag``
     set instead of an exception, so sweeps stay total.
 
-    The defect's Gram is a rank-one rescale of the kernel's Gram K(z, w) on
-    the kept samples, the only n x n kernel evaluation. ``kernel_gram`` is
-    that Gram on all of ``pts``, when the caller has it already (a base-point
-    sweep builds it once for every base); without it, it is computed here.
-    The defect is assembled in ``work``, a writable C-contiguous complex
-    array of at least len(pts)**2 entries, when given (a sweep passes one
-    to every base), else in a new array.
+    ``kernel_gram`` (the kernel's Gram on all of ``pts``, the only n x n
+    kernel evaluation) and ``reciprocal`` (its factored 1/K, from RITZ_MIN_N
+    samples on) come from a base-point sweep, which shares them; without
+    ``kernel_gram`` both are built here. With 1/K no n x n defect is formed
+    (see the module docstring). Otherwise the defect's Gram, a rank-one
+    rescale of K, is assembled in ``work`` (a writable C-contiguous complex
+    array of at least len(pts)**2 entries, not holding 1/K) or a new array.
     """
     kept, keep = _exclude_base(pts, base, kernel)
     if kernel_gram is not None and kernel_gram.n != keep.size:
@@ -110,7 +121,10 @@ def cnp_certify(
         defect = NormalizedDefect(kernel, base)
         if kernel_gram is None:
             kernel_gram, keep = gram(kernel, kept), np.ones(len(kept), dtype=bool)
-        matrix = _defect_gram(defect, kernel_gram, keep, kept, work)
+            reciprocal = factor_reciprocal(kernel_gram)
+        matrix = None if reciprocal is None else _factored_defect(defect, reciprocal, keep, kept)
+        if matrix is None:
+            matrix = _defect_gram(defect, kernel_gram, keep, kept, work)
     except VanishingKernel as exc:
         notes.append(f"{exc.code}: {exc}")
         notes.append(EVIDENCE_NOTE)
@@ -146,13 +160,64 @@ def _defect_gram(
     return hermitian_in_place(raw, f"{defect.describe()} on {len(kept)} samples")
 
 
+class Reciprocal(NamedTuple):
+    """R = [1 / K(z_i, z_j)] on a kernel Gram's samples; ||R - q m q^H||_F = resid."""
+
+    entries: np.ndarray
+    q: np.ndarray
+    m: np.ndarray
+    resid: float
+
+
+def factor_reciprocal(kernel_gram: HermitianMatrix, out=None) -> Reciprocal | None:
+    """R of ``kernel_gram`` in ``out`` (or a new array), factored to resid <=
+    RITZ_RESIDUAL / max|K(z, z)|, enough for every base of a positive kernel,
+    where |u|^2 <= K(z, z) (Cauchy-Schwarz). None below RITZ_MIN_N samples,
+    when K has an entry not finite or below DEFECT_EPS in modulus (the defect
+    path reports it), or when the range finder stops short of that residual."""
+    k, n = kernel_gram.entries, kernel_gram.n
+    if n < RITZ_MIN_N or not kernel_gram.finite:
+        return None
+    r = empty_matrix(n) if out is None else out
+    for rows in row_blocks(n, r[:1].nbytes):
+        if np.min(np.abs(k[rows])) < DEFECT_EPS:
+            return None
+        np.divide(1.0, k[rows], out=r[rows])
+    target = RITZ_RESIDUAL / float(np.max(np.abs(np.diagonal(k))))
+    q, m, resid = range_finder(r, target)
+    return Reciprocal(r, q, m, resid) if resid <= target else None
+
+
+def _factored_defect(
+    defect: NormalizedDefect, rec: Reciprocal, keep: np.ndarray, kept: list
+) -> HermitianMatrix | None:
+    """The defect on ``kept`` (the ``keep`` rows of ``rec``) as T C T^H (see
+    the module docstring), with the defect's max modulus as scale; None when
+    the Weyl bound max|u|^2 resid exceeds RITZ_RESIDUAL * max(1, scale)."""
+    u = np.zeros(keep.size, dtype=complex)   # zero off the kept samples
+    u[keep] = defect.base_column(np.asarray(kept, dtype=complex))[:, 0] / math.sqrt(defect.kbb)
+    mods, uc = [], u.conj()   # |J - diag(u) R diag(conj u)| on the kept upper triangle
+    for rows in row_blocks(keep.size, rec.entries[:1].nbytes):
+        i = rows.start
+        blk = np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:])
+        mods.append(np.max(np.abs(blk if keep.all() else blk[keep[rows]][:, keep[i:]]), initial=0.0))
+    scale, m = float(np.max(mods)), len(kept)
+    if not np.max(np.abs(u)) ** 2 * rec.resid <= RITZ_RESIDUAL * max(1.0, scale):
+        return None
+    v = np.hstack([np.ones((m, 1)), u[keep, None] * rec.q[keep], np.zeros((m, 1))])
+    t = np.linalg.qr(v, mode="r")
+    g = np.outer(t[:, 0], t[:, 0].conj()) - t[:, 1:-1] @ rec.m @ t[:, 1:-1].conj().T
+    return HermitianMatrix(0.5 * (g + g.conj().T), scale, f"{defect.describe()} on {m} samples", 0.0)
+
+
 def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):
     """One certification per base point; disagreement is flagged, because the
     property holds at every base or at none, so a split can only mean the
     samples were too thin.
 
-    The kernel's Gram on the samples does not depend on the base, so it is
-    built once and every base's defect is assembled from it, in one array.
+    The kernel's Gram on the samples and, from RITZ_MIN_N samples on, the
+    factored R = 1/K do not depend on the base, so both are built once, R in
+    the one work array each base's defect is assembled in otherwise.
     """
     bases = list(bases)
     if not bases:
@@ -162,9 +227,9 @@ def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):
     except VanishingKernel:   # a defect kernel vanishing on pts: each base reports it
         kernel_gram = None
     work = empty_matrix(len(pts))
-    reports = [
-        cnp_certify(kernel, base, pts, tol, kernel_gram=kernel_gram, work=work) for base in bases
-    ]
+    reciprocal = None if kernel_gram is None else factor_reciprocal(kernel_gram, work)
+    reports = [cnp_certify(kernel, base, pts, tol, kernel_gram=kernel_gram, reciprocal=reciprocal,
+                           work=work if reciprocal is None else None) for base in bases]
     statuses = {
         r.verdict.status for r in reports if r.verdict.status is not Verdict.INCONCLUSIVE
     }

@@ -33,7 +33,7 @@ def complex_to_json(c: complex):
 def series_from_json(obj: dict) -> PowerSeries:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("series literals need a 'coeffs' array of [re, im] pairs")
-    coeffs = np.asarray([complex_from_json(c) for c in obj["coeffs"]], dtype=complex)
+    coeffs = np.asarray(complex_list_from_json(obj["coeffs"]), dtype=complex)
     center = complex_from_json(obj.get("center", 0.0))
     return PowerSeries(coeffs, center)
 
@@ -80,7 +80,7 @@ def kernel_from_json(obj: dict, order: int = families.DEFAULT_ORDER) -> Kernel:
     if kind == "dbr":
         return dbr_kernel(symbol_from_json(obj["b"], order))
     if kind == "constant":
-        return Constant(float(obj["value"]))
+        return Constant(obj["value"])
     if kind == "sum":
         return Sum(kernel_from_json(obj["left"], order), kernel_from_json(obj["right"], order))
     if kind == "pullback":

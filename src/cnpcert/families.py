@@ -34,7 +34,10 @@ def complex_from_json(v) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        try:
+            return complex(float(v[0]), float(v[1]))
+        except TypeError as exc:
+            raise ValueError(f"expected a [re, im] pair of numbers, got {v!r}") from exc
     raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
 
 

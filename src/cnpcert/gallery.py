@@ -118,6 +118,8 @@ def _samples_from_config(cfg) -> tuple:
         "r_max": float(rmax),
         "n_random": integer_from_json(cfg.get("random", DEFAULT_RANDOM)),
     }
+    if kwargs["n_random"] < 0:
+        raise ValueError(f"random must be >= 0, got {kwargs['n_random']}")
     return kwargs, complex_list_from_json(cfg.get("extra", []))
 
 

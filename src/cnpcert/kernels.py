@@ -14,6 +14,7 @@ the open unit ball. K(z, w) is holomorphic in z and anti-holomorphic in w.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +231,8 @@ class Constant(Kernel):
     value: float
 
     def __post_init__(self):
+        if isinstance(self.value, bool) or not isinstance(self.value, numbers.Real):
+            raise ValueError(f"a constant kernel's value must be a number, got {self.value!r}")
         v = float(self.value)
         if not np.isfinite(v) or v < 0.0:
             raise ValueError("constant kernels must have a finite nonnegative value")
@@ -337,9 +340,10 @@ class NormalizedDefect(Kernel):
 
     Positivity of this defect over every finite sample is the normalized
     criterion the certifier tests. Construction requires K(base, base) to be
-    real and bounded away from zero; evaluation raises ``VanishingKernel``
-    whenever any of the kernel values entering the quotient is numerically
-    zero, since the criterion is meaningless for vanishing kernels.
+    real and bounded away from zero, and keeps it as ``kbb``; evaluation
+    raises ``VanishingKernel`` whenever any of the kernel values entering the
+    quotient is numerically zero, since the criterion is meaningless for
+    vanishing kernels.
     """
 
     inner: Kernel
@@ -355,7 +359,7 @@ class NormalizedDefect(Kernel):
             raise VanishingKernel(
                 f"K(base, base) = {kbb:.6g} is not real and positive"
             )
-        object.__setattr__(self, "_kbb", kbb.real)
+        object.__setattr__(self, "kbb", kbb.real)
 
     def domain(self):
         return self.inner.domain()
@@ -366,7 +370,14 @@ class NormalizedDefect(Kernel):
         kzw = np.asarray(self.inner.evaluate(z, w), complex)
         _guard_defect(kzb, kbw, kzw)
         out = np.empty(np.broadcast_shapes(kzb.shape, kbw.shape, kzw.shape), complex)
-        return _defect_quotient(kzb, kbw, self._kbb, kzw, out)
+        return _defect_quotient(kzb, kbw, self.kbb, kzw, out)
+
+    def base_column(self, points: np.ndarray) -> np.ndarray:
+        """K(z, base) on ``points`` as an (n, 1) column, guarded first as in ``evaluate``."""
+        kzb = np.asarray(self.inner.evaluate(points, self.base), complex)
+        kzb = np.broadcast_to(kzb, (points.shape[0],))[:, None]
+        _guard_min_modulus(kzb, DEFECT_EPS, VanishingKernel, "K(z, base)")
+        return kzb
 
     def rescale(self, kzw: np.ndarray, points: np.ndarray, out=None) -> np.ndarray:
         """The defect's (unsymmetrized) Gram on ``points`` from the inner
@@ -377,12 +388,12 @@ class NormalizedDefect(Kernel):
         time, written into ``out`` (which may be ``kzw`` itself) when given.
         """
         base, n = self.base, kzw.shape[0]
-        kzb = np.broadcast_to(np.asarray(self.inner.evaluate(points, base), complex), (n,))[:, None]
+        kzb = self.base_column(points)
         kbw = np.broadcast_to(np.asarray(self.inner.evaluate(base, points), complex), (n,))[None, :]
         _guard_defect(kzb, kbw, kzw)
         out = np.empty((n, n), complex) if out is None else out
         for rows in row_blocks(n, out[:1].nbytes):
-            _defect_quotient(kzb[rows], kbw, self._kbb, kzw[rows], out[rows])
+            _defect_quotient(kzb[rows], kbw, self.kbb, kzw[rows], out[rows])
         return out
 
     def describe(self):

@@ -9,6 +9,7 @@ semi-definite" stays honest under floating point.
 The smallest eigenvalue of a large matrix comes from a randomized block
 Rayleigh-Ritz solve when the matrix has low numerical rank, which the
 normalized-defect matrices of dense sample sets do; see smallest_eigenvalue.
+Its range finder also factors the base-free 1/K of a base-point sweep (cnp).
 """
 
 from __future__ import annotations
@@ -174,33 +175,23 @@ def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(total)
 
 
-def _ritz_min_eig(a: np.ndarray, scale: float) -> float | None:
-    """Smallest eigenvalue of Hermitian ``a`` to within RITZ_RESIDUAL * max(1,
-    scale), or None when ``a`` is not of low enough numerical rank.
+def range_finder(a: np.ndarray, target: float):
+    """(q, b, r) with Hermitian ``a`` ~ q b q^H, q orthonormal, b = q^H a q
+    and r = ||a - q b q^H||_F <= target, or the last basis when a step cuts r
+    by less than RITZ_MIN_SHRINK (NaN from overflow included) or q would pass
+    n / RITZ_MAX_FRAC columns (q is empty when ||a|| is not finite).
 
-    Randomized range finder (Halko, Martinsson & Tropp 2011) with a
-    Rayleigh-Ritz step: an orthonormal basis q grows by blocks of a @ omega for
-    Gaussian omega, each block added through a joint QR of [q, a @ omega] so q
-    stays orthonormal to rounding. With b = q^H a q, Weyl's inequality bounds
-    |lambda_min(a) - lambda_min(q b q^H)| by r = ||a - q b q^H||_F, and
-    lambda_min(q b q^H) = min(lambda_min(b), 0) since q has fewer than n
-    columns. A negative result is the Rayleigh quotient of the explicit vector
-    q y (y the bottom eigenvector of b), hence an upper bound on lambda_min(a).
-    Gives up when a step cuts r by less than RITZ_MIN_SHRINK or the basis
-    would pass n / RITZ_MAX_FRAC columns.
+    Randomized range finder (Halko, Martinsson & Tropp 2011): q grows by
+    blocks of a @ omega for Gaussian omega, each block added through a joint
+    QR of [q, a @ omega] so q stays orthonormal to rounding.
     """
     n = a.shape[0]
-    target = RITZ_RESIDUAL * max(1.0, scale)
     rng = np.random.default_rng(RITZ_SEED)
-    q = np.empty((n, 0), dtype=complex)
-    aq = np.empty((n, 0), dtype=complex)
+    q = aq = np.empty((n, 0), dtype=complex)
+    b = np.empty((0, 0), dtype=complex)
     resid = float(np.linalg.norm(a))   # the residual of the empty basis
-    if not math.isfinite(resid):
-        return None
-    while resid > target:
+    while target < resid < math.inf and q.shape[1] + RITZ_BLOCK <= n // RITZ_MAX_FRAC:
         k = q.shape[1]
-        if k + RITZ_BLOCK > n // RITZ_MAX_FRAC:
-            return None
         omega = rng.standard_normal((n, RITZ_BLOCK)) + 1j * rng.standard_normal((n, RITZ_BLOCK))
         new = np.linalg.qr(np.hstack([q, a @ omega]))[0][:, k:]
         q = np.hstack([q, new])
@@ -208,8 +199,25 @@ def _ritz_min_eig(a: np.ndarray, scale: float) -> float | None:
         b = q.conj().T @ aq
         b = 0.5 * (b + b.conj().T)
         prev, resid = resid, _ritz_residual(a, q, b)
-        if not resid <= prev / RITZ_MIN_SHRINK:   # NaN from overflow bails too
-            return None
+        if not resid <= prev / RITZ_MIN_SHRINK:
+            break
+    return q, b, resid
+
+
+def _ritz_min_eig(a: np.ndarray, scale: float) -> float | None:
+    """Smallest eigenvalue of Hermitian ``a`` to within RITZ_RESIDUAL * max(1,
+    scale), or None when ``a`` is not of low enough numerical rank.
+
+    Rayleigh-Ritz on the range_finder basis: Weyl's inequality bounds
+    |lambda_min(a) - lambda_min(q b q^H)| by r, and lambda_min(q b q^H) =
+    min(lambda_min(b), 0) since q has fewer than n columns. A negative result
+    is the Rayleigh quotient of the explicit vector q y (y the bottom
+    eigenvector of b), hence an upper bound on lambda_min(a).
+    """
+    target = RITZ_RESIDUAL * max(1.0, scale)
+    q, b, resid = range_finder(a, target)
+    if not resid <= target:
+        return None
     if q.shape[1] == 0:
         return 0.0
     return min(float(np.linalg.eigvalsh(b)[0]), 0.0)

@@ -91,6 +91,8 @@ class SampleSet:
     def random_disk(
         cls, count: int, r_max: float = DEFAULT_RMAX, seed: int = DEFAULT_SEED
     ) -> "SampleSet":
+        if count < 0:
+            raise ValueError(f"a random sample count must be >= 0, got {count}")
         rng = np.random.default_rng(seed)
         pts: list = []
         while len(pts) < count:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cnpcert import cnp
 from cnpcert.cnp import EVIDENCE_NOTE, cnp_basepoint_sweep, cnp_certify
 from cnpcert.errors import DomainMismatch
 from cnpcert.kernels import (
@@ -14,7 +15,7 @@ from cnpcert.kernels import (
     NormalizedDefect,
     Szego,
 )
-from cnpcert.linalg import Verdict, gram
+from cnpcert.linalg import RITZ_MIN_N, RITZ_RESIDUAL, Verdict, gram, hermitian_from_raw
 from cnpcert.pickinterp import blaschke_product
 from cnpcert.sampling import SampleSet, ball_points
 from cnpcert.series import PowerSeries
@@ -223,3 +224,101 @@ def test_pair_base_on_a_disk_kernel_is_a_domain_mismatch():
     # raised a TypeError from complex((0.1, 0.2))
     with pytest.raises(DomainMismatch):
         cnp_certify(Szego(), (0.1, 0.2), SampleSet.default(grid=(2, 3)))
+
+
+# ------------------------------------ the defect from a factorization of 1/K
+
+DBR_AFFINE = DeBrangesRovnyak(PowerSeries([0.25, 0.5]))   # (z + 0.5) / 2: PSD
+DBR_BLASCHKE = DeBrangesRovnyak(blaschke_product([0.0, 0.5]))   # NOT_PSD
+
+
+def disk_296():
+    return SampleSet.default(seed=5, grid=(12, 24))
+
+
+def disk_776():   # room for the 96 columns 1/K of DBR_BLASCHKE needs (n / 8 at most)
+    return SampleSet.default(seed=5, grid=(24, 32))
+
+
+@pytest.mark.parametrize("kernel, pts, base", [
+    (DBR_BLASCHKE, SampleSet.default(seed=5), -0.2 + 0.4j),
+    (DruryArveson(2), ball_points(60, 2, seed=9), (0.3 + 0j, -0.1j)),
+])
+def test_defect_is_the_reciprocal_gram_rescaled_by_the_base_column(kernel, pts, base):
+    # D = J - diag(u) R diag(conj u), u = K(z, base) / sqrt(K(base, base)), R = 1/K
+    pts = kernel.points(pts)
+    defect = NormalizedDefect(kernel, base)
+    u = defect.base_column(pts)[:, 0] / math.sqrt(defect.kbb)
+    identity = 1.0 - u[:, None] * (1.0 / gram(kernel, pts).entries) * u.conj()
+    direct = defect.evaluate(pts[:, None], pts[None])
+    assert np.all(np.abs(identity - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
+
+
+@pytest.mark.parametrize("kernel, pts", [
+    (DBR_BLASCHKE, disk_776()), (DBR_AFFINE, disk_296()),
+    (DruryArveson(2), ball_points(296, 2, seed=5)),
+])
+def test_reciprocal_of_a_symmetrized_gram_is_bitwise_hermitian(kernel, pts):
+    rec = cnp.factor_reciprocal(gram(kernel, pts))
+    assert rec is not None
+    assert np.array_equal(rec.entries, rec.entries.conj().T)
+
+
+def eigvalsh_reference(kernel, base, rep):
+    """min_eig of the materialized, symmetrized defect on the report's samples, and its scale."""
+    pts = kernel.points(rep.samples)
+    m = hermitian_from_raw(NormalizedDefect(kernel, base).evaluate(pts[:, None], pts[None]))
+    return float(np.linalg.eigvalsh(m.entries)[0]), m.scale
+
+
+def materialized_reports(monkeypatch, kernel, bases, pts):
+    """Per-base cnp_certify and a sweep through the assembled defect alone."""
+    with monkeypatch.context() as mp:
+        mp.setattr(cnp, "factor_reciprocal", lambda *args: None)
+        return [cnp_certify(kernel, b, pts) for b in bases], cnp_basepoint_sweep(kernel, bases, pts)
+
+
+@pytest.mark.parametrize("kernel, pts, bases, status, factored", [
+    (DBR_AFFINE, disk_296(), [0j, disk_296().points[40], -0.2 + 0.4j], Verdict.PSD, True),
+    # 1/K has numerical rank ~80 here, above the 296 / 8 columns the range finder may use
+    (DBR_BLASCHKE, disk_296(), [-0.2 + 0.4j, disk_296().points[250]], Verdict.NOT_PSD, False),
+    (DBR_BLASCHKE, disk_776(), [-0.2 + 0.4j, disk_776().points[250]], Verdict.NOT_PSD, True),
+    (DruryArveson(2), ball_points(296, 2, seed=5),
+     [(0j, 0j), tuple(ball_points(296, 2, seed=5)[17])], Verdict.PSD, True),
+])
+def test_factored_defect_matches_the_materialized_defect(
+        monkeypatch, kernel, pts, bases, status, factored):
+    n = len(pts)
+    assert n >= RITZ_MIN_N
+    one_by_one, swept = materialized_reports(monkeypatch, kernel, bases, pts)
+    assembled = []
+    defect_gram = cnp._defect_gram
+    monkeypatch.setattr(cnp, "_defect_gram", lambda *a: assembled.append(1) or defect_gram(*a))
+    reports = [cnp_certify(kernel, b, pts) for b in bases] + cnp_basepoint_sweep(kernel, bases, pts)
+    assert len(assembled) == (0 if factored else len(reports))
+    for base, rep, ref in zip(bases + bases, reports, one_by_one + swept):
+        assert rep.verdict.status is ref.verdict.status is status
+        assert (rep.n_samples, rep.notes) == (ref.n_samples, ref.notes)
+        min_eig, scale = eigvalsh_reference(kernel, base, rep)
+        assert abs(rep.verdict.min_eig - min_eig) <= 2 * RITZ_RESIDUAL * max(1.0, scale)
+        assert rep.verdict.tol == pytest.approx(1e-9 * max(1.0, scale), rel=1e-12)
+    assert {r.n_samples for r in reports} == {n - 1, n}
+
+
+def test_sweep_falls_back_to_the_assembled_defect_when_the_bound_fails(monkeypatch):
+    pts, bases = disk_296(), [0j, disk_296().points[40]]
+    assembled = []
+    defect_gram = cnp._defect_gram
+    monkeypatch.setattr(cnp, "_defect_gram", lambda *a: assembled.append(1) or defect_gram(*a))
+    expected = cnp_basepoint_sweep(DBR_AFFINE, bases, pts)
+    assert not assembled
+    factor_reciprocal = cnp.factor_reciprocal   # R is formed, but no Weyl bound can pass
+    monkeypatch.setattr(cnp, "factor_reciprocal", lambda *a: factor_reciprocal(*a)._replace(
+        resid=math.inf))
+    reports = cnp_basepoint_sweep(DBR_AFFINE, bases, pts)
+    assert len(assembled) == len(bases)
+    for rep, ref in zip(reports, expected):
+        assert (rep.verdict.status, rep.n_samples, rep.notes) == \
+            (ref.verdict.status, ref.n_samples, ref.notes)
+        assert rep.verdict.tol == pytest.approx(ref.verdict.tol, rel=1e-12)
+        assert abs(rep.verdict.min_eig - ref.verdict.min_eig) <= 2 * RITZ_RESIDUAL

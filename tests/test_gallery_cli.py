@@ -321,3 +321,34 @@ def test_malformed_samples_block_is_a_suite_format_error(tmp_path, capsys, sampl
     assert code == 3
     assert out == ""
     assert "SUITE_FORMAT" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cnp", "--kernel",
+     '{"kind":"normalized_defect","inner":{"kind":"szego"},"base":[[0.1,0],[0,0]]}'],
+    ["hbcheck", "--b", '{"series":{"coeffs":5}}'],
+    ["cnp", "--kernel", '{"kind":"constant","value":[1]}'],
+])
+def test_json_of_the_wrong_type_is_an_input_error(capsys, argv):
+    # each died with a TypeError traceback (exit 1, read as NOT_PSD or FAIL)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "input error [ValueError]" in err
+
+
+@pytest.mark.parametrize("kernel", ['{"kind":"szego"}', '{"kind":"drury_arveson","dim":2}'])
+def test_negative_random_sample_count_is_an_input_error(capsys, kernel):
+    # was read as 0 on the disk (72 samples, exit 0) and as 48 ball points on DA(2)
+    code, out, err = run_cli(capsys, ["cnp", "--kernel", kernel, "--random", "-3"])
+    assert code == 3
+    assert out == ""
+    assert "-3" in err
+
+
+def test_negative_random_in_a_samples_block_is_a_suite_format_error():
+    # passed validation, and SampleSet.default then drew no random points
+    doc = default_suite_dict()
+    doc["entries"][2]["samples"] = {"random": -1}
+    with pytest.raises(SuiteFormat, match=f"{doc['entries'][2]['name']}: malformed 'samples'"):
+        load_suite(doc)
