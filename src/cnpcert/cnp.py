@@ -11,7 +11,8 @@ and u = K(z, base) / sqrt(K(base, base)) it is exactly J - diag(u) R diag(conj u
 R ~ q m q^H to Frobenius residual r, so by Weyl's inequality each base's
 smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
 [1, diag(u) q, 0] = U T (thin QR) and C = diag(1, -m, 0). A base whose bound
-exceeds RITZ_RESIDUAL * max(1, scale) has its defect assembled instead.
+exceeds RITZ_RESIDUAL * max(1, scale) has its defect assembled instead, a
+rank-one rescale of K; so has every base below RITZ_MIN_N samples.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import VanishingKernel
-from .kernels import DEFECT_EPS, Kernel, NormalizedDefect, row_blocks
+from .kernels import DEFECT_EPS, Kernel, NormalizedDefect, defect_quotient, guard_defect, row_blocks
 from .linalg import (
     RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, empty_matrix, gram,
     hermitian_in_place, psd_verdict, range_finder,
@@ -71,11 +72,10 @@ class CertReport:
         }
 
 
-def _exclude_base(points, base, kernel: Kernel):
+def _exclude_base(pts: list, base, kernel: Kernel):
     """The samples away from the base, and the mask of which were kept.
     Both go through ``kernel.points`` first, so points of the wrong shape
     raise DomainMismatch instead of failing to broadcast."""
-    pts = list(points)
     (at,), arr = kernel.points([base]), kernel.points(pts)
     if not pts:
         return pts, np.zeros(0, dtype=bool)
@@ -92,8 +92,7 @@ def _asym_note(what: str, m: HermitianMatrix) -> str:
 
 def cnp_certify(
     kernel: Kernel, base, pts, tol: float | None = None, *,
-    kernel_gram: HermitianMatrix | None = None, work: np.ndarray | None = None,
-    reciprocal: Reciprocal | None = None,
+    kernel_gram: HermitianMatrix | None = None, reciprocal: Reciprocal | None = None,
 ) -> CertReport:
     """Certify positivity of the base-normalized defect on a sample set.
 
@@ -105,26 +104,24 @@ def cnp_certify(
     ``kernel_gram`` (the kernel's Gram on all of ``pts``, the only n x n
     kernel evaluation) and ``reciprocal`` (its factored 1/K, from RITZ_MIN_N
     samples on) come from a base-point sweep, which shares them; without
-    ``kernel_gram`` both are built here. With 1/K no n x n defect is formed
-    (see the module docstring). Otherwise the defect's Gram, a rank-one
-    rescale of K, is assembled in ``work`` (a writable C-contiguous complex
-    array of at least len(pts)**2 entries, not holding 1/K) or a new array.
+    ``kernel_gram`` both are built here, on all of ``pts`` as a sweep does.
+    With 1/K no n x n defect is formed (see the module docstring).
     """
+    pts = list(pts)
     kept, keep = _exclude_base(pts, base, kernel)
     if kernel_gram is not None and kernel_gram.n != keep.size:
         raise ValueError(f"kernel_gram is {kernel_gram.n}x{kernel_gram.n} for {keep.size} samples")
-    dropped = not keep.all()
     notes = []
-    if dropped:
+    if not keep.all():
         notes.append("dropped sample point(s) coinciding with the base")
     try:
         defect = NormalizedDefect(kernel, base)
         if kernel_gram is None:
-            kernel_gram, keep = gram(kernel, kept), np.ones(len(kept), dtype=bool)
+            kernel_gram = gram(kernel, pts)
             reciprocal = factor_reciprocal(kernel_gram)
         matrix = None if reciprocal is None else _factored_defect(defect, reciprocal, keep, kept)
         if matrix is None:
-            matrix = _defect_gram(defect, kernel_gram, keep, kept, work)
+            matrix = _defect_gram(defect, kernel_gram, keep, kept)
     except VanishingKernel as exc:
         notes.append(f"{exc.code}: {exc}")
         notes.append(EVIDENCE_NOTE)
@@ -141,23 +138,28 @@ def cnp_certify(
 
 
 def _defect_gram(
-    defect: NormalizedDefect, kernel_gram: HermitianMatrix, keep: np.ndarray, kept: list, work
+    defect: NormalizedDefect, kernel_gram: HermitianMatrix, keep: np.ndarray, kept: list
 ) -> HermitianMatrix:
-    """The defect's symmetrized Gram on the ``kept`` samples, the ``keep``
-    rows and columns of the kernel's Gram, assembled and symmetrized in
-    ``work`` (or a new array)."""
+    """The defect's symmetrized Gram on the ``kept`` samples from the ``keep``
+    rows and columns of the kernel's Gram: only the vectors K(z, base) and
+    K(base, w) are evaluated, and the n x n work is a rank-one elementwise
+    rescale of K, formed a row block at a time in a new array."""
     if not kept:
         raise ValueError("at least one sample point away from the base is required")
     points, m = np.asarray(kept, dtype=complex), len(kept)
-    raw = empty_matrix(m) if work is None else work.reshape(-1)[: m * m].reshape(m, m)
+    raw = empty_matrix(m)
     if keep.all():
         kzw = kernel_gram.entries
     else:   # the principal submatrix, copied into raw by row blocks
         kzw, idx = raw, np.flatnonzero(keep)
-        for rows in row_blocks(idx.size, raw[:1].nbytes):
+        for rows in row_blocks(m, raw[:1].nbytes):
             raw[rows] = kernel_gram.entries[np.ix_(idx[rows], idx)]
-    defect.rescale(kzw, points, out=raw)
-    return hermitian_in_place(raw, f"{defect.describe()} on {len(kept)} samples")
+    kzb = defect.base_column(points)
+    kbw = np.broadcast_to(np.asarray(defect.inner.evaluate(defect.base, points), complex), (m,))[None]
+    guard_defect(kzb, kbw, kzw)
+    for rows in row_blocks(m, raw[:1].nbytes):
+        defect_quotient(kzb[rows], kbw, defect.kbb, kzw[rows], raw[rows])
+    return hermitian_in_place(raw, f"{defect.describe()} on {m} samples")
 
 
 class Reciprocal(NamedTuple):
@@ -169,23 +171,25 @@ class Reciprocal(NamedTuple):
     resid: float
 
 
-def factor_reciprocal(kernel_gram: HermitianMatrix, out=None) -> Reciprocal | None:
-    """R of ``kernel_gram`` in ``out`` (or a new array), factored to resid <=
+def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal | None:
+    """R of ``kernel_gram``, factored by the range finder aimed at resid <=
     RITZ_RESIDUAL / max|K(z, z)|, enough for every base of a positive kernel,
-    where |u|^2 <= K(z, z) (Cauchy-Schwarz). None below RITZ_MIN_N samples,
+    where |u|^2 <= K(z, z) (Cauchy-Schwarz). A finder that stalls short of
+    that is kept up to RITZ_RESIDUAL * max(1, max|R|), max|R| = 1 / min|K|,
+    since each base checks its own Weyl bound. None below RITZ_MIN_N samples,
     when K has an entry not finite or below DEFECT_EPS in modulus (the defect
-    path reports it), or when the range finder stops short of that residual."""
+    path reports it), or when the residual is larger still."""
     k, n = kernel_gram.entries, kernel_gram.n
     if n < RITZ_MIN_N or not kernel_gram.finite:
         return None
-    r = empty_matrix(n) if out is None else out
+    r, kmin = empty_matrix(n), math.inf
     for rows in row_blocks(n, r[:1].nbytes):
-        if np.min(np.abs(k[rows])) < DEFECT_EPS:
+        kmin = min(kmin, float(np.min(np.abs(k[rows]))))
+        if kmin < DEFECT_EPS:
             return None
         np.divide(1.0, k[rows], out=r[rows])
-    target = RITZ_RESIDUAL / float(np.max(np.abs(np.diagonal(k))))
-    q, m, resid = range_finder(r, target)
-    return Reciprocal(r, q, m, resid) if resid <= target else None
+    q, m, resid = range_finder(r, RITZ_RESIDUAL / float(np.max(np.abs(np.diagonal(k)))))
+    return Reciprocal(r, q, m, resid) if resid <= RITZ_RESIDUAL * max(1.0, 1.0 / kmin) else None
 
 
 def _factored_defect(
@@ -216,8 +220,7 @@ def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):
     samples were too thin.
 
     The kernel's Gram on the samples and, from RITZ_MIN_N samples on, the
-    factored R = 1/K do not depend on the base, so both are built once, R in
-    the one work array each base's defect is assembled in otherwise.
+    factored R = 1/K do not depend on the base, so both are built once.
     """
     bases = list(bases)
     if not bases:
@@ -226,10 +229,9 @@ def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):
         kernel_gram = gram(kernel, pts)
     except VanishingKernel:   # a defect kernel vanishing on pts: each base reports it
         kernel_gram = None
-    work = empty_matrix(len(pts))
-    reciprocal = None if kernel_gram is None else factor_reciprocal(kernel_gram, work)
-    reports = [cnp_certify(kernel, base, pts, tol, kernel_gram=kernel_gram, reciprocal=reciprocal,
-                           work=work if reciprocal is None else None) for base in bases]
+    reciprocal = None if kernel_gram is None else factor_reciprocal(kernel_gram)
+    reports = [cnp_certify(kernel, base, pts, tol, kernel_gram=kernel_gram, reciprocal=reciprocal)
+               for base in bases]
     statuses = {
         r.verdict.status for r in reports if r.verdict.status is not Verdict.INCONCLUSIVE
     }

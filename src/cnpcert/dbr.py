@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NearZeroSample, NonInvertible, NotSchurClass, WitnessInconsistent
-from .kernels import Congruence, Constant, DeBrangesRovnyak, Pullback, Szego, unit_ball_probe
+from .kernels import SCHUR_SLACK, Congruence, Constant, DeBrangesRovnyak, Pullback, Szego, unit_ball_probe
 from .linalg import PsdVerdict, gram, hermitian_from_raw, psd_verdict
 from .sampling import PROBE_GRID, SampleSet, polar_grid
 from .series import PowerSeries
@@ -246,7 +246,7 @@ def cnp_criterion(
     """
     _require_symbol(b)
     sup = unit_ball_probe(b)
-    if sup > 1.0 + 1e-9:
+    if sup > 1.0 + SCHUR_SLACK:
         raise NotSchurClass(f"sampled sup |b| = {sup:.6g} exceeds 1")
     if pts is None:
         pts = SampleSet.default()

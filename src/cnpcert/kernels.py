@@ -318,7 +318,7 @@ class Congruence(Kernel):
         return f"congruence({self.inner.describe()})"
 
 
-def _guard_defect(kzb, kbw, kzw):
+def guard_defect(kzb, kbw, kzw):
     """Raise ``VanishingKernel`` when any kernel value in the defect quotient
     is numerically zero, since the criterion is meaningless there."""
     _guard_min_modulus(kzb, DEFECT_EPS, VanishingKernel, "K(z, base)")
@@ -326,7 +326,7 @@ def _guard_defect(kzb, kbw, kzw):
     _guard_min_modulus(kzw, DEFECT_EPS, VanishingKernel, "K(z, w)")
 
 
-def _defect_quotient(kzb, kbw, kbb: float, kzw, out):
+def defect_quotient(kzb, kbw, kbb: float, kzw, out):
     """1 - kzb kbw / (kbb kzw), broadcast, formed in ``out`` (which may be
     ``kzw`` itself); the numerator is the only other array of its size."""
     np.multiply(kbb, kzw, out=out)
@@ -368,9 +368,9 @@ class NormalizedDefect(Kernel):
         kzb = np.asarray(self.inner.evaluate(z, self.base), complex)
         kbw = np.asarray(self.inner.evaluate(self.base, w), complex)
         kzw = np.asarray(self.inner.evaluate(z, w), complex)
-        _guard_defect(kzb, kbw, kzw)
+        guard_defect(kzb, kbw, kzw)
         out = np.empty(np.broadcast_shapes(kzb.shape, kbw.shape, kzw.shape), complex)
-        return _defect_quotient(kzb, kbw, self.kbb, kzw, out)
+        return defect_quotient(kzb, kbw, self.kbb, kzw, out)
 
     def base_column(self, points: np.ndarray) -> np.ndarray:
         """K(z, base) on ``points`` as an (n, 1) column, guarded first as in ``evaluate``."""
@@ -378,23 +378,6 @@ class NormalizedDefect(Kernel):
         kzb = np.broadcast_to(kzb, (points.shape[0],))[:, None]
         _guard_min_modulus(kzb, DEFECT_EPS, VanishingKernel, "K(z, base)")
         return kzb
-
-    def rescale(self, kzw: np.ndarray, points: np.ndarray, out=None) -> np.ndarray:
-        """The defect's (unsymmetrized) Gram on ``points`` from the inner
-        kernel's Gram ``kzw`` on them.
-
-        Only the vectors K(z, base) and K(base, w) are evaluated; the n x n
-        work is a rank-one elementwise rescale of ``kzw``, a row block at a
-        time, written into ``out`` (which may be ``kzw`` itself) when given.
-        """
-        base, n = self.base, kzw.shape[0]
-        kzb = self.base_column(points)
-        kbw = np.broadcast_to(np.asarray(self.inner.evaluate(base, points), complex), (n,))[None, :]
-        _guard_defect(kzb, kbw, kzw)
-        out = np.empty((n, n), complex) if out is None else out
-        for rows in row_blocks(n, out[:1].nbytes):
-            _defect_quotient(kzb[rows], kbw, self.kbb, kzw[rows], out[rows])
-        return out
 
     def describe(self):
         return f"defect({self.inner.describe()})"

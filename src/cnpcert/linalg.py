@@ -6,10 +6,9 @@ reports can distinguish kernel bugs from rounding. Certification is a
 three-valued verdict quantized around a tolerance, so "positive
 semi-definite" stays honest under floating point.
 
-The smallest eigenvalue of a large matrix comes from a randomized block
-Rayleigh-Ritz solve when the matrix has low numerical rank, which the
-normalized-defect matrices of dense sample sets do; see smallest_eigenvalue.
-Its range finder also factors the base-free 1/K of a base-point sweep (cnp).
+The smallest eigenvalue is one dense eigvalsh. The randomized range finder
+factors the base-free, numerically low-rank 1/K of a sample set, through
+which cnp certifies large defects without forming them.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from .kernels import Kernel, row_blocks
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
 MAPPED_MIN_BYTES = 1 << 22   # matrices from this size are memory-mapped (see empty_matrix)
 
-# Randomized Rayleigh-Ritz (see smallest_eigenvalue)
-RITZ_MIN_N = 256         # below this order eigvalsh is cheap enough
+# Randomized range finder (see range_finder)
+RITZ_MIN_N = 256         # from this many samples cnp factors 1/K
 RITZ_BLOCK = 32          # Gaussian test vectors added per step
 RITZ_SEED = 20110        # fixed, so repeated solves are bitwise identical
 RITZ_RESIDUAL = 1e-10    # accepted Weyl residual, relative to max(1, scale)
@@ -204,38 +203,8 @@ def range_finder(a: np.ndarray, target: float):
     return q, b, resid
 
 
-def _ritz_min_eig(a: np.ndarray, scale: float) -> float | None:
-    """Smallest eigenvalue of Hermitian ``a`` to within RITZ_RESIDUAL * max(1,
-    scale), or None when ``a`` is not of low enough numerical rank.
-
-    Rayleigh-Ritz on the range_finder basis: Weyl's inequality bounds
-    |lambda_min(a) - lambda_min(q b q^H)| by r, and lambda_min(q b q^H) =
-    min(lambda_min(b), 0) since q has fewer than n columns. A negative result
-    is the Rayleigh quotient of the explicit vector q y (y the bottom
-    eigenvector of b), hence an upper bound on lambda_min(a).
-    """
-    target = RITZ_RESIDUAL * max(1.0, scale)
-    q, b, resid = range_finder(a, target)
-    if not resid <= target:
-        return None
-    if q.shape[1] == 0:
-        return 0.0
-    return min(float(np.linalg.eigvalsh(b)[0]), 0.0)
-
-
 def smallest_eigenvalue(m: HermitianMatrix) -> float:
-    """Smallest eigenvalue of the symmetrized matrix.
-
-    From order RITZ_MIN_N on, a finite matrix first goes through the low-rank
-    Rayleigh-Ritz solve of _ritz_min_eig, accurate to RITZ_RESIDUAL * max(1,
-    scale); the dense eigvalsh runs below that order and whenever the
-    low-rank solve gives up.
-    """
-    if m.n >= RITZ_MIN_N and m.finite:
-        with np.errstate(over="ignore", invalid="ignore"):   # overflow makes it give up
-            me = _ritz_min_eig(m.entries, m.scale)
-        if me is not None:
-            return me
+    """Smallest eigenvalue of the symmetrized matrix, by dense eigvalsh."""
     try:
         vals = np.linalg.eigvalsh(m.entries)
     except np.linalg.LinAlgError as exc:

@@ -7,6 +7,7 @@ import pytest
 from cnpcert import cnp
 from cnpcert.cnp import EVIDENCE_NOTE, cnp_basepoint_sweep, cnp_certify
 from cnpcert.errors import DomainMismatch
+from cnpcert.families import moebius_over_symbol
 from cnpcert.kernels import (
     Congruence,
     DeBrangesRovnyak,
@@ -322,3 +323,38 @@ def test_sweep_falls_back_to_the_assembled_defect_when_the_bound_fails(monkeypat
             (ref.verdict.status, ref.n_samples, ref.notes)
         assert rep.verdict.tol == pytest.approx(ref.verdict.tol, rel=1e-12)
         assert abs(rep.verdict.min_eig - ref.verdict.min_eig) <= 2 * RITZ_RESIDUAL
+
+
+def test_a_stalled_factorization_serves_the_bases_whose_bound_it_meets(monkeypatch):
+    # the range finder stops at 32 columns (64 would pass 296 / 8) with resid
+    # 5.6e-11, above its target 1e-10 / max K(z, z) = 1.2e-11; each of these
+    # bases meets its own Weyl bound all the same, so none needs its defect assembled
+    kernel = DeBrangesRovnyak(moebius_over_symbol(1.5, 2.5))
+    pts = SampleSet.default(seed=5, grid=(12, 24), r_max=0.95)
+    kernel_gram = gram(kernel, pts)
+    rec = cnp.factor_reciprocal(kernel_gram)
+    assert rec.resid > RITZ_RESIDUAL / np.max(np.abs(np.diagonal(kernel_gram.entries)))
+    bases = [0j, 0.3 + 0j, -0.3 + 0j, pts.points[40]]
+    assembled = []
+    defect_gram = cnp._defect_gram
+    monkeypatch.setattr(cnp, "_defect_gram", lambda *a: assembled.append(1) or defect_gram(*a))
+    reports = cnp_basepoint_sweep(kernel, bases, pts)
+    assert not assembled
+    for base, rep in zip(bases, reports):
+        assert rep.verdict.status is Verdict.PSD
+        min_eig, scale = eigvalsh_reference(kernel, base, rep)
+        assert abs(rep.verdict.min_eig - min_eig) <= 2 * RITZ_RESIDUAL * max(1.0, scale)
+
+
+@pytest.mark.parametrize("kernel, pts", [
+    (DBR_AFFINE, disk_296()), (DBR_BLASCHKE, disk_296()), (DruryArveson(2), ball_points(296, 2, seed=5)),
+])
+def test_a_lone_certificate_is_the_sweeps_report_for_a_base_on_a_sample(kernel, pts):
+    # a lone cnp_certify factored 1/K on the kept samples only, so its
+    # min_eig differed from the sweep's in the last digits
+    base = kernel.points(pts)[40]
+    base = tuple(base) if base.ndim else base
+    (swept,) = cnp_basepoint_sweep(kernel, [base], pts)
+    one = cnp_certify(kernel, base, pts)
+    assert one.n_samples == len(pts) - 1
+    assert json.dumps(one.to_json_dict()) == json.dumps(swept.to_json_dict())

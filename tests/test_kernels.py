@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cnpcert import cnp
 from cnpcert.errors import (
     DomainMismatch,
     DomainViolation,
@@ -24,7 +25,7 @@ from cnpcert.kernels import (
     kernel_eval,
     unit_ball_probe,
 )
-from cnpcert.linalg import gram
+from cnpcert.linalg import HermitianMatrix, gram, hermitian_from_raw
 from cnpcert.sampling import SampleSet, ball_points
 from cnpcert.series import PowerSeries
 
@@ -227,16 +228,19 @@ def test_defect_squared_symbol_closed_form():
         assert abs(kernel_eval(d, z, w) - t / (1 + t)) < 1e-14
 
 
-def test_defect_rescale_of_kernel_gram_matches_evaluate():
+def test_defect_gram_of_kernel_gram_matches_evaluate():
     k = DeBrangesRovnyak(half_map(16))
     d = NormalizedDefect(k, 0.2 - 0.1j)
     zs = np.asarray(SampleSet.default(seed=4, grid=(4, 8)).points)
-    kzw = k.evaluate(zs[:, None], zs[None, :])
-    ref = d.evaluate(zs[:, None], zs[None, :])
-    assert d.rescale(kzw, zs).tobytes() == ref.tobytes()
-    out = kzw.copy()
-    assert d.rescale(out, zs, out=out) is out
-    assert out.tobytes() == ref.tobytes()
+    kzw = HermitianMatrix(k.evaluate(zs[:, None], zs[None, :]), 1.0, "unsymmetrized", 0.0)
+    keep = np.ones(zs.size, dtype=bool)
+    keep[5] = False   # a dropped sample: the defect on the principal submatrix
+    for mask in (np.ones(zs.size, dtype=bool), keep):
+        kept = zs[mask]
+        ref = hermitian_from_raw(d.evaluate(kept[:, None], kept[None, :]))
+        m = cnp._defect_gram(d, kzw, mask, list(kept))
+        assert m.entries.tobytes() == ref.entries.tobytes()
+        assert (m.scale, m.asymmetry) == (ref.scale, ref.asymmetry)
 
 
 def test_defect_vanishing_kernel_raises():

@@ -11,9 +11,10 @@ from cnpcert.descriptors import kernel_from_json
 from cnpcert.errors import DimensionMismatch, DomainMismatch, LengthMismatch
 from cnpcert.kernels import Congruence, Constant, NormalizedDefect, Szego
 from cnpcert.linalg import (
+    RITZ_MAX_FRAC,
     RITZ_MIN_N,
+    RITZ_RESIDUAL,
     Verdict,
-    _ritz_min_eig,
     block_pick_matrix,
     gram,
     hermitian_from_raw,
@@ -21,6 +22,7 @@ from cnpcert.linalg import (
     matrix_to_json_dict,
     pick_matrix,
     psd_verdict,
+    range_finder,
     smallest_eigenvalue,
 )
 from cnpcert.sampling import SampleSet, ball_points
@@ -150,13 +152,27 @@ def planted(n, diag, seed):
     return hermitian_from_raw((v * np.asarray(diag)) @ v.conj().T, "planted low rank")
 
 
+def ritz(m):
+    """The range finder on ``m`` aimed at RITZ_RESIDUAL * max(1, scale), and that target."""
+    target = RITZ_RESIDUAL * max(1.0, m.scale)
+    return range_finder(m.entries, target), target
+
+
 def test_ritz_planted_rank_12_with_negative_eigenvalues():
     diag = [-2.5, -1.0, -0.3, 0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 2.0, 2.4, 3.0]
     m = planted(600, diag, seed=1)
     me = smallest_eigenvalue(m)
-    assert me == _ritz_min_eig(m.entries, m.scale)
+    (q, b, resid), target = ritz(m)
+    assert resid <= target and q.shape[1] <= m.n // RITZ_MAX_FRAC
+    assert abs(min(float(np.linalg.eigvalsh(b)[0]), 0.0) - me) <= resid   # Weyl
     assert abs(me - (-2.5)) < 1e-10 * m.scale
     assert psd_verdict(m).status is Verdict.NOT_PSD
+
+
+def test_smallest_eigenvalue_is_dense_eigvalsh_on_a_low_rank_matrix():
+    # a randomized Rayleigh-Ritz pass answered here, off eigvalsh in the last bits
+    m = planted(600, [-2.5, -1.0, -0.3, 0.1, 0.4, 0.7, 1.0, 1.3, 1.6, 2.0, 2.4, 3.0], seed=1)
+    assert smallest_eigenvalue(m) == float(np.linalg.eigvalsh(m.entries)[0])
 
 
 def test_ritz_planted_rank_2_psd():
@@ -164,7 +180,8 @@ def test_ritz_planted_rank_2_psd():
     v = psd_verdict(m)
     assert v.status is Verdict.PSD
     assert abs(v.min_eig) <= 1e-10 * max(1.0, m.scale)
-    assert _ritz_min_eig(m.entries, m.scale) is not None
+    (q, b, resid), target = ritz(m)
+    assert resid <= target and q.shape[1] <= m.n // RITZ_MAX_FRAC
 
 
 def test_ritz_full_rank_falls_back_to_eigvalsh():
@@ -173,7 +190,8 @@ def test_ritz_full_rank_falls_back_to_eigvalsh():
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     m = hermitian_from_raw(q @ np.diag(rng.uniform(-3.0, 3.0, n)) @ q.conj().T, "full rank")
     assert m.n >= RITZ_MIN_N
-    assert _ritz_min_eig(m.entries, m.scale) is None
+    (q, b, resid), target = ritz(m)
+    assert not resid <= target and q.shape[1] <= m.n // RITZ_MAX_FRAC
     assert smallest_eigenvalue(m) == float(np.linalg.eigvalsh(m.entries)[0])
 
 
@@ -204,11 +222,14 @@ def test_ritz_matches_eigvalsh_on_defect_matrices(desc, base):
     else:
         pts = ball_points(808, 2)
     m = gram(NormalizedDefect(kernel, base), [p for p in pts if p != base])
-    me = _ritz_min_eig(m.entries, m.scale)
-    assert me is not None and m.n >= 800
-    assert smallest_eigenvalue(m) == me
+    (q, b, resid), target = ritz(m)
+    assert resid <= target and m.n >= 800
+    again, _ = ritz(m)   # fixed seed: bitwise the same basis
+    assert np.array_equal(again[0], q) and np.array_equal(again[1], b) and again[2] == resid
+    me = min(float(np.linalg.eigvalsh(b)[0]), 0.0)
     ref = float(np.linalg.eigvalsh(m.entries)[0])
-    assert abs(me - ref) <= 1e-10 * max(1.0, m.scale)
+    assert smallest_eigenvalue(m) == ref
+    assert abs(me - ref) <= resid <= 1e-10 * max(1.0, m.scale)
     tol = 1e-9 * max(1.0, m.scale)
     ref_status = (Verdict.PSD if ref >= -tol
                   else Verdict.NOT_PSD if ref < -10 * tol else Verdict.INCONCLUSIVE)
