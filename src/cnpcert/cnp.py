@@ -7,12 +7,12 @@ say so explicitly.
 
 From RITZ_MIN_N samples on, the defect is not formed: with R = 1/K entrywise
 and u = K(z, base) / sqrt(K(base, base)) it is exactly J - diag(u) R diag(conj u)
-(J all ones). R, base-free and numerically low-rank, is factored once,
-R ~ q m q^H to Frobenius residual r, so by Weyl's inequality each base's
-smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
+(J all ones). R, base-free and numerically low-rank, is formed in K's array and
+factored once, R ~ q m q^H to Frobenius residual r, so by Weyl's inequality
+each base's smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
 [1, diag(u) q, 0] = U T (thin QR) and C = diag(1, -m, 0). A base whose bound
 exceeds RITZ_RESIDUAL * max(1, scale) has its defect assembled instead, a
-rank-one rescale of K; so has every base below RITZ_MIN_N samples.
+rank-one rescale of K, which gram rebuilds; so has each base below RITZ_MIN_N.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def cnp_certify(
     set instead of an exception, so sweeps stay total.
 
     ``kernel_gram`` (the kernel's Gram on all of ``pts``, the only n x n
-    kernel evaluation) and ``reciprocal`` (its factored 1/K, from RITZ_MIN_N
-    samples on) come from a base-point sweep, which shares them; without
-    ``kernel_gram`` both are built here, on all of ``pts`` as a sweep does.
-    With 1/K no n x n defect is formed (see the module docstring).
+    kernel evaluation) and ``reciprocal`` (R = 1/K in its array, factored,
+    from RITZ_MIN_N samples on) come from a base-point sweep, which shares
+    them; without ``kernel_gram`` both are built here, on all of ``pts`` as a
+    sweep does. With 1/K no n x n defect is formed (see the module docstring).
     """
     pts = list(pts)
     kept, keep = _exclude_base(pts, base, kernel)
@@ -117,9 +117,11 @@ def cnp_certify(
     try:
         defect = NormalizedDefect(kernel, base)
         if kernel_gram is None:
-            kernel_gram = gram(kernel, pts)
-            reciprocal = factor_reciprocal(kernel_gram)
+            kernel_gram, reciprocal = _kernel_grams(kernel, pts)
         matrix = None if reciprocal is None else _factored_defect(defect, reciprocal, keep, kept)
+        if matrix is None and reciprocal is not None:   # R has K's array: K is rebuilt, once
+            reciprocal.kernel_gram[:] = reciprocal.kernel_gram or [gram(kernel, pts)]
+            kernel_gram = reciprocal.kernel_gram[0]
         if matrix is None:
             matrix = _defect_gram(defect, kernel_gram, keep, kept)
     except VanishingKernel as exc:
@@ -163,33 +165,45 @@ def _defect_gram(
 
 
 class Reciprocal(NamedTuple):
-    """R = [1 / K(z_i, z_j)] on a kernel Gram's samples; ||R - q m q^H||_F = resid."""
+    """R = 1/K in its Gram's array, ||R - q m q^H||_F = resid; ``kernel_gram`` is [K] once rebuilt."""
 
     entries: np.ndarray
     q: np.ndarray
     m: np.ndarray
     resid: float
+    kernel_gram: list
 
 
 def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal | None:
-    """R of ``kernel_gram``, factored by the range finder aimed at resid <=
-    RITZ_RESIDUAL / max|K(z, z)|, enough for every base of a positive kernel,
-    where |u|^2 <= K(z, z) (Cauchy-Schwarz). A finder that stalls short of
-    that is kept up to RITZ_RESIDUAL * max(1, max|R|), max|R| = 1 / min|K|,
-    since each base checks its own Weyl bound. None below RITZ_MIN_N samples,
-    when K has an entry not finite or below DEFECT_EPS in modulus (the defect
-    path reports it), or when the residual is larger still."""
+    """R of ``kernel_gram``, formed in the Gram's array once all of K passed
+    the guard: R owns the array, and only the Gram's n, scale and asymmetry
+    still describe K. The range finder aims at resid <= RITZ_RESIDUAL / max
+    K(z, z), enough for every base of a positive kernel (|u|^2 <= K(z, z)); a
+    stalled finder is kept up to RITZ_RESIDUAL * max(1, 1 / min|K|), as each
+    base checks its own Weyl bound, and resid is inf above that. None, K
+    untouched, below RITZ_MIN_N samples or with K not finite or below DEFECT_EPS."""
     k, n = kernel_gram.entries, kernel_gram.n
     if n < RITZ_MIN_N or not kernel_gram.finite:
         return None
-    r, kmin = empty_matrix(n), math.inf
-    for rows in row_blocks(n, r[:1].nbytes):
-        kmin = min(kmin, float(np.min(np.abs(k[rows]))))
-        if kmin < DEFECT_EPS:
-            return None
-        np.divide(1.0, k[rows], out=r[rows])
-    q, m, resid = range_finder(r, RITZ_RESIDUAL / float(np.max(np.abs(np.diagonal(k)))))
-    return Reciprocal(r, q, m, resid) if resid <= RITZ_RESIDUAL * max(1.0, 1.0 / kmin) else None
+    blocks = row_blocks(n, k[:1].nbytes)
+    kmin = min(float(np.min(np.abs(k[rows]))) for rows in blocks)
+    if kmin < DEFECT_EPS:
+        return None
+    target = RITZ_RESIDUAL / float(np.max(np.abs(np.diagonal(k))))
+    k.setflags(write=True)
+    for rows in blocks:
+        np.divide(1.0, k[rows], out=k[rows])
+    k.setflags(write=False)
+    q, m, resid = range_finder(k, target)
+    return Reciprocal(k, q, m, resid if resid <= RITZ_RESIDUAL * max(1.0, 1.0 / kmin) else math.inf, [])
+
+
+def _kernel_grams(kernel: Kernel, pts):
+    """gram(kernel, pts) and its factor_reciprocal, or K rebuilt and None if the finder failed."""
+    reciprocal = factor_reciprocal(kernel_gram := gram(kernel, pts))
+    if reciprocal is None or reciprocal.resid < math.inf:
+        return kernel_gram, reciprocal
+    return gram(kernel, pts), None   # R, of no use to any base, is dropped
 
 
 def _factored_defect(
@@ -220,16 +234,15 @@ def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):
     samples were too thin.
 
     The kernel's Gram on the samples and, from RITZ_MIN_N samples on, the
-    factored R = 1/K do not depend on the base, so both are built once.
+    factored R = 1/K in its array do not depend on the base, so both are built once.
     """
     bases = list(bases)
     if not bases:
         return []
     try:
-        kernel_gram = gram(kernel, pts)
+        kernel_gram, reciprocal = _kernel_grams(kernel, pts)
     except VanishingKernel:   # a defect kernel vanishing on pts: each base reports it
-        kernel_gram = None
-    reciprocal = None if kernel_gram is None else factor_reciprocal(kernel_gram)
+        kernel_gram = reciprocal = None
     reports = [cnp_certify(kernel, base, pts, tol, kernel_gram=kernel_gram, reciprocal=reciprocal)
                for base in bases]
     statuses = {

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +57,7 @@ def _guard_min_modulus(values, eps, exc_cls, what):
         raise exc_cls(f"{what} below {eps:g} in modulus at positions {where}")
 
 
+@lru_cache(maxsize=1)   # cnp_criterion, then the DeBrangesRovnyak kernel, probe one (immutable) symbol
 def unit_ball_probe(b: PowerSeries) -> float:
     """Sampled sup of |b| over the PROBE_GRID polar grid of the disk.
 

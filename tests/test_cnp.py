@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cnpcert import cnp
+from cnpcert import cnp, linalg
 from cnpcert.cnp import EVIDENCE_NOTE, cnp_basepoint_sweep, cnp_certify
 from cnpcert.errors import DomainMismatch
 from cnpcert.families import moebius_over_symbol
@@ -332,8 +332,9 @@ def test_a_stalled_factorization_serves_the_bases_whose_bound_it_meets(monkeypat
     kernel = DeBrangesRovnyak(moebius_over_symbol(1.5, 2.5))
     pts = SampleSet.default(seed=5, grid=(12, 24), r_max=0.95)
     kernel_gram = gram(kernel, pts)
+    kmax = np.max(np.abs(np.diagonal(kernel_gram.entries)))   # R then takes K's array
     rec = cnp.factor_reciprocal(kernel_gram)
-    assert rec.resid > RITZ_RESIDUAL / np.max(np.abs(np.diagonal(kernel_gram.entries)))
+    assert rec.resid > RITZ_RESIDUAL / kmax
     bases = [0j, 0.3 + 0j, -0.3 + 0j, pts.points[40]]
     assembled = []
     defect_gram = cnp._defect_gram
@@ -358,3 +359,68 @@ def test_a_lone_certificate_is_the_sweeps_report_for_a_base_on_a_sample(kernel, 
     one = cnp_certify(kernel, base, pts)
     assert one.n_samples == len(pts) - 1
     assert json.dumps(one.to_json_dict()) == json.dumps(swept.to_json_dict())
+
+
+# ------------------------------------------- one n x n array: R takes K's
+
+def recorded(monkeypatch, module, name):
+    """Patch ``module.name`` to record its arguments in the returned list."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_a_factored_sweep_allocates_one_n_by_n_array(monkeypatch):
+    # R is formed in the kernel Gram's array, the only n x n array of the sweep
+    sizes = recorded(monkeypatch, linalg, "empty_matrix")
+    monkeypatch.setattr(cnp, "empty_matrix", linalg.empty_matrix)
+    pts = disk_296()
+    reports = cnp_basepoint_sweep(DBR_AFFINE, [0j, pts.points[40], -0.2 + 0.4j], pts)
+    assert [r.verdict.status for r in reports] == [Verdict.PSD] * 3
+    assert [n for (n,) in sizes if n >= RITZ_MIN_N] == [len(pts)]
+
+
+def test_a_gram_passed_without_reciprocal_is_only_read():
+    pts = disk_296()
+    kernel_gram = gram(DBR_AFFINE, pts)
+    entries = kernel_gram.entries.copy()
+    rep = cnp_certify(DBR_AFFINE, pts.points[40], pts, kernel_gram=kernel_gram)
+    assert rep.verdict.status is Verdict.PSD
+    assert np.array_equal(kernel_gram.entries, entries)
+
+
+def sweep_reports(monkeypatch, kernel, bases, pts, factor_reciprocal):
+    """The JSON reports of a sweep with ``factor_reciprocal`` patched in, and the Grams it built."""
+    with monkeypatch.context() as mp:
+        mp.setattr(cnp, "factor_reciprocal", factor_reciprocal)
+        grams = recorded(mp, cnp, "gram")
+        reports = cnp_basepoint_sweep(kernel, bases, pts)
+    return [json.dumps(r.to_json_dict()) for r in reports], len(grams)
+
+
+def test_a_range_finder_failing_after_r_took_k_gets_k_back_bitwise(monkeypatch):
+    # 1/K has numerical rank ~80 > 296 / 8: R is formed in K's array, then the
+    # range finder fails, so every base assembles its defect from K rebuilt
+    pts = disk_296()
+    bases = [-0.2 + 0.4j, pts.points[250], 0j]
+    factored = []
+    factor_reciprocal = cnp.factor_reciprocal
+    reports, built = sweep_reports(monkeypatch, DBR_BLASCHKE, bases, pts,
+                                   lambda *a: factored.append(factor_reciprocal(*a)) or factored[-1])
+    assert factored[0].resid == math.inf and built == 2
+    untouched, built = sweep_reports(monkeypatch, DBR_BLASCHKE, bases, pts, lambda *a: None)
+    assert built == 1
+    assert reports == untouched
+
+
+@pytest.mark.parametrize("resid", [math.inf, 1.0])
+def test_a_sweep_whose_bases_all_miss_their_bound_builds_k_at_most_twice(monkeypatch, resid):
+    # inf: R is dropped and K rebuilt before the first base; 1.0: R is kept,
+    # every base misses its Weyl bound, and the first one rebuilds K for all
+    pts = disk_296()
+    bases = [0j, pts.points[40], -0.2 + 0.4j]
+    factor_reciprocal = cnp.factor_reciprocal
+    reports, built = sweep_reports(monkeypatch, DBR_AFFINE, bases, pts,
+                                   lambda *a: factor_reciprocal(*a)._replace(resid=resid))
+    assert built <= 2
+    assert reports == sweep_reports(monkeypatch, DBR_AFFINE, bases, pts, lambda *a: None)[0]

@@ -66,6 +66,18 @@ def test_suite_missing_fields_exit_3_lists_entries(tmp_path, capsys):
     assert "broken1" in err and "broken2" in err
 
 
+def test_each_gallery_entry_probes_its_symbol_once(monkeypatch):
+    # cnp_criterion and the DeBrangesRovnyak kernel both check sup |b| <= 1
+    from cnpcert import kernels
+    from cnpcert.gallery import run_entry
+
+    grids, polar_grid = [], kernels.polar_grid
+    monkeypatch.setattr(kernels, "polar_grid", lambda *a: grids.append(a) or polar_grid(*a))
+    for entry in load_suite(default_suite_dict())[:3]:
+        assert run_entry(entry)["match"]
+    assert len(grids) == 3
+
+
 def test_load_suite_validates():
     with pytest.raises(SuiteFormat):
         load_suite({"entries": [{"name": "x"}]})
