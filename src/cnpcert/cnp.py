@@ -13,6 +13,8 @@ each base's smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
 [1, diag(u) q, 0] = U T (thin QR) and C = diag(1, -m, 0). A base whose bound
 exceeds RITZ_RESIDUAL * max(1, scale) has its defect assembled instead, a
 rank-one rescale of K, which gram rebuilds; so has each base below RITZ_MIN_N.
+K and R are built once per sample set, by the first base that gets past its
+own checks, so a lone certificate and each base of a sweep run the same lines.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 from .errors import VanishingKernel
 from .kernels import DEFECT_EPS, Kernel, NormalizedDefect, defect_quotient, guard_defect, row_blocks
 from .linalg import (
-    RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, empty_matrix, gram,
-    hermitian_in_place, psd_verdict, range_finder,
+    RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, checked_tol, empty_matrix,
+    gram, hermitian_in_place, psd_verdict, range_finder,
 )
 
 EVIDENCE_NOTE = (
@@ -90,10 +92,7 @@ def _asym_note(what: str, m: HermitianMatrix) -> str:
     )
 
 
-def cnp_certify(
-    kernel: Kernel, base, pts, tol: float | None = None, *,
-    kernel_gram: HermitianMatrix | None = None, reciprocal: Reciprocal | None = None,
-) -> CertReport:
+def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=None) -> CertReport:
     """Certify positivity of the base-normalized defect on a sample set.
 
     The base point is dropped from the samples if present (its defect row and
@@ -101,42 +100,48 @@ def cnp_certify(
     assembling the defect yields an INCONCLUSIVE report with ``vanish_flag``
     set instead of an exception, so sweeps stay total.
 
-    ``kernel_gram`` (the kernel's Gram on all of ``pts``, the only n x n
-    kernel evaluation) and ``reciprocal`` (R = 1/K in its array, factored,
-    from RITZ_MIN_N samples on) come from a base-point sweep, which shares
-    them; without ``kernel_gram`` both are built here, on all of ``pts`` as a
-    sweep does. With 1/K no n x n defect is formed (see the module docstring).
+    Once the base has passed its own checks, K and, from RITZ_MIN_N samples
+    on, R = 1/K in K's array are built on all of ``pts``; a base-point sweep
+    shares them across its bases (``_shared``), so a lone certificate is the
+    sweep's report for one base. With 1/K no n x n defect is formed (see the module docstring).
     """
+    if tol is not None:   # before any Gram is built, on every path
+        tol = checked_tol(tol)
     pts = list(pts)
     kept, keep = _exclude_base(pts, base, kernel)
-    if kernel_gram is not None and kernel_gram.n != keep.size:
-        raise ValueError(f"kernel_gram is {kernel_gram.n}x{kernel_gram.n} for {keep.size} samples")
     notes = []
     if not keep.all():
         notes.append("dropped sample point(s) coinciding with the base")
+    shared = _shared or _Shared()
     try:
         defect = NormalizedDefect(kernel, base)
-        if kernel_gram is None:
-            kernel_gram, reciprocal = _kernel_grams(kernel, pts)
-        matrix = None if reciprocal is None else _factored_defect(defect, reciprocal, keep, kept)
-        if matrix is None and reciprocal is not None:   # R has K's array: K is rebuilt, once
-            reciprocal.kernel_gram[:] = reciprocal.kernel_gram or [gram(kernel, pts)]
-            kernel_gram = reciprocal.kernel_gram[0]
-        if matrix is None:
-            matrix = _defect_gram(defect, kernel_gram, keep, kept)
+        if shared.k is None and shared.r is None:   # the first base to get here builds them
+            shared.k = gram(kernel, pts)
+            shared.note = _asym_note("kernel Gram", shared.k) if shared.k.asym_warning else None
+            shared.r = factor_reciprocal(shared.k)
+            if shared.r is not None:   # R has K's array, and serves no base at resid inf
+                shared.k, shared.r = None, shared.r if shared.r.resid < math.inf else None
+        matrix = None if shared.r is None else _factored_defect(defect, shared.r, keep, kept)
+        if matrix is None:   # K is rebuilt, at most once
+            shared.k = shared.k or gram(kernel, pts)
+            matrix = _defect_gram(defect, shared.k, keep, kept)
     except VanishingKernel as exc:
-        notes.append(f"{exc.code}: {exc}")
-        notes.append(EVIDENCE_NOTE)
-        used_tol = float(tol) if tol is not None else float("nan")
-        verdict = PsdVerdict(Verdict.INCONCLUSIVE, float("nan"), used_tol)
+        notes += [f"{exc.code}: {exc}", EVIDENCE_NOTE]
+        verdict = PsdVerdict(Verdict.INCONCLUSIVE, math.nan, math.nan if tol is None else tol)
         return CertReport(verdict, base, tuple(kept), True, tuple(notes))
     verdict = psd_verdict(matrix, tol)
-    if kernel_gram.asym_warning:
-        notes.append(_asym_note("kernel Gram", kernel_gram))
+    if shared.note:
+        notes.append(shared.note)
     if matrix.asym_warning:
         notes.append(_asym_note("Hermitian", matrix))
     notes.append(EVIDENCE_NOTE)
     return CertReport(verdict, base, tuple(kept), False, tuple(notes))
+
+
+class _Shared:
+    """One sample set's K, or R = 1/K in K's array, and K's asymmetry note (or None)."""
+
+    k = r = note = None
 
 
 def _defect_gram(
@@ -165,13 +170,12 @@ def _defect_gram(
 
 
 class Reciprocal(NamedTuple):
-    """R = 1/K in its Gram's array, ||R - q m q^H||_F = resid; ``kernel_gram`` is [K] once rebuilt."""
+    """R = 1/K in its Gram's array, ||R - q m q^H||_F = resid."""
 
     entries: np.ndarray
     q: np.ndarray
     m: np.ndarray
     resid: float
-    kernel_gram: list
 
 
 def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal | None:
@@ -195,15 +199,7 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal | None:
         np.divide(1.0, k[rows], out=k[rows])
     k.setflags(write=False)
     q, m, resid = range_finder(k, target)
-    return Reciprocal(k, q, m, resid if resid <= RITZ_RESIDUAL * max(1.0, 1.0 / kmin) else math.inf, [])
-
-
-def _kernel_grams(kernel: Kernel, pts):
-    """gram(kernel, pts) and its factor_reciprocal, or K rebuilt and None if the finder failed."""
-    reciprocal = factor_reciprocal(kernel_gram := gram(kernel, pts))
-    if reciprocal is None or reciprocal.resid < math.inf:
-        return kernel_gram, reciprocal
-    return gram(kernel, pts), None   # R, of no use to any base, is dropped
+    return Reciprocal(k, q, m, resid if resid <= RITZ_RESIDUAL * max(1.0, 1.0 / kmin) else math.inf)
 
 
 def _factored_defect(
@@ -233,23 +229,10 @@ def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):
     property holds at every base or at none, so a split can only mean the
     samples were too thin.
 
-    The kernel's Gram on the samples and, from RITZ_MIN_N samples on, the
-    factored R = 1/K in its array do not depend on the base, so both are built once.
+    K and R = 1/K do not depend on the base, so the bases share them (see cnp_certify).
     """
-    bases = list(bases)
-    if not bases:
-        return []
-    try:
-        kernel_gram, reciprocal = _kernel_grams(kernel, pts)
-    except VanishingKernel:   # a defect kernel vanishing on pts: each base reports it
-        kernel_gram = reciprocal = None
-    reports = [cnp_certify(kernel, base, pts, tol, kernel_gram=kernel_gram, reciprocal=reciprocal)
-               for base in bases]
-    statuses = {
-        r.verdict.status for r in reports if r.verdict.status is not Verdict.INCONCLUSIVE
-    }
-    if Verdict.PSD in statuses and Verdict.NOT_PSD in statuses:
-        reports = [
-            replace(r, notes=r.notes + (SWEEP_ANOMALY_NOTE,)) for r in reports
-        ]
+    shared = _Shared()
+    reports = [cnp_certify(kernel, base, pts, tol, _shared=shared) for base in bases]
+    if {Verdict.PSD, Verdict.NOT_PSD} <= {r.verdict.status for r in reports}:
+        reports = [replace(r, notes=r.notes + (SWEEP_ANOMALY_NOTE,)) for r in reports]
     return reports

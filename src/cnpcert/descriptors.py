@@ -10,7 +10,7 @@ import numpy as np
 
 from . import families
 from .dbr import ExtensionWitness, dbr_kernel
-from .families import complex_from_json, complex_list_from_json, integer_from_json
+from .families import complex_from_json, complex_list_from_json, integer_from_json, real_from_json
 from .kernels import (
     Congruence,
     Constant,
@@ -76,7 +76,8 @@ def kernel_from_json(obj: dict, order: int = families.DEFAULT_ORDER) -> Kernel:
     if kind == "drury_arveson":
         return DruryArveson(integer_from_json(obj["dim"]))
     if kind == "weighted_hardy":
-        return WeightedHardy(np.asarray(obj["weights"], dtype=float))
+        weights = obj["weights"] if isinstance(obj["weights"], list) else [obj["weights"]]
+        return WeightedHardy([real_from_json(w) for w in weights])
     if kind == "dbr":
         return dbr_kernel(symbol_from_json(obj["b"], order))
     if kind == "constant":

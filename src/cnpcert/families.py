@@ -48,6 +48,13 @@ def complex_list_from_json(v) -> list:
     return [complex_from_json(c) for c in v]
 
 
+def real_from_json(v) -> float:
+    """A JSON number; a boolean, string, array or object is a ValueError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a real number, got {v!r}")
+    return float(v)
+
+
 def integer_from_json(v) -> int:
     """An integral JSON number (2 or 2.0); anything else is a ValueError
     rather than silently truncated."""

@@ -33,7 +33,6 @@ RITZ_SEED = 20110        # fixed, so repeated solves are bitwise identical
 RITZ_RESIDUAL = 1e-10    # accepted Weyl residual, relative to max(1, scale)
 RITZ_MIN_SHRINK = 10.0   # a step must cut the residual by this factor
 RITZ_MAX_FRAC = 8        # basis size stays <= n / RITZ_MAX_FRAC
-RITZ_ROW_CHUNK = 64      # rows of the residual formed at a time
 
 
 class Verdict(Enum):
@@ -162,14 +161,14 @@ def gram(kernel: Kernel, pts) -> HermitianMatrix:
 
 
 def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the Hermitian a - q b q^H, formed RITZ_ROW_CHUNK rows
-    at a time from the diagonal on, each off-diagonal entry counted twice."""
+    """Frobenius norm of the Hermitian a - q b q^H, formed a row block at a
+    time from the diagonal on, each off-diagonal entry counted twice."""
     qb, qh = q @ b, q.conj().T
     total = 0.0
-    for i in range(0, a.shape[0], RITZ_ROW_CHUNK):
-        j = i + RITZ_ROW_CHUNK
-        t = a[i:j, i:] - qb[i:j] @ qh[:, i:]
-        diag = t[:, :RITZ_ROW_CHUNK]
+    for rows in row_blocks(a.shape[0], a[:1].nbytes):
+        i = rows.start
+        t = a[rows, i:] - qb[rows] @ qh[:, i:]
+        diag = t[:, :rows.stop - i]
         total += 2.0 * np.vdot(t, t).real - np.vdot(diag, diag).real
     return math.sqrt(total)
 
@@ -212,6 +211,13 @@ def smallest_eigenvalue(m: HermitianMatrix) -> float:
     return float(vals[0])
 
 
+def checked_tol(tol: float) -> float:
+    """``tol`` as a float, or a ValueError unless it is positive and finite."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    return float(tol)
+
+
 def psd_verdict(m: HermitianMatrix, tol: float | None = None) -> PsdVerdict:
     """Three-valued positivity verdict with bands (-tol, -10 tol).
 
@@ -220,21 +226,20 @@ def psd_verdict(m: HermitianMatrix, tol: float | None = None) -> PsdVerdict:
     """
     if tol is None:
         tol = 1e-9 * (max(1.0, m.scale) if m.finite else 1.0)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    tol = checked_tol(tol)
     if not m.finite:
-        return PsdVerdict(Verdict.INCONCLUSIVE, float("nan"), float(tol))
+        return PsdVerdict(Verdict.INCONCLUSIVE, float("nan"), tol)
     try:
         me = smallest_eigenvalue(m)
     except NoConvergence:
-        return PsdVerdict(Verdict.INCONCLUSIVE, float("nan"), float(tol))
+        return PsdVerdict(Verdict.INCONCLUSIVE, float("nan"), tol)
     if me >= -tol:
         status = Verdict.PSD
     elif me < -10.0 * tol:
         status = Verdict.NOT_PSD
     else:
         status = Verdict.INCONCLUSIVE
-    return PsdVerdict(status, me, float(tol))
+    return PsdVerdict(status, me, tol)
 
 
 def pick_matrix(kernel: Kernel, nodes, targets) -> HermitianMatrix:

@@ -6,7 +6,7 @@ import pytest
 
 from cnpcert import cnp, linalg
 from cnpcert.cnp import EVIDENCE_NOTE, cnp_basepoint_sweep, cnp_certify
-from cnpcert.errors import DomainMismatch
+from cnpcert.errors import DomainMismatch, DomainViolation
 from cnpcert.families import moebius_over_symbol
 from cnpcert.kernels import (
     Congruence,
@@ -165,10 +165,26 @@ def test_sweep_matches_certify_on_the_ball():
     assert all(r.verdict.status is Verdict.PSD for r in sweep)
 
 
-def test_certify_rejects_kernel_gram_of_other_samples():
-    pts = SampleSet.explicit([0.4, -0.2j])
-    with pytest.raises(ValueError):
-        cnp_certify(Szego(), 0j, pts, kernel_gram=gram(Szego(), [0.4]))
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
+def test_a_bad_tolerance_is_rejected_on_the_vanishing_kernel_path(tol):
+    # the vanishing path returned INCONCLUSIVE and wrote the bad tol into the report
+    k = Congruence(Szego(), PowerSeries([-0.5, 1.0]))  # vanishes at z = 1/2
+    pts = SampleSet.explicit([0.5, -0.3])
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        cnp_certify(k, 0j, pts, tol=tol)
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        cnp_basepoint_sweep(k, [0j], pts, tol=tol)
+
+
+def test_a_base_outside_the_domain_is_reported_before_samples_outside_it():
+    # the sweep built K before any base's checks, so it raised for the samples
+    pts = [0.2, 2.0]
+    for run in (lambda: cnp_certify(Szego(), 1.5, pts),
+                lambda: cnp_basepoint_sweep(Szego(), [1.5, 0j], pts)):
+        with pytest.raises(DomainViolation, match="defect base point"):
+            run()
+    with pytest.raises(DomainViolation, match="sample"):
+        cnp_basepoint_sweep(Szego(), [0j, 1.5], pts)
 
 
 class SkewedSzego(Kernel):
@@ -380,13 +396,13 @@ def test_a_factored_sweep_allocates_one_n_by_n_array(monkeypatch):
     assert [n for (n,) in sizes if n >= RITZ_MIN_N] == [len(pts)]
 
 
-def test_a_gram_passed_without_reciprocal_is_only_read():
+def test_a_lone_certificate_builds_k_and_factors_r_once(monkeypatch):
+    grams = recorded(monkeypatch, cnp, "gram")
+    factored = recorded(monkeypatch, cnp, "factor_reciprocal")
     pts = disk_296()
-    kernel_gram = gram(DBR_AFFINE, pts)
-    entries = kernel_gram.entries.copy()
-    rep = cnp_certify(DBR_AFFINE, pts.points[40], pts, kernel_gram=kernel_gram)
+    rep = cnp_certify(DBR_AFFINE, pts.points[40], pts)
     assert rep.verdict.status is Verdict.PSD
-    assert np.array_equal(kernel_gram.entries, entries)
+    assert (len(grams), len(factored)) == (1, 1)
 
 
 def sweep_reports(monkeypatch, kernel, bases, pts, factor_reciprocal):

@@ -349,6 +349,26 @@ def test_json_of_the_wrong_type_is_an_input_error(capsys, argv):
     assert "input error [ValueError]" in err
 
 
+@pytest.mark.parametrize("weights", ['{"a":1}', '[{"a":1}]', '[true,2]'])
+def test_weighted_hardy_weights_that_are_not_numbers_are_an_input_error(capsys, weights):
+    # objects died with a TypeError traceback (exit 1); booleans were read as 1.0
+    kernel = '{"kind":"weighted_hardy","weights":%s}' % weights
+    code, out, err = run_cli(capsys, ["cnp", "--kernel", kernel, "--grid", "2x3"])
+    assert code == 3
+    assert out == ""
+    assert "input error [ValueError]" in err
+
+
+def test_a_bad_tolerance_on_a_vanishing_kernel_is_an_input_error(capsys):
+    # exited 2 (INCONCLUSIVE) with "tol": -1.0 in the report; on Szego it exited 3
+    kernel = ('{"kind":"congruence","inner":{"kind":"szego"},'
+              '"factor":{"series":{"coeffs":[[-0.5,0],[1,0]]}}}')
+    code, out, err = run_cli(capsys, ["cnp", "--kernel", kernel, "--points", "0.5,-0.3", "--tol", "-1"])
+    assert code == 3
+    assert out == ""
+    assert "tolerance must be positive and finite" in err
+
+
 @pytest.mark.parametrize("kernel", ['{"kind":"szego"}', '{"kind":"drury_arveson","dim":2}'])
 def test_negative_random_sample_count_is_an_input_error(capsys, kernel):
     # was read as 0 on the disk (72 samples, exit 0) and as 48 ball points on DA(2)
