@@ -116,14 +116,14 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     try:
         defect = NormalizedDefect(kernel, base)
         if shared.k is None and shared.r is None:   # the first base to get here builds them
-            shared.k = gram(kernel, pts)
+            shared.k = shared.gram(kernel, pts)
             shared.note = _asym_note("kernel Gram", shared.k) if shared.k.asym_warning else None
             shared.r = factor_reciprocal(shared.k)
             if shared.r is not None:   # R has K's array, and serves no base at resid inf
                 shared.k, shared.r = None, shared.r if shared.r.resid < math.inf else None
         matrix = None if shared.r is None else _factored_defect(defect, shared.r, keep, kept)
         if matrix is None:   # K is rebuilt, at most once
-            shared.k = shared.k or gram(kernel, pts)
+            shared.k = shared.k or shared.gram(kernel, pts)
             matrix = _defect_gram(defect, shared.k, keep, kept)
     except VanishingKernel as exc:
         notes += [f"{exc.code}: {exc}", EVIDENCE_NOTE]
@@ -139,9 +139,18 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
 
 
 class _Shared:
-    """One sample set's K, or R = 1/K in K's array, and K's asymmetry note (or None)."""
+    """One sample set's K, or R = 1/K in K's array, K's asymmetry note (or
+    None), and the VanishingKernel that building K raised (or None)."""
 
-    k = r = note = None
+    k = r = note = failure = None
+
+    def gram(self, kernel: Kernel, pts: list) -> HermitianMatrix:
+        if self.failure is None:   # else K is not evaluated again for a later base
+            try:
+                return gram(kernel, pts)
+            except VanishingKernel as exc:
+                self.failure = exc
+        raise self.failure
 
 
 def _defect_gram(

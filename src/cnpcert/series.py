@@ -9,8 +9,11 @@ evaluate well inside the region where their coefficients decay.
 Truncation rules are fixed: binary arithmetic requires equal centers and
 truncates to the shorter operand; composition truncates to the shorter of the
 two orders; reversion and division keep the input order (division loses the
-cancelled leading order). Reversion uses Newton iteration on the shifted
-coefficient vector, doubling the number of correct coefficients per step.
+cancelled leading order). Reversion is Newton iteration on the shifted
+coefficient vector t: from g correct through order m', one composition gives
+g - (t(g) - w) g', correct through 2m' as g' = 1/t'(g) through m' - 1. The
+step orders ceil(n / 2^k) end at the order n (100: 2, 4, 7, 13, 25, 50, 100).
+Overflow there is a ValueError (non-finite coefficients), not a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -36,18 +39,15 @@ def _coeff_array(coeffs) -> np.ndarray:
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Cauchy product of two coefficient vectors, truncated at ``order``."""
-    out = np.convolve(a[: order + 1], b[: order + 1])[: order + 1]
-    if out.size < order + 1:
-        out = np.pad(out, (0, order + 1 - out.size))
-    return out
+    """Cauchy product of two coefficient vectors, truncated at ``order``;
+    together they hold at least order + 2 coefficients."""
+    return np.convolve(a[: order + 1], b[: order + 1])[: order + 1]
 
 
 def _reciprocal(u: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients of 1/u through ``order``; u[0] must be nonzero."""
+    """Coefficients of 1/u through ``order``; u[0] must be nonzero and u
+    hold at least order + 1 coefficients."""
     uu = u[: order + 1]
-    if uu.size < order + 1:
-        uu = np.pad(uu, (0, order + 1 - uu.size))
     r = np.zeros(order + 1, dtype=complex)
     r[0] = 1.0 / uu[0]
     for k in range(1, order + 1):
@@ -58,12 +58,11 @@ def _reciprocal(u: np.ndarray, order: int) -> np.ndarray:
 def _compose_zero(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
     """Horner composition outer(inner) through ``order``; inner[0] must be 0."""
     oc = np.zeros(order + 1, dtype=complex)
-    m = min(outer.size, order + 1)
-    oc[:m] = outer[:m]
+    oc[: outer.size] = outer[: order + 1]
     acc = np.zeros(order + 1, dtype=complex)
     acc[0] = oc[order]
     for k in range(order - 1, -1, -1):
-        acc = _mul_trunc(acc, inner, order)
+        acc = np.convolve(acc, inner)[: order + 1]
         acc[0] += oc[k]
     return acc
 
@@ -186,38 +185,34 @@ class PowerSeries:
         n = min(self.order, inner.order)
         t = inner.coeffs[: n + 1].astype(complex)
         t[0] = 0.0
-        return PowerSeries(_compose_zero(self.coeffs, t, n), inner.center)
+        with np.errstate(over="ignore", invalid="ignore"):   # PowerSeries rejects non-finite
+            return PowerSeries(_compose_zero(self.coeffs, t, n), inner.center)
 
     def revert(self) -> "PowerSeries":
         """Compositional inverse: a series g centered at coeffs[0] with
         g(self(z)) = z through the truncation order.
 
         Requires a linear coefficient of modulus above REV_EPS; a smaller
-        one means the map is not invertible near its center.
+        one means the map is not invertible near its center. The Newton
+        steps are described in the module docstring.
         """
         if self.order < 1 or abs(self.coeffs[1]) <= REV_EPS:
             raise NonInvertible(
                 "linear coefficient too small for functional inversion "
                 f"(threshold {REV_EPS:g})"
             )
-        n = self.order
-        t = self.coeffs.astype(complex).copy()
-        a0 = t[0]
+        n, t = self.order, self.coeffs.copy()
         t[0] = 0.0
-        tp = np.arange(1, n + 1) * t[1:]  # derivative of the shifted series
         g = np.zeros(n + 1, dtype=complex)
         g[1] = 1.0 / t[1]
-        m = 1
-        while m < n:
-            m_next = min(2 * m + 1, n)
-            gg = g[: m_next + 1]
-            tg = _compose_zero(t, gg, m_next)
-            tg[1] -= 1.0  # residual of t(g(w)) - w
-            tpg = _compose_zero(tp, gg, m_next)
-            g[: m_next + 1] = gg - _mul_trunc(tg, _reciprocal(tpg, m_next), m_next)
-            m = m_next
-        coeffs = np.concatenate(([self.center], g[1:]))
-        return PowerSeries(coeffs, center=a0)
+        with np.errstate(over="ignore", invalid="ignore"):   # PowerSeries rejects non-finite
+            for m in [-(-n // 2**k) for k in reversed(range((n - 1).bit_length()))]:
+                gg = g[: m + 1]   # correct through order ceil(m / 2)
+                tg = _compose_zero(t, gg, m)
+                tg[1] -= 1.0  # residual of t(g(w)) - w
+                g[: m + 1] = gg - _mul_trunc(tg, np.arange(1, m + 1) * gg[1:], m)
+        g[0] = self.center
+        return PowerSeries(g, center=self.coeffs[0])
 
 
 def divide(num: PowerSeries, den: PowerSeries) -> PowerSeries:
@@ -245,9 +240,5 @@ def divide(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     n_res = min(num.order, den.order) - ord_d
     if n_res < 0:
         raise DivisionOrder("denominator leading order exceeds the truncation order")
-    nn = num.coeffs[ord_d:]
-    if nn.size < n_res + 1:
-        nn = np.pad(nn, (0, n_res + 1 - nn.size))
-    dd = den.coeffs[ord_d:]
-    q = _mul_trunc(nn, _reciprocal(dd, n_res), n_res)
+    q = _mul_trunc(num.coeffs[ord_d:], _reciprocal(den.coeffs[ord_d:], n_res), n_res)
     return PowerSeries(q, num.center)

@@ -157,6 +157,25 @@ def test_sweep_matches_certify_for_vanishing_kernel(outer_defect):
         assert any("VANISHING_KERNEL" in n for n in rep.notes)
 
 
+def test_a_vanishing_kernel_gram_is_evaluated_once_per_sweep(monkeypatch):
+    # the kernel's own Gram raises VanishingKernel; each base evaluated it anew
+    k = NormalizedDefect(Congruence(Szego(), PowerSeries([-0.5, 1.0])), 0.1j)
+    pts = SampleSet.default(grid=(12, 24)).extended([0.5])
+    calls = []
+
+    def counted(kernel, points):
+        calls.append(len(points))
+        return gram(kernel, points)
+
+    monkeypatch.setattr(cnp, "gram", counted)
+    bases = [0j, 0.2 + 0j, -0.3j]
+    sweep = cnp_basepoint_sweep(k, bases, pts)
+    assert calls == [297]
+    for base, rep in zip(bases, sweep):
+        assert rep.vanish_flag
+        assert rep.to_json_dict() == cnp_certify(k, base, pts).to_json_dict()
+
+
 def test_sweep_matches_certify_on_the_ball():
     pts = ball_points(60, 2, seed=9)
     bases = [(0j, 0j), (0.3 + 0j, 0j), tuple(pts[3])]

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cnpcert import series
 from cnpcert.errors import CenterMismatch, CompositionCenter, DivisionOrder, NonInvertible
+from cnpcert.families import affine_symbol, blaschke_symbol, moebius_over_symbol, scaled_identity_symbol
 from cnpcert.series import PowerSeries, divide
 
 
@@ -163,6 +166,73 @@ def test_revert_centers():
     h = s.revert()
     assert h.center == 0.3 + 0.1j
     assert abs(h(s(0.7)) - 0.7) < 1e-14
+
+
+def _closed_form_inverse(kind, n):
+    """Coefficients about b(0) of the exact inverses, through order n."""
+    c, k = np.zeros(n + 1, dtype=complex), np.arange(1, n + 1)
+    if kind == "affine":            # (z + 0.5) / 2  ->  2w - 0.5
+        c[1] = 2.0
+    elif kind == "scaled":          # z / 1.5  ->  1.5w
+        c[1] = 1.5
+    elif kind == "moebius":         # 2z / (z + 4)  ->  4w / (2 - w)
+        c[1:] = 4.0 / 2.0 ** k
+    else:                           # (z - 0.3) / (1 - 0.3z)  ->  (w + 0.3) / (1 + 0.3w)
+        c[1:] = (-0.3 / 0.91) ** (k - 1) / 0.91
+    return c
+
+
+_SYMBOLS = {
+    "affine": lambda n: affine_symbol(0.5, 2.0, n),
+    "scaled": lambda n: scaled_identity_symbol(1.5, n),
+    "moebius": lambda n: moebius_over_symbol(2.0, 4.0, n),
+    "blaschke": lambda n: blaschke_symbol([0.3], n),
+}
+
+
+# measured: 0 for affine and scaled at every order, at most 2.3e-16 for the
+# Blaschke zero and for moebius below order 256, where rounding in the
+# compositions leaves 2.0e-14 on coefficients of size ~2^-200
+@pytest.mark.parametrize("kind", sorted(_SYMBOLS))
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 37, 64, 100, 256])
+def test_revert_matches_closed_form_inverse(kind, n):
+    b = _SYMBOLS[kind](n)
+    h = b.revert()
+    tol = 1e-13 if (kind, n) == ("moebius", 256) else 1e-15
+    assert h.order == n and h.center == b.coeffs[0]
+    assert np.max(np.abs(h.coeffs - _closed_form_inverse(kind, n))) <= tol
+
+
+@pytest.mark.parametrize("n,orders", [
+    (1, []), (2, [2]), (3, [2, 3]), (37, [2, 3, 5, 10, 19, 37]),
+    (64, [2, 4, 8, 16, 32, 64]), (100, [2, 4, 7, 13, 25, 50, 100]),
+])
+def test_revert_composes_once_per_step_on_orders_halved_back_from_n(monkeypatch, n, orders):
+    seen, compose_zero = [], series._compose_zero
+
+    def counted(outer, inner, order):
+        seen.append(order)
+        return compose_zero(outer, inner, order)
+
+    monkeypatch.setattr(series, "_compose_zero", counted)
+    blaschke_symbol([0.3], n).revert()
+    assert seen == orders
+
+
+def test_revert_overflow_is_a_value_error_without_warnings():
+    b = blaschke_symbol([0.0, 0.5], 512)   # gallery's blaschke_deg2_0_05 at order 512
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="must be finite"):
+            b.revert()
+
+
+def test_compose_overflow_is_a_value_error_without_warnings():
+    outer, inner = PowerSeries([0.0, 0.0, 1e300]), PowerSeries([0.0, 1e10, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="must be finite"):
+            outer.compose(inner)
 
 
 @st.composite
