@@ -188,24 +188,23 @@ class Reciprocal(NamedTuple):
 
 
 def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal | None:
-    """R of ``kernel_gram``, formed in the Gram's array once all of K passed
-    the guard: R owns the array, and only the Gram's n, scale and asymmetry
-    still describe K. The range finder aims at resid <= RITZ_RESIDUAL / max
-    K(z, z), enough for every base of a positive kernel (|u|^2 <= K(z, z)); a
-    stalled finder is kept up to RITZ_RESIDUAL * max(1, 1 / min|K|), as each
-    base checks its own Weyl bound, and resid is inf above that. None, K
-    untouched, below RITZ_MIN_N samples or with K not finite or below DEFECT_EPS."""
+    """R of ``kernel_gram``, formed in the Gram's array by one in-place divide
+    once a row-block scan of all of K passed the guard: R owns the array, and
+    only the Gram's n, scale and asymmetry still describe K. The range finder
+    aims at resid <= RITZ_RESIDUAL / max K(z, z), enough for every base of a
+    positive kernel (|u|^2 <= K(z, z)); a stalled finder is kept up to
+    RITZ_RESIDUAL * max(1, 1 / min|K|), as each base checks its own Weyl
+    bound, and resid is inf above that. None, K untouched, below RITZ_MIN_N
+    samples or with K not finite or below DEFECT_EPS."""
     k, n = kernel_gram.entries, kernel_gram.n
     if n < RITZ_MIN_N or not kernel_gram.finite:
         return None
-    blocks = row_blocks(n, k[:1].nbytes)
-    kmin = min(float(np.min(np.abs(k[rows]))) for rows in blocks)
+    kmin = min(float(np.min(np.abs(k[rows]))) for rows in row_blocks(n, k[:1].nbytes))
     if kmin < DEFECT_EPS:
         return None
     target = RITZ_RESIDUAL / float(np.max(np.abs(np.diagonal(k))))
     k.setflags(write=True)
-    for rows in blocks:
-        np.divide(1.0, k[rows], out=k[rows])
+    np.divide(1.0, k, out=k)   # in place: no temporary
     k.setflags(write=False)
     q, m, resid = range_finder(k, target)
     return Reciprocal(k, q, m, resid if resid <= RITZ_RESIDUAL * max(1.0, 1.0 / kmin) else math.inf)

@@ -184,7 +184,8 @@ def decomposition_check(b: PowerSeries, pts, tol: float | None = None) -> PsdVer
     Szego kernel, K2 = its identity-factor congruence, K0 = 1 - |b(0)|^2, and
     certify K2 + K0 - K1 on the samples. Pointwise this equals the normalized
     defect scaled by the positive constant K0, so the verdict must agree with
-    the defect certification up to the INCONCLUSIVE band.
+    the defect certification up to the INCONCLUSIVE band. Kept, with no CLI
+    caller, as the second route the tests hold cnp_certify's verdicts to.
     """
     _require_symbol(b)
     b0 = complex(b.coeffs[0])
@@ -214,6 +215,7 @@ def decomposition_identity_residual(b: PowerSeries, f: PowerSeries, pts) -> floa
     identically, so the returned max residual must be rounding-level no
     matter what b is. Requires an invertible linear coefficient (the identity
     is about the left inverse's argument) and samples away from the origin.
+    Kept, with no CLI caller, as the tests' reference check of that identity.
     """
     functional_inverse(b)  # precondition: the inverse exists
     arr = np.asarray(list(pts), dtype=complex)

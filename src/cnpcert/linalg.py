@@ -9,12 +9,17 @@ semi-definite" stays honest under floating point.
 The smallest eigenvalue is one dense eigvalsh. The randomized range finder
 factors the base-free, numerically low-rank 1/K of a sample set, through
 which cnp certifies large defects without forming them.
+
+Every n x n array is a plain numpy array from empty_matrix. Work over one
+that would otherwise make a full-size temporary runs in row blocks (see
+kernels.row_blocks): evaluating a kernel Gram at n = 1160 in one piece, for
+one, raised the peak RSS of a base-point sweep by 25-33 MiB, more than one
+n x n complex array.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,7 +29,6 @@ from .errors import CnpcertError, DimensionMismatch, DomainViolation, LengthMism
 from .kernels import Kernel, row_blocks
 
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
-MAPPED_MIN_BYTES = 1 << 22   # matrices from this size are memory-mapped (see empty_matrix)
 
 # Randomized range finder (see range_finder)
 RITZ_MIN_N = 256         # from this many samples cnp factors 1/K
@@ -85,18 +89,9 @@ class HermitianMatrix:
 
 
 def empty_matrix(n: int) -> np.ndarray:
-    """An uninitialized n x n complex array; from MAPPED_MIN_BYTES on (and
-    where mmap has MAP_PRIVATE) a memory mapping of its own, unmapped when
-    the array is dropped. A malloc block that large may stay in the heap
-    after it is freed or not, by glibc's adaptive thresholds and the blocks
-    around it, so the peak memory of a sweep would vary between runs."""
-    nbytes = 16 * n * n
-    if nbytes < MAPPED_MIN_BYTES or not hasattr(mmap, "MAP_PRIVATE"):
-        return np.empty((n, n), dtype=complex)
-    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    if hasattr(mmap, "MADV_HUGEPAGE"):   # as numpy advises its own large arrays
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=complex).reshape(n, n)
+    """An uninitialized n x n complex array: np.empty, the one place the
+    kernel, symmetrized and defect Grams are allocated."""
+    return np.empty((n, n), dtype=complex)
 
 
 def hermitian_from_raw(raw, assembly: str = "") -> HermitianMatrix:

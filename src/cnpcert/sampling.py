@@ -129,6 +129,8 @@ class SampleSet:
 
 def ball_points(count: int, dim: int, r_max: float = DEFAULT_RMAX, seed: int = DEFAULT_SEED):
     """Uniform-ish random points in the radius-``r_max`` ball of C^dim."""
+    if count < 0:
+        raise ValueError(f"a random sample count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

@@ -221,7 +221,8 @@ def divide(num: PowerSeries, den: PowerSeries) -> PowerSeries:
     The leading order of a series is the index of its first coefficient of
     modulus above DIV_EPS. The denominator's leading order may not exceed
     the numerator's (the quotient would have a pole). The result is truncated
-    to min(order(num), order(den)) minus the cancelled order.
+    to min(order(num), order(den)) minus the cancelled order. Kept, with no
+    CLI caller, as the reference the closed-form witnesses are tested against.
     """
     num._check_center(den)
     dmag = np.abs(den.coeffs)

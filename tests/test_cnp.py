@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,26 @@ def test_a_factored_sweep_allocates_one_n_by_n_array(monkeypatch):
     reports = cnp_basepoint_sweep(DBR_AFFINE, [0j, pts.points[40], -0.2 + 0.4j], pts)
     assert [r.verdict.status for r in reports] == [Verdict.PSD] * 3
     assert [n for (n,) in sizes if n >= RITZ_MIN_N] == [len(pts)]
+
+
+@pytest.mark.parametrize("assembled, arrays", [(False, 2), (True, 3)])   # measured 1.31 and 2.17
+def test_a_sweep_at_n_1160_peaks_below_its_n_by_n_arrays(monkeypatch, assembled, arrays):
+    # a factored sweep holds K, then R in its array; the assembled path holds K
+    # and one defect at a time; the rest is row blocks and thin factors
+    if assembled:
+        monkeypatch.setattr(cnp, "factor_reciprocal", lambda kernel_gram: None)
+    for kernel, bases, pts in [
+        (DBR_AFFINE, [0j, 0.3 + 0j, -0.2 + 0.4j], SampleSet.default(grid=(24, 48))),
+        (DruryArveson(2), [(0j, 0j), (0.3 + 0j, 0j), (-0.2 + 0.1j, 0.4j)], ball_points(1160, 2)),
+    ]:
+        tracemalloc.start()
+        try:
+            reports = cnp_basepoint_sweep(kernel, bases, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.verdict.status for r in reports] == [Verdict.PSD] * 3
+        assert peak < arrays * 16 * len(pts) ** 2
 
 
 def test_a_lone_certificate_builds_k_and_factors_r_once(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cnpcert.pickinterp import sampled_sup
-from cnpcert.sampling import SampleSet, polar_grid
+from cnpcert.sampling import SampleSet, ball_points, polar_grid
 
 # SampleSet.default()'s seeded random points (seed 20210, r_max 0.9)
 DEFAULT_RANDOM_POINTS = (
@@ -51,6 +51,15 @@ def test_separation_check_on_a_vertical_line():
 def test_extended_rejects_non_finite_points():
     with pytest.raises(ValueError, match="finite"):
         SampleSet.explicit([0.5]).extended([complex("nan")])
+
+
+@pytest.mark.parametrize(
+    "draw", [SampleSet.random_disk, lambda count: ball_points(count, 2)], ids=["disk", "ball"]
+)
+def test_a_negative_random_count_is_rejected(draw):
+    with pytest.raises(ValueError, match="must be >= 0, got -1"):
+        draw(-1)
+    assert len(draw(0)) == 0
 
 
 def test_polar_grid_radius_major():
