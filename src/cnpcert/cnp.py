@@ -10,11 +10,19 @@ and u = K(z, base) / sqrt(K(base, base)) it is exactly J - diag(u) R diag(conj u
 (J all ones). R, base-free and numerically low-rank, is formed in K's array and
 factored once, R ~ q m q^H to Frobenius residual r, so by Weyl's inequality
 each base's smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
-[1, diag(u) q, 0] = U T (thin QR) and C = diag(1, -m, 0). A base whose bound
-exceeds RITZ_RESIDUAL * max(1, scale) has its defect assembled instead, a
-rank-one rescale of K, which gram rebuilds; so has each base below RITZ_MIN_N.
-K and R are built once per sample set, by the first base that gets past its
-own checks, so a lone certificate and each base of a sweep run the same lines.
+[1, diag(u) q, 0] = U T (thin QR) and C = diag(1, -m, 0).
+
+The factorization stops early, before its residual is known, once m shows a
+second positive eigenvalue of R beyond rounding: the property then fails on
+the samples at every base (Agler-McCarthy). A base without a Weyl bound, or
+whose bound exceeds RITZ_RESIDUAL * max(1, scale), gets a Rayleigh-Ritz
+certificate instead: min_eig is the Rayleigh quotient x^H D x / x^H x of a
+concrete vector x, an upper bound on the defect's smallest eigenvalue, and
+the base is NOT_PSD when the quotient plus its rounding bound is below
+-10 tol. A base that neither settles has its defect assembled, a rank-one
+rescale of K, which gram rebuilds; so has each base below RITZ_MIN_N. K and R
+are built once per sample set, by the first base that gets past its own
+checks, so a lone certificate and each base of a sweep run the same lines.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ import numpy as np
 from .errors import VanishingKernel
 from .kernels import DEFECT_EPS, Kernel, NormalizedDefect, defect_quotient, guard_defect, row_blocks
 from .linalg import (
-    RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, checked_tol, empty_matrix,
-    gram, hermitian_in_place, psd_verdict, range_finder,
+    RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, checked_tol, default_tol,
+    empty_matrix, gram, hermitian_in_place, psd_verdict, range_steps,
 )
 
 EVIDENCE_NOTE = (
@@ -41,6 +49,16 @@ SWEEP_ANOMALY_NOTE = (
     "insufficient sampling, not a property of the kernel."
 )
 _BASE_EXCLUSION = 1e-8
+_EPS = float(np.finfo(float).eps)
+# A kernel Gram whose Cauchy-Schwarz excess e (linalg.HermitianMatrix.cs_excess)
+# passes this cannot support NOT_PSD. Kernel values off by a relative delta
+# move e by up to 4 delta, and the defect 1 - K(z, b) K(b, w) / (K(b, b) K(z, w))
+# by up to 4 delta (1 + scale): so from e = 1e-8, 10 x the default relative
+# tol 1e-9, one inconsistent pair can carry min_eig past -10 tol on its own
+# (each false NOT_PSD measured had |min_eig| within 1.2 e; the smallest e was
+# 4.8e-8). Rounding stays far below: e reached 3.2e-12 at most, on the
+# degree-one Blaschke kernel with zero 0.99, where 1 - |b|^2 cancels to ~1e-3.
+CS_BAND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,7 +116,9 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     The base point is dropped from the samples if present (its defect row and
     column vanish identically and add nothing). A vanishing kernel value while
     assembling the defect yields an INCONCLUSIVE report with ``vanish_flag``
-    set instead of an exception, so sweeps stay total.
+    set instead of an exception, so sweeps stay total. A kernel Gram that
+    breaks Cauchy-Schwarz by more than CS_BAND gets a note, and a NOT_PSD
+    from it becomes INCONCLUSIVE.
 
     Once the base has passed its own checks, K and, from RITZ_MIN_N samples
     on, R = 1/K in K's array are built on all of ``pts``; a base-point sweep
@@ -113,36 +133,52 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     if not keep.all():
         notes.append("dropped sample point(s) coinciding with the base")
     shared = _shared or _Shared()
+    matrix = None
     try:
         defect = NormalizedDefect(kernel, base)
         if shared.k is None and shared.r is None:   # the first base to get here builds them
             shared.k = shared.gram(kernel, pts)
             shared.note = _asym_note("kernel Gram", shared.k) if shared.k.asym_warning else None
+            shared.cs_note = _cs_note(shared.k)
             shared.r = factor_reciprocal(shared.k)
-            if shared.r is not None:   # R has K's array, and serves no base at resid inf
-                shared.k, shared.r = None, shared.r if shared.r.resid < math.inf else None
-        matrix = None if shared.r is None else _factored_defect(defect, shared.r, keep, kept)
-        if matrix is None:   # K is rebuilt, at most once
+            if shared.r is not None:   # R has K's array; at resid inf it serves no base
+                shared.k, shared.r = None, shared.r if shared.r.resid != math.inf else None
+        verdict = None if shared.r is None else _factored_verdict(defect, shared.r, keep, kept, tol)
+        if verdict is None:   # K is rebuilt, at most once
             shared.k = shared.k or shared.gram(kernel, pts)
             matrix = _defect_gram(defect, shared.k, keep, kept)
+            verdict = psd_verdict(matrix, tol)
     except VanishingKernel as exc:
         notes += [f"{exc.code}: {exc}", EVIDENCE_NOTE]
         verdict = PsdVerdict(Verdict.INCONCLUSIVE, math.nan, math.nan if tol is None else tol)
         return CertReport(verdict, base, tuple(kept), True, tuple(notes))
-    verdict = psd_verdict(matrix, tol)
-    if shared.note:
-        notes.append(shared.note)
-    if matrix.asym_warning:
+    notes += [note for note in (shared.note, shared.cs_note) if note]
+    if shared.cs_note and verdict.status is Verdict.NOT_PSD:
+        verdict = replace(verdict, status=Verdict.INCONCLUSIVE)
+    if matrix is not None and matrix.asym_warning:
         notes.append(_asym_note("Hermitian", matrix))
     notes.append(EVIDENCE_NOTE)
     return CertReport(verdict, base, tuple(kept), False, tuple(notes))
 
 
-class _Shared:
-    """One sample set's K, or R = 1/K in K's array, K's asymmetry note (or
-    None), and the VanishingKernel that building K raised (or None)."""
+def _cs_note(kernel_gram: HermitianMatrix) -> str | None:
+    """The note on a kernel Gram whose Cauchy-Schwarz excess passes CS_BAND, or None."""
+    e, i, j = kernel_gram.cs_excess
+    if not e > CS_BAND:
+        return None
+    return (
+        f"KERNEL_INCONSISTENT: |K(z_i, z_j)|^2 exceeds K(z_i, z_i) K(z_j, z_j) by {e:.3e} "
+        f"relative at samples i = {i}, j = {j}, so the kernel values are inaccurate (a "
+        "positive kernel obeys Cauchy-Schwarz) and cannot support NOT_PSD; raise --order"
+    )
 
-    k = r = note = failure = None
+
+class _Shared:
+    """One sample set's K, or R = 1/K in K's array, K's asymmetry and
+    Cauchy-Schwarz notes (or None), and the VanishingKernel that building K
+    raised (or None)."""
+
+    k = r = note = cs_note = failure = None
 
     def gram(self, kernel: Kernel, pts: list) -> HermitianMatrix:
         if self.failure is None:   # else K is not evaluated again for a later base
@@ -179,12 +215,14 @@ def _defect_gram(
 
 
 class Reciprocal(NamedTuple):
-    """R = 1/K in its Gram's array, ||R - q m q^H||_F = resid."""
+    """R = 1/K in its Gram's array, max|R| = rmax, and ||R - q m q^H||_F =
+    resid, or resid None where m shows R's second positive eigenvalue."""
 
     entries: np.ndarray
     q: np.ndarray
     m: np.ndarray
-    resid: float
+    resid: float | None
+    rmax: float
 
 
 def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal | None:
@@ -195,7 +233,15 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal | None:
     positive kernel (|u|^2 <= K(z, z)); a stalled finder is kept up to
     RITZ_RESIDUAL * max(1, 1 / min|K|), as each base checks its own Weyl
     bound, and resid is inf above that. None, K untouched, below RITZ_MIN_N
-    samples or with K not finite or below DEFECT_EPS."""
+    samples or with K not finite or below DEFECT_EPS.
+
+    The finder stops before a block's residual pass, resid None, once the
+    second eigenvalue of that block's m passes n^2 eps max|R|. By interlacing
+    it is at most R's own, which rounding leaves below that band on a complete
+    Pick kernel: n eps bounds the relative rounding of R's entries and of
+    each length-n sum in m, and n max|R| bounds ||R||_2. Then every base's
+    defect has a negative eigenvalue (Agler-McCarthy), which each base
+    certifies by a Rayleigh quotient (see _rayleigh_quotient)."""
     k, n = kernel_gram.entries, kernel_gram.n
     if n < RITZ_MIN_N or not kernel_gram.finite:
         return None
@@ -206,16 +252,22 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal | None:
     k.setflags(write=True)
     np.divide(1.0, k, out=k)   # in place: no temporary
     k.setflags(write=False)
-    q, m, resid = range_finder(k, target)
-    return Reciprocal(k, q, m, resid if resid <= RITZ_RESIDUAL * max(1.0, 1.0 / kmin) else math.inf)
+    rmax = 1.0 / kmin
+    for q, m, resid in range_steps(k, target):
+        if resid is None and np.linalg.eigvalsh(m)[-2] > n * n * _EPS * rmax:
+            break
+    if resid is not None and not resid <= RITZ_RESIDUAL * max(1.0, rmax):
+        resid = math.inf
+    return Reciprocal(k, q, m, resid, rmax)
 
 
-def _factored_defect(
-    defect: NormalizedDefect, rec: Reciprocal, keep: np.ndarray, kept: list
-) -> HermitianMatrix | None:
-    """The defect on ``kept`` (the ``keep`` rows of ``rec``) as T C T^H (see
-    the module docstring), with the defect's max modulus as scale; None when
-    the Weyl bound max|u|^2 resid exceeds RITZ_RESIDUAL * max(1, scale)."""
+def _factored_verdict(
+    defect: NormalizedDefect, rec: Reciprocal, keep: np.ndarray, kept: list, tol: float | None
+) -> PsdVerdict | None:
+    """The verdict on the defect on ``kept`` (the ``keep`` rows of ``rec``),
+    with the defect's max modulus as scale: from T C T^H (see the module
+    docstring) when the Weyl bound max|u|^2 resid is within RITZ_RESIDUAL *
+    max(1, scale), else NOT_PSD from _rayleigh_quotient, else None."""
     u = np.zeros(keep.size, dtype=complex)   # zero off the kept samples
     u[keep] = defect.base_column(np.asarray(kept, dtype=complex))[:, 0] / math.sqrt(defect.kbb)
     mods, uc = [], u.conj()   # |J - diag(u) R diag(conj u)| on the kept upper triangle
@@ -224,12 +276,43 @@ def _factored_defect(
         blk = np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:])
         mods.append(np.max(np.abs(blk if keep.all() else blk[keep[rows]][:, keep[i:]]), initial=0.0))
     scale, m = float(np.max(mods)), len(kept)
-    if not np.max(np.abs(u)) ** 2 * rec.resid <= RITZ_RESIDUAL * max(1.0, scale):
+    if rec.resid is not None and np.max(np.abs(u)) ** 2 * rec.resid <= RITZ_RESIDUAL * max(1.0, scale):
+        v = np.hstack([np.ones((m, 1)), u[keep, None] * rec.q[keep], np.zeros((m, 1))])
+        t = np.linalg.qr(v, mode="r")
+        g = np.outer(t[:, 0], t[:, 0].conj()) - t[:, 1:-1] @ rec.m @ t[:, 1:-1].conj().T
+        return psd_verdict(HermitianMatrix(
+            0.5 * (g + g.conj().T), scale, f"{defect.describe()} on {m} samples", 0.0), tol)
+    if not math.isfinite(scale):
         return None
-    v = np.hstack([np.ones((m, 1)), u[keep, None] * rec.q[keep], np.zeros((m, 1))])
-    t = np.linalg.qr(v, mode="r")
-    g = np.outer(t[:, 0], t[:, 0].conj()) - t[:, 1:-1] @ rec.m @ t[:, 1:-1].conj().T
-    return HermitianMatrix(0.5 * (g + g.conj().T), scale, f"{defect.describe()} on {m} samples", 0.0)
+    tol = default_tol(scale) if tol is None else tol
+    min_eig, bound = _rayleigh_quotient(rec, u, keep)
+    return PsdVerdict(Verdict.NOT_PSD, min_eig, tol) if min_eig + bound < -10.0 * tol else None
+
+
+def _rayleigh_quotient(rec: Reciprocal, u: np.ndarray, keep: np.ndarray):
+    """(x^H D x / x^H x, its rounding bound) for D = J - diag(u) R diag(conj u)
+    on the ``keep`` samples and x the Ritz vector of D's smallest Ritz value on
+    the span of V = diag(1 / conj u) q, zero off them. There V^H D V is
+    s s^H - m, s = V^H 1, since diag(conj u) V = q: only m is needed, less the
+    rows and columns of dropped samples. The quotient, an upper bound on D's
+    smallest eigenvalue, is evaluated directly, by one product with R's own
+    array."""
+    m, drop = rec.m, ~keep
+    if drop.any():   # m of q with its rows at the dropped samples zeroed
+        qd, rq = rec.q[drop], rec.entries[drop] @ rec.q
+        m = m - qd.conj().T @ rq - rq.conj().T @ qd + qd.conj().T @ rec.entries[np.ix_(drop, drop)] @ qd
+    v = np.zeros_like(rec.q)
+    v[keep] = rec.q[keep] / u[keep, None].conj()
+    s = v.sum(axis=0).conj()
+    ti = np.linalg.inv(np.linalg.qr(v, mode="r"))   # the orthonormal basis V T^-1
+    h = ti.conj().T @ (np.outer(s, s.conj()) - m) @ ti
+    x = v @ (ti @ np.linalg.eigh(0.5 * (h + h.conj().T))[1][:, 0])
+    y = u.conj() * x
+    xx = float(np.vdot(x, x).real)
+    quotient = float(abs(x.sum()) ** 2 - np.vdot(y, rec.entries @ y).real) / xx
+    # Higham's gamma for the length-n sums in |sum x|^2, y^H R y and x^H x, R's rounding
+    gamma = 3 * (x.size + 1) * _EPS
+    return quotient, gamma * (np.sum(np.abs(x)) ** 2 + rec.rmax * np.sum(np.abs(y)) ** 2) / xx
 
 
 def cnp_basepoint_sweep(kernel: Kernel, bases, pts, tol: float | None = None):

@@ -85,6 +85,11 @@ class Kernel:
     def evaluate(self, z, w):
         raise NotImplementedError
 
+    def against(self, w):
+        """z -> evaluate(z, w) for a fixed ``w``, entry for entry the same; a
+        kernel computes here, once, what depends on ``w`` alone."""
+        return lambda z: self.evaluate(z, w)
+
     def contains(self, pts) -> np.ndarray:
         """Boolean mask of points inside the open domain. Ball points are
         the last array axis; any length other than the ball's dimension
@@ -216,11 +221,18 @@ class DeBrangesRovnyak(Kernel):
             )
 
     def evaluate(self, z, w):
-        zz = np.asarray(z, complex)
+        return self.against(w)(z)
+
+    def against(self, w):
         ww = np.asarray(w, complex)
-        den = 1.0 - np.conj(ww) * zz
-        _guard_min_modulus(den, DOM_EPS, NearSingular, "de Branges-Rovnyak denominator")
-        return (1.0 - np.conj(self.symbol(ww)) * self.symbol(zz)) / den
+        bw = np.conj(self.symbol(ww))   # a Gram's row blocks share one b(w)
+
+        def at(z):
+            zz = np.asarray(z, complex)
+            den = 1.0 - np.conj(ww) * zz
+            _guard_min_modulus(den, DOM_EPS, NearSingular, "de Branges-Rovnyak denominator")
+            return (1.0 - bw * self.symbol(zz)) / den
+        return at
 
     def describe(self):
         return f"dbr(order={self.symbol.order})"

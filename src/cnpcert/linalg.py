@@ -73,6 +73,9 @@ class HermitianMatrix:
     scale: float          # max abs entry after symmetrization
     assembly: str         # human-readable provenance
     asymmetry: float      # max |raw - raw^H| before symmetrization
+    # (e, i, j): e = |m_ij|^2 / |m_ii m_jj| - 1, largest at i < j; e > 0 breaks
+    # Cauchy-Schwarz, so m is not PSD ((-1, 0, 0) below two rows, -inf not taken)
+    cs_excess: tuple = (-math.inf, 0, 0)
 
     @property
     def n(self) -> int:
@@ -85,7 +88,9 @@ class HermitianMatrix:
 
     @property
     def asym_warning(self) -> bool:
-        return self.asymmetry > HERM_TOL * max(self.scale, 1e-300)
+        # entries are rounded relative to max(1, scale): a matrix that vanishes
+        # identically, as a difference of O(1) terms, keeps their rounding
+        return self.asymmetry > HERM_TOL * max(self.scale, 1.0)
 
 
 def empty_matrix(n: int) -> np.ndarray:
@@ -111,10 +116,13 @@ def hermitian_in_place(raw: np.ndarray, assembly: str = "") -> HermitianMatrix:
     (conj(raw[j, i]) + raw[i, j]) * 0.5, formed a row block and its mirrored
     column block at a time. Both maxima are taken over the upper triangle,
     exact since the moduli are symmetric, with np.max, so a NaN entry
-    anywhere makes both NaN.
+    anywhere makes both NaN. The scale's moduli, times 1 / sqrt|m_ii m_jj|
+    off the diagonal (which symmetrizing leaves at raw's real parts), give
+    cs_excess.
     """
-    asym, scale = [], []
-    with np.errstate(invalid="ignore", over="ignore"):   # non-finite: scale says so
+    asym, scale, excess = [], [], []
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):   # non-finite: scale says so
+        root = 1.0 / np.sqrt(np.abs(raw.diagonal().real))
         for blk in row_blocks(raw.shape[0], raw[:1].nbytes):
             i, j = blk.start, blk.stop
             upper = raw[i:j, i:]
@@ -125,20 +133,26 @@ def hermitian_in_place(raw: np.ndarray, assembly: str = "") -> HermitianMatrix:
             below *= 0.5
             np.add(rows, upper, out=upper)
             upper *= 0.5
-            scale.append(np.max(np.abs(upper)))
+            mods = np.abs(upper)
+            scale.append(np.max(mods))
+            mods *= root[i:j, None]
+            mods *= root[i:]
+            mods.ravel()[::mods.shape[1] + 1] = 0.0   # the diagonal
+            at = divmod(int(np.argmax(mods)), mods.shape[1])
+            excess.append((float(mods[at]) ** 2 - 1.0, i + min(at), i + max(at)))
             raw[j:, i:j] = below
     raw.setflags(write=False)
-    return HermitianMatrix(raw, float(np.max(scale)), assembly, float(np.max(asym)))
+    return HermitianMatrix(raw, float(np.max(scale)), assembly, float(np.max(asym)), max(excess))
 
 
 def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     n = points.shape[0]
     kernel.require_inside(points, DomainViolation, "sample(s) outside the kernel domain")
     Z, W = points[:, None], points[None]
-    raw = empty_matrix(n)
+    raw, against = empty_matrix(n), kernel.against(W)
     for rows in row_blocks(n, raw[:1].nbytes):
         try:
-            raw[rows] = kernel.evaluate(Z[rows], W)
+            raw[rows] = against(Z[rows])
         except CnpcertError:   # raised again on the whole matrix, so positions index it
             kernel.evaluate(Z, W)
             raise
@@ -168,15 +182,11 @@ def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(total)
 
 
-def range_finder(a: np.ndarray, target: float):
-    """(q, b, r) with Hermitian ``a`` ~ q b q^H, q orthonormal, b = q^H a q
-    and r = ||a - q b q^H||_F <= target, or the last basis when a step cuts r
-    by less than RITZ_MIN_SHRINK (NaN from overflow included) or q would pass
-    n / RITZ_MAX_FRAC columns (q is empty when ||a|| is not finite).
-
-    Randomized range finder (Halko, Martinsson & Tropp 2011): q grows by
-    blocks of a @ omega for Gaussian omega, each block added through a joint
-    QR of [q, a @ omega] so q stays orthonormal to rounding.
+def range_steps(a: np.ndarray, target: float):
+    """The steps of range_finder on ``a``: (q, b, None) once each block has
+    joined q and b, before its residual pass, and last (q, b, r), which is
+    what range_finder returns. A caller may stop at any step; one that does
+    not gets range_finder's result bit for bit.
     """
     n = a.shape[0]
     rng = np.random.default_rng(RITZ_SEED)
@@ -191,10 +201,26 @@ def range_finder(a: np.ndarray, target: float):
         aq = np.hstack([aq, a @ new])
         b = q.conj().T @ aq
         b = 0.5 * (b + b.conj().T)
+        yield q, b, None
         prev, resid = resid, _ritz_residual(a, q, b)
         if not resid <= prev / RITZ_MIN_SHRINK:
             break
-    return q, b, resid
+    yield q, b, resid
+
+
+def range_finder(a: np.ndarray, target: float):
+    """(q, b, r) with Hermitian ``a`` ~ q b q^H, q orthonormal, b = q^H a q
+    and r = ||a - q b q^H||_F <= target, or the last basis when a step cuts r
+    by less than RITZ_MIN_SHRINK (NaN from overflow included) or q would pass
+    n / RITZ_MAX_FRAC columns (q is empty when ||a|| is not finite).
+
+    Randomized range finder (Halko, Martinsson & Tropp 2011): q grows by
+    blocks of a @ omega for Gaussian omega, each block added through a joint
+    QR of [q, a @ omega] so q stays orthonormal to rounding.
+    """
+    for step in range_steps(a, target):
+        pass
+    return step
 
 
 def smallest_eigenvalue(m: HermitianMatrix) -> float:
@@ -204,6 +230,12 @@ def smallest_eigenvalue(m: HermitianMatrix) -> float:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver failed on {m.n}x{m.n} matrix: {exc}") from exc
     return float(vals[0])
+
+
+def default_tol(scale: float) -> float:
+    """The verdict tolerance when none is given: 1e-9 max(1, scale), or 1e-9
+    when the scale is not finite and so means nothing."""
+    return 1e-9 * (max(1.0, scale) if math.isfinite(scale) else 1.0)
 
 
 def checked_tol(tol: float) -> float:
@@ -219,9 +251,7 @@ def psd_verdict(m: HermitianMatrix, tol: float | None = None) -> PsdVerdict:
     A matrix with a non-finite entry is INCONCLUSIVE with min_eig NaN and no
     eigensolve; its default tolerance ignores the meaningless scale.
     """
-    if tol is None:
-        tol = 1e-9 * (max(1.0, m.scale) if m.finite else 1.0)
-    tol = checked_tol(tol)
+    tol = checked_tol(default_tol(m.scale) if tol is None else tol)
     if not m.finite:
         return PsdVerdict(Verdict.INCONCLUSIVE, float("nan"), tol)
     try:

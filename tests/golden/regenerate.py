@@ -1,6 +1,9 @@
 """Regenerate the golden reports that tests/test_golden.py compares against.
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden/regenerate.py
+
+(with one BLAS thread, so that the files' digits move only when the program
+does)
 
 writes, next to this script:
 - gallery-o{32,64,128,256}.json: the exit code and JSON report of

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cnpcert.kernels import (
     Kernel,
     NormalizedDefect,
     Szego,
+    WeightedHardy,
 )
 from cnpcert.linalg import RITZ_MIN_N, RITZ_RESIDUAL, Verdict, gram, hermitian_from_raw
 from cnpcert.pickinterp import blaschke_product
@@ -267,13 +269,17 @@ def test_pair_base_on_a_disk_kernel_is_a_domain_mismatch():
 
 DBR_AFFINE = DeBrangesRovnyak(PowerSeries([0.25, 0.5]))   # (z + 0.5) / 2: PSD
 DBR_BLASCHKE = DeBrangesRovnyak(blaschke_product([0.0, 0.5]))   # NOT_PSD
+DBR_POWER_2 = DeBrangesRovnyak(PowerSeries([0.0, 0.0, 1.0]))   # b = z^2: NOT_PSD
+# the Dirichlet kernel sum (z conj w)^n / (n + 1), truncated at 200 terms: a
+# complete Pick kernel whose 1/K has numerical rank above 296 / 8 at r_max 0.9
+DIRICHLET = WeightedHardy(np.arange(1.0, 201.0))
 
 
 def disk_296():
     return SampleSet.default(seed=5, grid=(12, 24))
 
 
-def disk_776():   # room for the 96 columns 1/K of DBR_BLASCHKE needs (n / 8 at most)
+def disk_776():
     return SampleSet.default(seed=5, grid=(24, 32))
 
 
@@ -315,30 +321,38 @@ def materialized_reports(monkeypatch, kernel, bases, pts):
         return [cnp_certify(kernel, b, pts) for b in bases], cnp_basepoint_sweep(kernel, bases, pts)
 
 
-@pytest.mark.parametrize("kernel, pts, bases, status, factored", [
-    (DBR_AFFINE, disk_296(), [0j, disk_296().points[40], -0.2 + 0.4j], Verdict.PSD, True),
-    # 1/K has numerical rank ~80 here, above the 296 / 8 columns the range finder may use
-    (DBR_BLASCHKE, disk_296(), [-0.2 + 0.4j, disk_296().points[250]], Verdict.NOT_PSD, False),
+@pytest.mark.parametrize("kernel, pts, bases, status, quotient", [
+    (DBR_AFFINE, disk_296(), [0j, disk_296().points[40], -0.2 + 0.4j], Verdict.PSD, False),
+    # the range finder stops at its first block, whose second Ritz value is far
+    # past rounding, and each base is certified by a Rayleigh quotient
+    (DBR_BLASCHKE, disk_296(), [-0.2 + 0.4j, disk_296().points[250]], Verdict.NOT_PSD, True),
     (DBR_BLASCHKE, disk_776(), [-0.2 + 0.4j, disk_776().points[250]], Verdict.NOT_PSD, True),
     (DruryArveson(2), ball_points(296, 2, seed=5),
-     [(0j, 0j), tuple(ball_points(296, 2, seed=5)[17])], Verdict.PSD, True),
+     [(0j, 0j), tuple(ball_points(296, 2, seed=5)[17])], Verdict.PSD, False),
+    (DBR_POWER_2, disk_296(), [0j, disk_296().points[250]], Verdict.NOT_PSD, True),
+    (DBR_POWER_2, disk_776(), [0.1 + 0.2j, disk_776().points[250]], Verdict.NOT_PSD, True),
 ])
 def test_factored_defect_matches_the_materialized_defect(
-        monkeypatch, kernel, pts, bases, status, factored):
+        monkeypatch, kernel, pts, bases, status, quotient):
     n = len(pts)
     assert n >= RITZ_MIN_N
     one_by_one, swept = materialized_reports(monkeypatch, kernel, bases, pts)
-    assembled = []
-    defect_gram = cnp._defect_gram
-    monkeypatch.setattr(cnp, "_defect_gram", lambda *a: assembled.append(1) or defect_gram(*a))
+    assembled = recorded(monkeypatch, cnp, "_defect_gram")
+    quotients = recorded(monkeypatch, cnp, "_rayleigh_quotient")
     reports = [cnp_certify(kernel, b, pts) for b in bases] + cnp_basepoint_sweep(kernel, bases, pts)
-    assert len(assembled) == (0 if factored else len(reports))
+    assert not assembled
+    assert len(quotients) == (len(reports) if quotient else 0)
     for base, rep, ref in zip(bases + bases, reports, one_by_one + swept):
         assert rep.verdict.status is ref.verdict.status is status
         assert (rep.n_samples, rep.notes) == (ref.n_samples, ref.notes)
         min_eig, scale = eigvalsh_reference(kernel, base, rep)
-        assert abs(rep.verdict.min_eig - min_eig) <= 2 * RITZ_RESIDUAL * max(1.0, scale)
         assert rep.verdict.tol == pytest.approx(1e-9 * max(1.0, scale), rel=1e-12)
+        assert rep.verdict.tol == pytest.approx(ref.verdict.tol, rel=1e-12)
+        if quotient:   # an upper bound on the smallest eigenvalue, past the NOT_PSD band
+            assert min_eig - 2 * RITZ_RESIDUAL * max(1.0, scale) <= rep.verdict.min_eig
+            assert rep.verdict.min_eig < -10 * rep.verdict.tol
+        else:
+            assert abs(rep.verdict.min_eig - min_eig) <= 2 * RITZ_RESIDUAL * max(1.0, scale)
     assert {r.n_samples for r in reports} == {n - 1, n}
 
 
@@ -455,16 +469,16 @@ def sweep_reports(monkeypatch, kernel, bases, pts, factor_reciprocal):
 
 
 def test_a_range_finder_failing_after_r_took_k_gets_k_back_bitwise(monkeypatch):
-    # 1/K has numerical rank ~80 > 296 / 8: R is formed in K's array, then the
-    # range finder fails, so every base assembles its defect from K rebuilt
+    # R is formed in K's array, then the range finder stalls with no second
+    # positive Ritz value, so every base assembles its defect from K rebuilt
     pts = disk_296()
     bases = [-0.2 + 0.4j, pts.points[250], 0j]
     factored = []
     factor_reciprocal = cnp.factor_reciprocal
-    reports, built = sweep_reports(monkeypatch, DBR_BLASCHKE, bases, pts,
+    reports, built = sweep_reports(monkeypatch, DIRICHLET, bases, pts,
                                    lambda *a: factored.append(factor_reciprocal(*a)) or factored[-1])
     assert factored[0].resid == math.inf and built == 2
-    untouched, built = sweep_reports(monkeypatch, DBR_BLASCHKE, bases, pts, lambda *a: None)
+    untouched, built = sweep_reports(monkeypatch, DIRICHLET, bases, pts, lambda *a: None)
     assert built == 1
     assert reports == untouched
 
@@ -480,3 +494,110 @@ def test_a_sweep_whose_bases_all_miss_their_bound_builds_k_at_most_twice(monkeyp
                                    lambda *a: factor_reciprocal(*a)._replace(resid=resid))
     assert built <= 2
     assert reports == sweep_reports(monkeypatch, DBR_AFFINE, bases, pts, lambda *a: None)[0]
+
+
+# ------------------------- a second positive eigenvalue of 1/K: early stop
+
+def counted_steps(monkeypatch):
+    """Patch cnp.range_steps to record each step the range finder is asked for."""
+    steps, range_steps = [], cnp.range_steps
+
+    def counted(*args):
+        for step in range_steps(*args):
+            steps.append(step[2])
+            yield step
+    monkeypatch.setattr(cnp, "range_steps", counted)
+    return steps
+
+
+@pytest.mark.parametrize("kernel", [DBR_BLASCHKE, DBR_POWER_2])
+def test_a_not_psd_sweep_at_n_2056_is_certified_from_one_range_finder_block(monkeypatch, kernel):
+    # the finder stalled there (resid 242 for Blaschke {0, 0.5}), so every base
+    # assembled its 2056^2 defect and paid a dense eigvalsh: ~20 s a sweep
+    pts = SampleSet.default(grid=(32, 64), r_max=0.99)
+    n = len(pts)
+    steps = counted_steps(monkeypatch)
+    assembled = recorded(monkeypatch, cnp, "_defect_gram")
+    tracemalloc.start()
+    try:
+        reports = cnp_basepoint_sweep(kernel, [0j, 0.3 + 0j, -0.2 + 0.4j, pts.points[40]], pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 2056 and steps == [None] and not assembled
+    assert [r.verdict.status for r in reports] == [Verdict.NOT_PSD] * 4
+    assert peak < 2 * 16 * n ** 2
+
+
+def test_a_base_on_a_sample_takes_the_dropped_sample_out_of_m(monkeypatch):
+    # m covers every sample, the base's too; compressed with it, D's Ritz vector
+    # at points[40] had a quotient of -3.2e-8 against a smallest eigenvalue of
+    # -7.9e-5, and at points[250] the quotient missed the NOT_PSD band, so that
+    # base assembled its defect. (This truncated kernel's NOT_PSD is false, so
+    # the Cauchy-Schwarz guard makes it INCONCLUSIVE.)
+    kernel = DeBrangesRovnyak(blaschke_product([0.9]))
+    pts = disk_296()
+    bases = [pts.points[40], pts.points[250]]
+    assembled = recorded(monkeypatch, cnp, "_defect_gram")
+    reports = cnp_basepoint_sweep(kernel, bases, pts)
+    assert not assembled
+    for base, rep in zip(bases, reports):
+        assert rep.n_samples == len(pts) - 1 and rep.verdict.status is Verdict.INCONCLUSIVE
+        min_eig, scale = eigvalsh_reference(kernel, base, rep)
+        assert min_eig - 2 * RITZ_RESIDUAL * max(1.0, scale) <= rep.verdict.min_eig <= 0.8 * min_eig
+        assert rep.verdict.min_eig < -10 * rep.verdict.tol
+
+
+@pytest.mark.parametrize("kernel, grid", [
+    (DBR_AFFINE, (12, 24)), (DBR_AFFINE, (24, 48)),
+    (DeBrangesRovnyak(moebius_over_symbol(1.5, 2.5)), (12, 24)),
+    (DeBrangesRovnyak(moebius_over_symbol(1.5, 2.5)), (24, 48)),
+    (DruryArveson(2), (12, 24)), (DruryArveson(2), (24, 48)),
+])
+def test_complete_pick_kernels_never_stop_the_range_finder_early(monkeypatch, kernel, grid):
+    n = grid[0] * grid[1] + 8
+    if kernel.point_ndim:
+        pts = ball_points(n, 2, r_max=0.95, seed=5)
+    else:
+        pts = SampleSet.default(seed=5, grid=grid, r_max=0.95)
+    steps = counted_steps(monkeypatch)
+    rec = cnp.factor_reciprocal(gram(kernel, pts))
+    assert rec.resid is not None and steps[-1] is not None   # every residual pass ran
+
+
+# -------------------------------------------- Cauchy-Schwarz on the kernel Gram
+
+@pytest.mark.parametrize("zero, order, status", [
+    # truncation made each of these a false NOT_PSD
+    (0.6, 32, Verdict.INCONCLUSIVE), (0.9, 64, Verdict.INCONCLUSIVE),
+    (0.95, 64, Verdict.INCONCLUSIVE), (0.99, 64, Verdict.INCONCLUSIVE),
+    (0.95, 128, Verdict.INCONCLUSIVE), (0.99, 128, Verdict.INCONCLUSIVE),
+    # accurate enough: Cauchy-Schwarz holds to rounding (e = 3.2e-12 at 0.99, 256)
+    (0.9, 128, Verdict.PSD), (0.99, 256, Verdict.PSD),
+])
+def test_a_degree_one_blaschke_kernel_breaking_cauchy_schwarz_is_not_a_disproof(zero, order, status):
+    rep = cnp_certify(DeBrangesRovnyak(blaschke_product([zero], order)), 0j, SampleSet.default())
+    assert rep.verdict.status is status
+    flagged = [n for n in rep.notes if n.startswith("KERNEL_INCONSISTENT")]
+    if status is Verdict.INCONCLUSIVE:
+        assert rep.verdict.min_eig < -10 * rep.verdict.tol   # NOT_PSD without the guard
+        (note,) = flagged
+        assert "raise --order" in note and "samples i = " in note
+        e = float(note.split(" by ")[1].split()[0])
+        assert cnp.CS_BAND < e < 1.2 * abs(rep.verdict.min_eig)
+    else:
+        assert not flagged
+
+
+def test_a_cauchy_schwarz_note_keeps_psd_and_withdraws_not_psd(monkeypatch):
+    # as though K broke Cauchy-Schwarz at samples 3 and 7: PSD stands, and
+    # NOT_PSD, assembled or from a Rayleigh quotient, becomes INCONCLUSIVE
+    monkeypatch.setattr(cnp, "gram", lambda *a: replace(gram(*a), cs_excess=(2e-8, 3, 7)))
+    cases = [(Szego(), SampleSet.default(seed=1, grid=(4, 8)), Verdict.PSD),
+             (DBR_POWER_2, SampleSet.default(grid=(4, 8)), Verdict.INCONCLUSIVE),
+             (DBR_BLASCHKE, disk_296(), Verdict.INCONCLUSIVE)]
+    for kernel, pts, status in cases:
+        for rep in [cnp_certify(kernel, 0j, pts)] + cnp_basepoint_sweep(kernel, [0j], pts):
+            assert rep.verdict.status is status
+            assert sum(n.startswith("KERNEL_INCONSISTENT") and "2.000e-08" in n
+                       and "i = 3, j = 7" in n for n in rep.notes) == 1

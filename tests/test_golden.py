@@ -6,7 +6,9 @@ because the digits of eigvalsh and of the range finder's QR differ between
 LAPACK builds:
 - min_eig within 0.1 tol = RITZ_RESIDUAL max(1, scale) at the default tol,
   the Weyl bound within which a factored defect places its smallest
-  eigenvalue, or within FLOAT_REL of its value;
+  eigenvalue, or within FLOAT_REL of its value, which covers a NOT_PSD
+  min_eig that is the Rayleigh quotient of a Ritz vector: its digits move
+  with the range finder's basis, but only at rounding level;
 - every other float within FLOAT_REL of its value or FLOAT_ABS;
 - a reversion residual above REV_RESID_TOL (null when not finite) by that
   outcome only, in its note too: its digits come from a diverging series.

@@ -295,3 +295,17 @@ def test_points_have_one_shape_per_domain():
                         (DruryArveson(2), [(0.1, 0.2, 0.3)])]:
         with pytest.raises(DomainMismatch):
             kernel.points(pts)
+
+
+def test_dbr_gram_evaluates_the_symbol_on_the_sample_row_once(monkeypatch):
+    # each ~1 MiB row block evaluated b on all n samples again: 21 times at n = 1160
+    kernel = DeBrangesRovnyak(PowerSeries([0.25, 0.5]))
+    pts = kernel.points(SampleSet.default(grid=(24, 48)))
+    n = len(pts)
+    sizes, call = [], PowerSeries.__call__
+    monkeypatch.setattr(PowerSeries, "__call__", lambda self, z: sizes.append(np.size(z)) or call(self, z))
+    m = gram(kernel, pts)
+    monkeypatch.undo()
+    assert n == 1160 and sizes.count(n) == 1 and sum(sizes) == 2 * n
+    whole = hermitian_from_raw(kernel.evaluate(pts[:, None], pts[None]))
+    assert m.entries.tobytes() == whole.entries.tobytes()

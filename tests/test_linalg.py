@@ -14,6 +14,7 @@ from cnpcert.linalg import (
     RITZ_MAX_FRAC,
     RITZ_MIN_N,
     RITZ_RESIDUAL,
+    HermitianMatrix,
     Verdict,
     block_pick_matrix,
     gram,
@@ -133,6 +134,34 @@ def test_hermitian_from_raw_matches_full_array_formulas(order):
     assert m.entries.tobytes() == np.ascontiguousarray(ref).tobytes()
     assert m.scale == np.max(np.abs(ref))
     assert m.asymmetry == np.max(np.abs(raw - raw.conj().T))
+
+
+def test_cs_excess_is_the_largest_relative_2x2_minor_across_row_blocks():
+    # n = 608 spans several ~1 MiB row blocks; one pair, in a later block,
+    # is pushed 1 % past Cauchy-Schwarz
+    raw = gram(Szego(), SampleSet.default(grid=(20, 30))).entries.copy()
+    d = raw.diagonal().real
+    raw[300, 450] *= 1.01 * math.sqrt(d[300] * d[450]) / abs(raw[300, 450])
+    raw[450, 300] = raw[300, 450].conj()
+    ref = np.abs(raw) ** 2 / np.outer(d, d) - 1.0
+    np.fill_diagonal(ref, -1.0)
+    e, i, j = hermitian_from_raw(raw).cs_excess
+    assert (i, j) == (300, 450)
+    assert e == pytest.approx(ref.max(), rel=1e-13) and e == pytest.approx(1.01 ** 2 - 1, rel=1e-12)
+    e, i, j = gram(Szego(), SampleSet.default(grid=(20, 30))).cs_excess
+    assert e < 0 and i < j
+    assert hermitian_from_raw(np.eye(1)).cs_excess == (-1.0, 0, 0)
+
+
+def test_asym_warning_measures_asymmetry_against_max_1_scale():
+    # the defect of a degree-one Blaschke symbol vanishes identically but keeps
+    # the rounding of its O(1) terms: warned "asymmetry 2.338e-16 exceeds
+    # tolerance at scale 1.443e-15"
+    zeros = np.zeros((2, 2), dtype=complex)
+    assert not HermitianMatrix(zeros, 1.443e-15, "vanishing defect", 2.338e-16).asym_warning
+    assert HermitianMatrix(zeros, 1.443e-15, "vanishing defect", 2e-10).asym_warning
+    assert not HermitianMatrix(zeros, 1e3, "large", 2e-8).asym_warning
+    assert HermitianMatrix(zeros, 1e3, "large", 2e-7).asym_warning
 
 
 def test_psd_verdict_rejects_non_finite_tolerance():
