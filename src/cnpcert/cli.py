@@ -27,7 +27,7 @@ from .cnp import cnp_certify
 from .dbr import CriterionVerdict, cnp_criterion
 from .descriptors import complex_to_json, kernel_from_json, symbol_from_json, witness_from_json
 from .errors import CnpcertError, NotStrictlySolvable, SuiteFormat
-from .families import DEFAULT_ORDER
+from .families import DEFAULT_ORDER, complex_list_from_json
 from .gallery import default_suite_dict, run_suite
 from .linalg import Verdict
 from .pickinterp import (
@@ -121,48 +121,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproducing-kernel certification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--order", type=int, default=DEFAULT_ORDER,
+                        help="series truncation order (default: %(default)s)")
+    common.add_argument("--json", dest="json_path", default=None, help="also write report here")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=None,
+                     help="verdict tolerance (default: 1e-9 * max(1, scale))")
 
-    p_cnp = sub.add_parser("cnp", help="certify normalized-defect positivity")
+    p_cnp = sub.add_parser("cnp", parents=[tol, common], help="certify normalized-defect positivity")
     p_cnp.add_argument("--kernel", required=True, help="kernel descriptor JSON (path or inline)")
     p_cnp.add_argument("--base", default="0", help="base point (default: %(default)s)")
-    p_cnp.add_argument("--tol", type=float, default=None,
-                       help="verdict tolerance (default: 1e-9 * max(1, scale))")
-    p_cnp.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                       help="series truncation order (default: %(default)s)")
-    p_cnp.add_argument("--json", dest="json_path", default=None, help="also write report here")
     _sample_args(p_cnp)
     p_cnp.set_defaults(func=cmd_cnp)
 
-    p_hb = sub.add_parser("hbcheck", help="run the constructive criterion on a symbol")
+    p_hb = sub.add_parser("hbcheck", parents=[common], help="run the constructive criterion on a symbol")
     p_hb.add_argument("--b", required=True, help="symbol spec JSON (path or inline)")
     p_hb.add_argument(
         "--witness", default=None,
         help="extension witness: 'shipped', or series JSON (path or inline)",
     )
-    p_hb.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                      help="series truncation order (default: %(default)s)")
-    p_hb.add_argument("--json", dest="json_path", default=None, help="also write report here")
     _sample_args(p_hb)
     p_hb.set_defaults(func=cmd_hbcheck)
 
-    p_gal = sub.add_parser("gallery", help="run a verdict suite")
+    p_gal = sub.add_parser("gallery", parents=[tol, common], help="run a verdict suite")
     p_gal.add_argument("--suite", default=None, help="suite JSON path (default: the shipped gallery)")
-    p_gal.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                       help="series truncation order (default: %(default)s)")
-    p_gal.add_argument("--tol", type=float, default=None,
-                       help="verdict tolerance (default: 1e-9 * max(1, scale))")
-    p_gal.add_argument("--json", dest="json_path", default=None, help="also write report here")
     p_gal.set_defaults(func=cmd_gallery)
 
-    p_pick = sub.add_parser("pick", help="Pick-matrix solvability / interpolant")
+    p_pick = sub.add_parser("pick", parents=[tol, common], help="Pick-matrix solvability / interpolant")
     p_pick.add_argument("--problem", required=True, help="problem JSON (path or inline)")
     p_pick.add_argument("--kernel", default=None, help="kernel descriptor (default: szego)")
     p_pick.add_argument("--construct", action="store_true", help="build the interpolant")
-    p_pick.add_argument("--tol", type=float, default=None,
-                        help="verdict tolerance (default: 1e-9 * max(1, scale))")
-    p_pick.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                        help="series truncation order (default: %(default)s)")
-    p_pick.add_argument("--json", dest="json_path", default=None, help="also write report here")
     p_pick.set_defaults(func=cmd_pick)
 
     return parser
@@ -219,12 +208,9 @@ def cmd_gallery(args) -> int:
 
 def cmd_pick(args) -> int:
     doc = _load_json_arg(args.problem)
-    try:
-        nodes = [complex(float(p[0]), float(p[1])) for p in doc["nodes"]]
-        targets = [complex(float(p[0]), float(p[1])) for p in doc["targets"]]
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"problem JSON needs 'nodes' and 'targets' arrays of [re, im] pairs: {exc}")
-    problem = InterpolationProblem(tuple(nodes), tuple(targets))
+    if not isinstance(doc, dict) or not {"nodes", "targets"} <= doc.keys():
+        raise ValueError("problem JSON needs 'nodes' and 'targets' arrays of numbers or [re, im] pairs")
+    problem = InterpolationProblem(*(complex_list_from_json(doc[k]) for k in ("nodes", "targets")))
     kernel = kernel_from_json(_load_json_arg(args.kernel), args.order) if args.kernel else None
     verdict = pick_solvable(problem, kernel, args.tol)
     report = {"verdict": verdict.to_json_dict(), "interpolant": None}

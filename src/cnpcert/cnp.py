@@ -265,16 +265,17 @@ def _factored_verdict(
     defect: NormalizedDefect, rec: Reciprocal, keep: np.ndarray, kept: list, tol: float | None
 ) -> PsdVerdict | None:
     """The verdict on the defect on ``kept`` (the ``keep`` rows of ``rec``),
-    with the defect's max modulus as scale: from T C T^H (see the module
-    docstring) when the Weyl bound max|u|^2 resid is within RITZ_RESIDUAL *
-    max(1, scale), else NOT_PSD from _rayleigh_quotient, else None."""
+    with scale the max modulus of J - diag(u) R diag(conj u) on all samples:
+    u is 0 at a dropped one, whose row and column read 1, so max(1, scale) is
+    the defect's own. From T C T^H (see the module docstring) when the Weyl
+    bound max|u|^2 resid is within RITZ_RESIDUAL * max(1, scale), else
+    NOT_PSD from _rayleigh_quotient, else None."""
     u = np.zeros(keep.size, dtype=complex)   # zero off the kept samples
     u[keep] = defect.base_column(np.asarray(kept, dtype=complex))[:, 0] / math.sqrt(defect.kbb)
-    mods, uc = [], u.conj()   # |J - diag(u) R diag(conj u)| on the kept upper triangle
+    mods, uc = [], u.conj()   # |J - diag(u) R diag(conj u)| on the upper triangle
     for rows in row_blocks(keep.size, rec.entries[:1].nbytes):
         i = rows.start
-        blk = np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:])
-        mods.append(np.max(np.abs(blk if keep.all() else blk[keep[rows]][:, keep[i:]]), initial=0.0))
+        mods.append(np.max(np.abs(np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:]))))
     scale, m = float(np.max(mods)), len(kept)
     if rec.resid is not None and np.max(np.abs(u)) ** 2 * rec.resid <= RITZ_RESIDUAL * max(1.0, scale):
         v = np.hstack([np.ones((m, 1)), u[keep, None] * rec.q[keep], np.zeros((m, 1))])

@@ -169,10 +169,10 @@ class DruryArveson(Kernel):
 
 @dataclass(frozen=True, eq=False)
 class WeightedHardy(Kernel):
-    """K(z, w) = sum_n (z conj(w))^n / weights[n], truncated at len(weights).
+    """K(z, w) = sum_n (z conj(w))^n / weights[n], truncated at len(weights),
+    evaluated as the power series with coefficients 1 / weights.
 
-    Weights must be strictly positive. ``log_concave`` records whether
-    weights[n]^2 >= weights[n-1] * weights[n+1] holds at every stored index.
+    Weights must be strictly positive, with finite reciprocals.
     """
 
     weights: np.ndarray
@@ -181,20 +181,16 @@ class WeightedHardy(Kernel):
         arr = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("weights must form a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError("weights must be finite and strictly positive")
+        with np.errstate(divide="ignore", over="ignore"):
+            recip = 1.0 / arr
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or not np.all(np.isfinite(recip)):
+            raise ValueError("weights must be finite and strictly positive, with finite reciprocals")
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
-        lc = bool(np.all(arr[1:-1] ** 2 >= arr[:-2] * arr[2:])) if arr.size >= 3 else True
-        object.__setattr__(self, "log_concave", lc)
+        object.__setattr__(self, "_series", PowerSeries(recip))
 
     def evaluate(self, z, w):
-        t = np.asarray(z, complex) * np.conj(np.asarray(w, complex))
-        recip = 1.0 / self.weights
-        acc = np.full(t.shape, recip[-1], dtype=complex)
-        for c in recip[-2::-1]:
-            acc = acc * t + c
-        return acc
+        return self._series(np.asarray(z, complex) * np.conj(np.asarray(w, complex)))
 
     def describe(self):
         return f"weighted_hardy(n={self.weights.size})"

@@ -30,13 +30,13 @@ from .kernels import Kernel, row_blocks
 
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
 
-# Randomized range finder (see range_finder)
-RITZ_MIN_N = 256         # from this many samples cnp factors 1/K
+# Randomized range finder (see range_steps)
 RITZ_BLOCK = 32          # Gaussian test vectors added per step
 RITZ_SEED = 20110        # fixed, so repeated solves are bitwise identical
 RITZ_RESIDUAL = 1e-10    # accepted Weyl residual, relative to max(1, scale)
 RITZ_MIN_SHRINK = 10.0   # a step must cut the residual by this factor
 RITZ_MAX_FRAC = 8        # basis size stays <= n / RITZ_MAX_FRAC
+RITZ_MIN_N = RITZ_BLOCK * RITZ_MAX_FRAC   # 256: from here a block fits and cnp factors 1/K
 
 
 class Verdict(Enum):
@@ -183,10 +183,15 @@ def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
 
 
 def range_steps(a: np.ndarray, target: float):
-    """The steps of range_finder on ``a``: (q, b, None) once each block has
-    joined q and b, before its residual pass, and last (q, b, r), which is
-    what range_finder returns. A caller may stop at any step; one that does
-    not gets range_finder's result bit for bit.
+    """The steps of a randomized range finder on Hermitian ``a`` (Halko,
+    Martinsson & Tropp 2011): q grows by blocks of a @ omega for Gaussian
+    omega, each block added through a joint QR of [q, a @ omega] so q stays
+    orthonormal to rounding, and b = q^H a q. Each block yields (q, b, None)
+    once it has joined q and b, before its residual pass; the last step is
+    (q, b, r), r = ||a - q b q^H||_F, once r <= target, a step cuts r by less
+    than RITZ_MIN_SHRINK (NaN from overflow included) or q would pass
+    n / RITZ_MAX_FRAC columns (q is empty when ||a|| is not finite). A caller
+    may stop at any step.
     """
     n = a.shape[0]
     rng = np.random.default_rng(RITZ_SEED)
@@ -206,21 +211,6 @@ def range_steps(a: np.ndarray, target: float):
         if not resid <= prev / RITZ_MIN_SHRINK:
             break
     yield q, b, resid
-
-
-def range_finder(a: np.ndarray, target: float):
-    """(q, b, r) with Hermitian ``a`` ~ q b q^H, q orthonormal, b = q^H a q
-    and r = ||a - q b q^H||_F <= target, or the last basis when a step cuts r
-    by less than RITZ_MIN_SHRINK (NaN from overflow included) or q would pass
-    n / RITZ_MAX_FRAC columns (q is empty when ||a|| is not finite).
-
-    Randomized range finder (Halko, Martinsson & Tropp 2011): q grows by
-    blocks of a @ omega for Gaussian omega, each block added through a joint
-    QR of [q, a @ omega] so q stays orthonormal to rounding.
-    """
-    for step in range_steps(a, target):
-        pass
-    return step
 
 
 def smallest_eigenvalue(m: HermitianMatrix) -> float:

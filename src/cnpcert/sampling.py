@@ -49,7 +49,6 @@ class SampleSet:
     """Finite set of pairwise-distinct points in the open unit disk."""
 
     points: tuple
-    gen: str = "explicit"
 
     def __post_init__(self):
         pts = tuple(complex(p) for p in self.points)
@@ -70,7 +69,7 @@ class SampleSet:
     def __iter__(self):
         return iter(self.points)
 
-    def extended(self, extra, label: str = "+extra") -> "SampleSet":
+    def extended(self, extra) -> "SampleSet":
         """Append points, silently dropping near-duplicates of existing ones
         and of extra points appended before them."""
         pts = self.points + tuple(complex(p) for p in extra)
@@ -79,13 +78,13 @@ class SampleSet:
             if keep[i]:      # pairs come ordered by j, so keep[i] is settled
                 keep[j] = False
         kept = tuple(p for p, k in zip(pts, keep) if k)
-        return SampleSet(kept, gen=self.gen + label)
+        return SampleSet(kept)
 
     @classmethod
     def radial_grid(cls, n_r: int, n_theta: int, r_max: float = DEFAULT_RMAX) -> "SampleSet":
         if n_r < 1 or n_theta < 1 or not (0.0 < r_max < 1.0):
             raise ValueError("radial grid needs n_r, n_theta >= 1 and 0 < r_max < 1")
-        return cls(tuple(polar_grid(n_r, n_theta, r_max)), gen=f"radial_grid({n_r}x{n_theta}, rmax={r_max:g})")
+        return cls(tuple(polar_grid(n_r, n_theta, r_max)))
 
     @classmethod
     def random_disk(
@@ -103,7 +102,7 @@ class SampleSet:
             if any(abs(p - q) < MIN_SEPARATION for q in pts):
                 continue
             pts.append(complex(p))
-        return cls(tuple(pts), gen=f"random({count}, rmax={r_max:g}, seed={seed})")
+        return cls(tuple(pts))
 
     @classmethod
     def default(
@@ -120,11 +119,11 @@ class SampleSet:
         """
         base = cls.radial_grid(grid[0], grid[1], r_max)
         extra = cls.random_disk(n_random, r_max, seed) if n_random else cls((),)
-        return base.extended(extra.points, label=f"+random({n_random}, seed={seed})")
+        return base.extended(extra.points)
 
     @classmethod
     def explicit(cls, points) -> "SampleSet":
-        return cls(tuple(points), gen="explicit")
+        return cls(tuple(points))
 
 
 def ball_points(count: int, dim: int, r_max: float = DEFAULT_RMAX, seed: int = DEFAULT_SEED):

@@ -123,19 +123,6 @@ class PowerSeries:
             return complex(acc)
         return acc
 
-    def pad_to(self, order: int) -> "PowerSeries":
-        """Extend with zero coefficients up to ``order``."""
-        if order < self.order:
-            raise ValueError("pad_to cannot shrink a series; use truncate")
-        out = np.zeros(order + 1, dtype=complex)
-        out[: self.coeffs.size] = self.coeffs
-        return PowerSeries(out, self.center)
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order >= self.order:
-            return self
-        return PowerSeries(self.coeffs[: order + 1], self.center)
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check_center(self, other: "PowerSeries"):
@@ -164,9 +151,6 @@ class PowerSeries:
         self._check_center(other)
         n = min(self.order, other.order)
         return PowerSeries(_mul_trunc(self.coeffs, other.coeffs, n), self.center)
-
-    def __neg__(self):
-        return PowerSeries(-self.coeffs, self.center)
 
     # -- composition and inversion ----------------------------------------------
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cnpcert import cnp, linalg
-from cnpcert.cnp import EVIDENCE_NOTE, cnp_basepoint_sweep, cnp_certify
+from cnpcert.cnp import EVIDENCE_NOTE, SWEEP_ANOMALY_NOTE, cnp_basepoint_sweep, cnp_certify
+from cnpcert.dbr import dbr_kernel
 from cnpcert.errors import DomainMismatch, DomainViolation
 from cnpcert.families import moebius_over_symbol
 from cnpcert.kernels import (
@@ -77,6 +78,18 @@ def test_sweep_squared_symbol_two_bases():
     pts = SampleSet.explicit([0.5, -0.5, 0.3j])
     reps = cnp_basepoint_sweep(k, [0j, 0.2 + 0j], pts)
     assert all(r.verdict.status is Verdict.NOT_PSD for r in reps)
+
+
+def test_a_sweep_whose_bases_disagree_notes_the_anomaly():
+    # dropping the sample 0.5 at base 0.5 leaves one sample, too few to see
+    # the NOT_PSD that base 0 finds on two
+    k, pts = dbr_kernel(PowerSeries([0.0, 0.0, 1.0])), SampleSet.explicit([0.5, -0.5])
+    sweep = cnp_basepoint_sweep(k, [0j, 0.5], pts)
+    assert [(r.verdict.status, r.n_samples) for r in sweep] == [(Verdict.NOT_PSD, 2), (Verdict.PSD, 1)]
+    assert all(SWEEP_ANOMALY_NOTE in r.notes for r in sweep)
+    lone = [cnp_certify(k, b, pts) for b in (0j, 0.5)]
+    assert [r.verdict for r in lone] == [r.verdict for r in sweep]
+    assert not any(SWEEP_ANOMALY_NOTE in r.notes for r in lone)
 
 
 def test_sweep_empty_bases():

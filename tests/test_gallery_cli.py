@@ -273,6 +273,20 @@ def test_pick_malformed_problem_exit_3(capsys):
     assert code == 3
 
 
+def test_pick_reads_nodes_and_targets_as_numbers_or_pairs(capsys):
+    # a target of three numbers was read as 1+2i, NOT_PSD with exit 1
+    code, out, err = run_cli(
+        capsys, ["pick", "--problem", '{"nodes":[[0,0]],"targets":[[1,2,3]]}']
+    )
+    assert (code, out) == (3, "")
+    assert "[1, 2, 3]" in err
+    code, out, _ = run_cli(
+        capsys, ["pick", "--problem", '{"nodes":[0,[0.5,0]],"targets":[0,0.375]}', "--construct"]
+    )
+    assert code == 0
+    assert json.loads(out)["interpolant"]["max_residual"] < 1e-8
+
+
 # ------------------------------------------------------- malformed input fuzz
 
 @given(st.text(min_size=1, max_size=40))

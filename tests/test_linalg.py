@@ -23,7 +23,7 @@ from cnpcert.linalg import (
     matrix_to_json_dict,
     pick_matrix,
     psd_verdict,
-    range_finder,
+    range_steps,
     smallest_eigenvalue,
 )
 from cnpcert.sampling import SampleSet, ball_points
@@ -182,9 +182,10 @@ def planted(n, diag, seed):
 
 
 def ritz(m):
-    """The range finder on ``m`` aimed at RITZ_RESIDUAL * max(1, scale), and that target."""
+    """The last step of the range finder on ``m`` aimed at RITZ_RESIDUAL * max(1, scale),
+    and that target."""
     target = RITZ_RESIDUAL * max(1.0, m.scale)
-    return range_finder(m.entries, target), target
+    return list(range_steps(m.entries, target))[-1], target
 
 
 def test_ritz_planted_rank_12_with_negative_eigenvalues():

@@ -24,7 +24,6 @@ def test_default_points_pinned():
     grid = np.outer(radii, np.exp(1j * angles)).ravel()   # ring by ring, angle 0 first
     assert pts.points == tuple(complex(p) for p in grid) + DEFAULT_RANDOM_POINTS
     assert all(type(p) is complex for p in pts.points)
-    assert pts.gen == "radial_grid(6x12, rmax=0.9)+random(8, seed=20210)"
 
 
 def test_extended_drops_near_duplicates_in_order():

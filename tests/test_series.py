@@ -316,10 +316,3 @@ def test_divide_times_denominator_recovers_numerator(seed):
 def test_nonfinite_coefficients_rejected():
     with pytest.raises(ValueError):
         PowerSeries([1.0, float("inf")])
-
-
-def test_pad_and_truncate():
-    s = PowerSeries([1.0, 2.0])
-    assert s.pad_to(4).order == 4
-    assert np.allclose(s.pad_to(4).coeffs, [1, 2, 0, 0, 0])
-    assert s.pad_to(4).truncate(1).order == 1
