@@ -5,11 +5,12 @@ finite sample is a rigorous disproof, while PSD on samples is supporting
 evidence only, since the property quantifies over every finite set. Reports
 say so explicitly.
 
-From RITZ_MIN_N samples on, the defect is not formed: with R = 1/K entrywise
-and u = K(z, base) / sqrt(K(base, base)) it is exactly J - diag(u) R diag(conj u)
-(J all ones). R, base-free and numerically low-rank, is formed in K's array and
-factored once, R ~ q m q^H to Frobenius residual r, so by Weyl's inequality
-each base's smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
+With R = 1/K entrywise and u = K(z, base) / sqrt(K(base, base)), the defect
+is exactly J - diag(u) R diag(conj u) (J all ones). R is base-free and is
+formed in K's array once per sample set. From RITZ_MIN_N samples on, where R
+is numerically low-rank, the defect is not formed: R is factored once,
+R ~ q m q^H to Frobenius residual r, so by Weyl's inequality each base's
+smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
 [1, diag(u) q, 0] = U T (thin QR) and C = diag(1, -m, 0).
 
 The factorization stops early, before its residual is known, once m shows a
@@ -19,10 +20,11 @@ whose bound exceeds RITZ_RESIDUAL * max(1, scale), gets a Rayleigh-Ritz
 certificate instead: min_eig is the Rayleigh quotient x^H D x / x^H x of a
 concrete vector x, an upper bound on the defect's smallest eigenvalue, and
 the base is NOT_PSD when the quotient plus its rounding bound is below
--10 tol. A base that neither settles has its defect assembled, a rank-one
-rescale of K, which gram rebuilds; so has each base below RITZ_MIN_N. K and R
-are built once per sample set, by the first base that gets past its own
-checks, so a lone certificate and each base of a sweep run the same lines.
+-10 tol. A base that neither settles has its defect assembled from R and u,
+as has each base below RITZ_MIN_N samples, where R is formed but not
+factored. K is evaluated, and R formed from it, once per sample set, by the
+first base that gets past its own checks, so a lone certificate and each
+base of a sweep run the same lines.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import VanishingKernel
-from .kernels import DEFECT_EPS, Kernel, NormalizedDefect, defect_quotient, guard_defect, row_blocks
+from .kernels import DEFECT_EPS, Kernel, NormalizedDefect, _guard_min_modulus, row_blocks
 from .linalg import (
     RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, checked_tol, default_tol,
     empty_matrix, gram, hermitian_in_place, psd_verdict, range_steps,
@@ -103,13 +105,6 @@ def _exclude_base(pts: list, base, kernel: Kernel):
     return [p for p, k in zip(pts, keep.tolist()) if k], keep
 
 
-def _asym_note(what: str, m: HermitianMatrix) -> str:
-    return (
-        f"assembly warning: {what} asymmetry {m.asymmetry:.3e} "
-        f"exceeds tolerance at scale {m.scale:.3e}"
-    )
-
-
 def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=None) -> CertReport:
     """Certify positivity of the base-normalized defect on a sample set.
 
@@ -120,10 +115,12 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     breaks Cauchy-Schwarz by more than CS_BAND gets a note, and a NOT_PSD
     from it becomes INCONCLUSIVE.
 
-    Once the base has passed its own checks, K and, from RITZ_MIN_N samples
-    on, R = 1/K in K's array are built on all of ``pts``; a base-point sweep
-    shares them across its bases (``_shared``), so a lone certificate is the
-    sweep's report for one base. With 1/K no n x n defect is formed (see the module docstring).
+    Once the base has passed its own checks, K is built on all of ``pts``,
+    then u is formed (its guard on K(z, base) comes first), then R = 1/K in
+    K's array; a base-point sweep shares K and R across its bases
+    (``_shared``), so a lone certificate is the sweep's report for one base.
+    Every verdict comes from R and u (see the module docstring), except on a
+    K that is not finite: that is INCONCLUSIVE, with no eigensolve.
     """
     if tol is not None:   # before any Gram is built, on every path
         tol = checked_tol(tol)
@@ -133,21 +130,18 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     if not keep.all():
         notes.append("dropped sample point(s) coinciding with the base")
     shared = _shared or _Shared()
-    matrix = None
     try:
         defect = NormalizedDefect(kernel, base)
-        if shared.k is None and shared.r is None:   # the first base to get here builds them
-            shared.k = shared.gram(kernel, pts)
-            shared.note = _asym_note("kernel Gram", shared.k) if shared.k.asym_warning else None
-            shared.cs_note = _cs_note(shared.k)
-            shared.r = factor_reciprocal(shared.k)
-            if shared.r is not None:   # R has K's array; at resid inf it serves no base
-                shared.k, shared.r = None, shared.r if shared.r.resid != math.inf else None
-        verdict = None if shared.r is None else _factored_verdict(defect, shared.r, keep, kept, tol)
-        if verdict is None:   # K is rebuilt, at most once
-            shared.k = shared.k or shared.gram(kernel, pts)
-            matrix = _defect_gram(defect, shared.k, keep, kept)
-            verdict = psd_verdict(matrix, tol)
+        k = shared.kernel_gram(kernel, pts)
+        u = np.zeros(keep.size, dtype=complex)   # zero off the kept samples
+        u[keep] = defect.base_column(kernel.points(kept))[:, 0] / math.sqrt(defect.kbb)
+        assembly = f"{defect.describe()} on {len(kept)} samples"
+        if not k.finite:
+            verdict = psd_verdict(k, tol)
+        else:
+            rec = shared.reciprocal()
+            verdict = _factored_verdict(rec, u, keep, tol, assembly) or psd_verdict(
+                _defect_gram(u, rec.entries, keep, assembly), tol)
     except VanishingKernel as exc:
         notes += [f"{exc.code}: {exc}", EVIDENCE_NOTE]
         verdict = PsdVerdict(Verdict.INCONCLUSIVE, math.nan, math.nan if tol is None else tol)
@@ -155,8 +149,6 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     notes += [note for note in (shared.note, shared.cs_note) if note]
     if shared.cs_note and verdict.status is Verdict.NOT_PSD:
         verdict = replace(verdict, status=Verdict.INCONCLUSIVE)
-    if matrix is not None and matrix.asym_warning:
-        notes.append(_asym_note("Hermitian", matrix))
     notes.append(EVIDENCE_NOTE)
     return CertReport(verdict, base, tuple(kept), False, tuple(notes))
 
@@ -174,49 +166,55 @@ def _cs_note(kernel_gram: HermitianMatrix) -> str | None:
 
 
 class _Shared:
-    """One sample set's K, or R = 1/K in K's array, K's asymmetry and
-    Cauchy-Schwarz notes (or None), and the VanishingKernel that building K
-    raised (or None)."""
+    """One sample set's kernel Gram K (its array R's once R is formed), K's
+    asymmetry and Cauchy-Schwarz notes (or None), R, and the VanishingKernel
+    that building K or R raised (or None): neither is built again for a
+    later base."""
 
-    k = r = note = cs_note = failure = None
+    k = rec = note = cs_note = failure = None
 
-    def gram(self, kernel: Kernel, pts: list) -> HermitianMatrix:
-        if self.failure is None:   # else K is not evaluated again for a later base
+    def _once(self, build):
+        if self.failure is None:
             try:
-                return gram(kernel, pts)
+                return build()
             except VanishingKernel as exc:
                 self.failure = exc
         raise self.failure
 
+    def kernel_gram(self, kernel: Kernel, pts: list) -> HermitianMatrix:
+        if self.k is None:
+            self.k = k = self._once(lambda: gram(kernel, pts))
+            self.note = (f"assembly warning: kernel Gram asymmetry {k.asymmetry:.3e} exceeds "
+                         f"tolerance at scale {k.scale:.3e}") if k.asym_warning else None
+            self.cs_note = _cs_note(k)
+        return self.k
 
-def _defect_gram(
-    defect: NormalizedDefect, kernel_gram: HermitianMatrix, keep: np.ndarray, kept: list
-) -> HermitianMatrix:
-    """The defect's symmetrized Gram on the ``kept`` samples from the ``keep``
-    rows and columns of the kernel's Gram: only the vectors K(z, base) and
-    K(base, w) are evaluated, and the n x n work is a rank-one elementwise
-    rescale of K, formed a row block at a time in a new array."""
-    if not kept:
+    def reciprocal(self) -> Reciprocal:
+        if self.rec is None:
+            self.rec = self._once(lambda: factor_reciprocal(self.k))
+        return self.rec
+
+
+def _defect_gram(u: np.ndarray, r: np.ndarray, keep: np.ndarray, assembly: str) -> HermitianMatrix:
+    """J - diag(u) R diag(conj u), symmetrized, on the ``keep`` rows and
+    columns of R's array ``r``, formed a row block at a time in a new array."""
+    idx = np.flatnonzero(keep)
+    if not idx.size:
         raise ValueError("at least one sample point away from the base is required")
-    points, m = np.asarray(kept, dtype=complex), len(kept)
-    raw = empty_matrix(m)
-    if keep.all():
-        kzw = kernel_gram.entries
-    else:   # the principal submatrix, copied into raw by row blocks
-        kzw, idx = raw, np.flatnonzero(keep)
-        for rows in row_blocks(m, raw[:1].nbytes):
-            raw[rows] = kernel_gram.entries[np.ix_(idx[rows], idx)]
-    kzb = defect.base_column(points)
-    kbw = np.broadcast_to(np.asarray(defect.inner.evaluate(defect.base, points), complex), (m,))[None]
-    guard_defect(kzb, kbw, kzw)
-    for rows in row_blocks(m, raw[:1].nbytes):
-        defect_quotient(kzb[rows], kbw, defect.kbb, kzw[rows], raw[rows])
-    return hermitian_in_place(raw, f"{defect.describe()} on {m} samples")
+    raw, uk = empty_matrix(idx.size), u[idx]
+    ukc = uk.conj()
+    for rows in row_blocks(idx.size, raw[:1].nbytes):
+        block = raw[rows]
+        np.multiply(uk[rows, None], r[np.ix_(idx[rows], idx)], out=block)
+        block *= ukc
+        np.subtract(1.0, block, out=block)
+    return hermitian_in_place(raw, assembly)
 
 
 class Reciprocal(NamedTuple):
     """R = 1/K in its Gram's array, max|R| = rmax, and ||R - q m q^H||_F =
-    resid, or resid None where m shows R's second positive eigenvalue."""
+    resid, or resid None where m shows R's second positive eigenvalue; q, m
+    and resid are all None where R is not factored."""
 
     entries: np.ndarray
     q: np.ndarray
@@ -225,15 +223,16 @@ class Reciprocal(NamedTuple):
     rmax: float
 
 
-def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal | None:
-    """R of ``kernel_gram``, formed in the Gram's array by one in-place divide
-    once a row-block scan of all of K passed the guard: R owns the array, and
-    only the Gram's n, scale and asymmetry still describe K. The range finder
-    aims at resid <= RITZ_RESIDUAL / max K(z, z), enough for every base of a
-    positive kernel (|u|^2 <= K(z, z)); a stalled finder is kept up to
-    RITZ_RESIDUAL * max(1, 1 / min|K|), as each base checks its own Weyl
-    bound, and resid is inf above that. None, K untouched, below RITZ_MIN_N
-    samples or with K not finite or below DEFECT_EPS.
+def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
+    """R of ``kernel_gram``, a finite Gram, formed in its array by one
+    in-place divide once a row-block scan of all of K found no modulus below
+    DEFECT_EPS (else VanishingKernel, naming the K(z, w) positions): R owns
+    the array, and only the Gram's n, scale and asymmetry still describe K.
+    From RITZ_MIN_N samples on, the range finder aims at resid <=
+    RITZ_RESIDUAL / max K(z, z), enough for every base of a positive kernel
+    (|u|^2 <= K(z, z)); a stalled finder is kept up to RITZ_RESIDUAL *
+    max(1, 1 / min|K|), as each base checks its own Weyl bound. Below
+    RITZ_MIN_N samples, or above that bound, R is not factored.
 
     The finder stops before a block's residual pass, resid None, once the
     second eigenvalue of that block's m passes n^2 eps max|R|. By interlacing
@@ -243,46 +242,45 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal | None:
     defect has a negative eigenvalue (Agler-McCarthy), which each base
     certifies by a Rayleigh quotient (see _rayleigh_quotient)."""
     k, n = kernel_gram.entries, kernel_gram.n
-    if n < RITZ_MIN_N or not kernel_gram.finite:
-        return None
     kmin = min(float(np.min(np.abs(k[rows]))) for rows in row_blocks(n, k[:1].nbytes))
-    if kmin < DEFECT_EPS:
-        return None
+    if kmin < DEFECT_EPS:   # a full-size temporary, on this path alone
+        _guard_min_modulus(k, DEFECT_EPS, VanishingKernel, "K(z, w)")
     target = RITZ_RESIDUAL / float(np.max(np.abs(np.diagonal(k))))
     k.setflags(write=True)
     np.divide(1.0, k, out=k)   # in place: no temporary
     k.setflags(write=False)
-    rmax = 1.0 / kmin
+    rec = Reciprocal(k, None, None, None, 1.0 / kmin)
+    if n < RITZ_MIN_N:
+        return rec
     for q, m, resid in range_steps(k, target):
-        if resid is None and np.linalg.eigvalsh(m)[-2] > n * n * _EPS * rmax:
+        if resid is None and np.linalg.eigvalsh(m)[-2] > n * n * _EPS * rec.rmax:
             break
-    if resid is not None and not resid <= RITZ_RESIDUAL * max(1.0, rmax):
-        resid = math.inf
-    return Reciprocal(k, q, m, resid, rmax)
+    if resid is None or resid <= RITZ_RESIDUAL * max(1.0, rec.rmax):
+        return rec._replace(q=q, m=m, resid=resid)
+    return rec
 
 
 def _factored_verdict(
-    defect: NormalizedDefect, rec: Reciprocal, keep: np.ndarray, kept: list, tol: float | None
+    rec: Reciprocal, u: np.ndarray, keep: np.ndarray, tol: float | None, assembly: str
 ) -> PsdVerdict | None:
-    """The verdict on the defect on ``kept`` (the ``keep`` rows of ``rec``),
-    with scale the max modulus of J - diag(u) R diag(conj u) on all samples:
-    u is 0 at a dropped one, whose row and column read 1, so max(1, scale) is
-    the defect's own. From T C T^H (see the module docstring) when the Weyl
-    bound max|u|^2 resid is within RITZ_RESIDUAL * max(1, scale), else
-    NOT_PSD from _rayleigh_quotient, else None."""
-    u = np.zeros(keep.size, dtype=complex)   # zero off the kept samples
-    u[keep] = defect.base_column(np.asarray(kept, dtype=complex))[:, 0] / math.sqrt(defect.kbb)
+    """The verdict on the defect on the ``keep`` samples, with scale the max
+    modulus of J - diag(u) R diag(conj u) on all samples: u is 0 at a dropped
+    one, whose row and column read 1, so max(1, scale) is the defect's own.
+    From T C T^H (see the module docstring) when the Weyl bound max|u|^2 resid
+    is within RITZ_RESIDUAL * max(1, scale), else NOT_PSD from
+    _rayleigh_quotient, else None; None at once where R is not factored."""
+    if rec.q is None:
+        return None
     mods, uc = [], u.conj()   # |J - diag(u) R diag(conj u)| on the upper triangle
     for rows in row_blocks(keep.size, rec.entries[:1].nbytes):
         i = rows.start
         mods.append(np.max(np.abs(np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:]))))
-    scale, m = float(np.max(mods)), len(kept)
+    scale, m = float(np.max(mods)), int(keep.sum())
     if rec.resid is not None and np.max(np.abs(u)) ** 2 * rec.resid <= RITZ_RESIDUAL * max(1.0, scale):
         v = np.hstack([np.ones((m, 1)), u[keep, None] * rec.q[keep], np.zeros((m, 1))])
         t = np.linalg.qr(v, mode="r")
         g = np.outer(t[:, 0], t[:, 0].conj()) - t[:, 1:-1] @ rec.m @ t[:, 1:-1].conj().T
-        return psd_verdict(HermitianMatrix(
-            0.5 * (g + g.conj().T), scale, f"{defect.describe()} on {m} samples", 0.0), tol)
+        return psd_verdict(HermitianMatrix(0.5 * (g + g.conj().T), scale, assembly, 0.0), tol)
     if not math.isfinite(scale):
         return None
     tol = default_tol(scale) if tol is None else tol

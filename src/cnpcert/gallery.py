@@ -39,21 +39,18 @@ class GalleryEntry:
 
 
 def _entry_problems(obj, index: int) -> list:
-    problems = []
-    label = obj.get("name", f"<entry {index}>") if isinstance(obj, dict) else f"<entry {index}>"
     if not isinstance(obj, dict):
-        return [f"{label}: entry is not an object"]
-    for fld in ("name", "b", "expected"):
-        if fld not in obj:
-            problems.append(f"{label}: missing field '{fld}'")
+        return [f"<entry {index}>: entry is not an object"]
+    name = obj.get("name")
+    label = name if isinstance(name, str) else f"<entry {index}>"
+    problems = [f"{label}: missing field '{fld}'" for fld in ("name", "b", "expected") if fld not in obj]
+    if "name" in obj and not isinstance(name, str):
+        problems.append(f"{label}: 'name' must be a string, got {name!r}")
     expected = obj.get("expected")
     if isinstance(expected, dict):
-        if expected.get("cnp") not in _EXPECTED_CNP:
-            problems.append(f"{label}: expected.cnp must be one of {sorted(_EXPECTED_CNP)}")
-        if expected.get("criterion") not in _EXPECTED_CRITERION:
-            problems.append(
-                f"{label}: expected.criterion must be one of {sorted(_EXPECTED_CRITERION)}"
-            )
+        for key, allowed in (("cnp", _EXPECTED_CNP), ("criterion", _EXPECTED_CRITERION)):
+            if not isinstance(expected.get(key), str) or expected[key] not in allowed:
+                problems.append(f"{label}: expected.{key} must be one of {sorted(allowed)}")
     elif "expected" in obj:
         problems.append(f"{label}: 'expected' must be an object")
     try:

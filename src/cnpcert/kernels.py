@@ -46,12 +46,7 @@ def row_blocks(n_rows: int, row_bytes: int):
 
 
 def _guard_min_modulus(values, eps, exc_cls, what):
-    arr = np.asarray(values)
-    if arr.nbytes > ROW_BLOCK_BYTES and not any(   # no full-size temporary unless it fails
-            np.any(np.abs(arr[rows]) < eps) for rows in row_blocks(arr.shape[0], arr[0].nbytes)):
-        return
-    mags = np.abs(arr)
-    bad = mags < eps
+    bad = np.abs(np.asarray(values)) < eps
     if np.any(bad):
         where = np.argwhere(np.atleast_1d(bad))[:4].tolist()
         raise exc_cls(f"{what} below {eps:g} in modulus at positions {where}")
@@ -328,22 +323,6 @@ class Congruence(Kernel):
         return f"congruence({self.inner.describe()})"
 
 
-def guard_defect(kzb, kbw, kzw):
-    """Raise ``VanishingKernel`` when any kernel value in the defect quotient
-    is numerically zero, since the criterion is meaningless there."""
-    _guard_min_modulus(kzb, DEFECT_EPS, VanishingKernel, "K(z, base)")
-    _guard_min_modulus(kbw, DEFECT_EPS, VanishingKernel, "K(base, w)")
-    _guard_min_modulus(kzw, DEFECT_EPS, VanishingKernel, "K(z, w)")
-
-
-def defect_quotient(kzb, kbw, kbb: float, kzw, out):
-    """1 - kzb kbw / (kbb kzw), broadcast, formed in ``out`` (which may be
-    ``kzw`` itself); the numerator is the only other array of its size."""
-    np.multiply(kbb, kzw, out=out)
-    np.divide(kzb * kbw, out, out=out)
-    return np.subtract(1.0, out, out=out)
-
-
 @dataclass(frozen=True, eq=False)
 class NormalizedDefect(Kernel):
     """D(z, w) = 1 - K(z, base) K(base, w) / (K(base, base) K(z, w)).
@@ -378,9 +357,9 @@ class NormalizedDefect(Kernel):
         kzb = np.asarray(self.inner.evaluate(z, self.base), complex)
         kbw = np.asarray(self.inner.evaluate(self.base, w), complex)
         kzw = np.asarray(self.inner.evaluate(z, w), complex)
-        guard_defect(kzb, kbw, kzw)
-        out = np.empty(np.broadcast_shapes(kzb.shape, kbw.shape, kzw.shape), complex)
-        return defect_quotient(kzb, kbw, self.kbb, kzw, out)
+        for values, what in ((kzb, "K(z, base)"), (kbw, "K(base, w)"), (kzw, "K(z, w)")):
+            _guard_min_modulus(values, DEFECT_EPS, VanishingKernel, what)
+        return 1.0 - kzb * kbw / (self.kbb * kzw)
 
     def base_column(self, points: np.ndarray) -> np.ndarray:
         """K(z, base) on ``points`` as an (n, 1) column, guarded first as in ``evaluate``."""

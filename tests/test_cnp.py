@@ -330,7 +330,7 @@ def eigvalsh_reference(kernel, base, rep):
 def materialized_reports(monkeypatch, kernel, bases, pts):
     """Per-base cnp_certify and a sweep through the assembled defect alone."""
     with monkeypatch.context() as mp:
-        mp.setattr(cnp, "factor_reciprocal", lambda *args: None)
+        mp.setattr(cnp, "RITZ_MIN_N", math.inf)   # R is formed, not factored
         return [cnp_certify(kernel, b, pts) for b in bases], cnp_basepoint_sweep(kernel, bases, pts)
 
 
@@ -443,12 +443,12 @@ def test_a_factored_sweep_allocates_one_n_by_n_array(monkeypatch):
     assert [n for (n,) in sizes if n >= RITZ_MIN_N] == [len(pts)]
 
 
-@pytest.mark.parametrize("assembled, arrays", [(False, 2), (True, 3)])   # measured 1.31 and 2.17
+@pytest.mark.parametrize("assembled, arrays", [(False, 2), (True, 3)])   # measured 1.31 and 2.19
 def test_a_sweep_at_n_1160_peaks_below_its_n_by_n_arrays(monkeypatch, assembled, arrays):
-    # a factored sweep holds K, then R in its array; the assembled path holds K
+    # a factored sweep holds K, then R in its array; the assembled path holds R
     # and one defect at a time; the rest is row blocks and thin factors
     if assembled:
-        monkeypatch.setattr(cnp, "factor_reciprocal", lambda kernel_gram: None)
+        monkeypatch.setattr(cnp, "RITZ_MIN_N", math.inf)
     for kernel, bases, pts in [
         (DBR_AFFINE, [0j, 0.3 + 0j, -0.2 + 0.4j], SampleSet.default(grid=(24, 48))),
         (DruryArveson(2), [(0j, 0j), (0.3 + 0j, 0j), (-0.2 + 0.1j, 0.4j)], ball_points(1160, 2)),
@@ -472,41 +472,87 @@ def test_a_lone_certificate_builds_k_and_factors_r_once(monkeypatch):
     assert (len(grams), len(factored)) == (1, 1)
 
 
-def sweep_reports(monkeypatch, kernel, bases, pts, factor_reciprocal):
-    """The JSON reports of a sweep with ``factor_reciprocal`` patched in, and the Grams it built."""
+def sweep_reports(monkeypatch, kernel, bases, pts, **patched):
+    """The JSON reports of a sweep with the ``patched`` attributes of cnp, the
+    Grams it built and the defects it assembled."""
     with monkeypatch.context() as mp:
-        mp.setattr(cnp, "factor_reciprocal", factor_reciprocal)
+        for name, value in patched.items():
+            mp.setattr(cnp, name, value)
         grams = recorded(mp, cnp, "gram")
+        assembled = recorded(mp, cnp, "_defect_gram")
         reports = cnp_basepoint_sweep(kernel, bases, pts)
-    return [json.dumps(r.to_json_dict()) for r in reports], len(grams)
+    return [json.dumps(r.to_json_dict()) for r in reports], len(grams), len(assembled)
 
 
-def test_a_range_finder_failing_after_r_took_k_gets_k_back_bitwise(monkeypatch):
-    # R is formed in K's array, then the range finder stalls with no second
-    # positive Ritz value, so every base assembles its defect from K rebuilt
+def test_a_stalled_range_finder_assembles_every_defect_from_r(monkeypatch):
+    # the range finder stalls with no second positive Ritz value, so R is not
+    # factored and every base assembles its defect from R: K was rebuilt for them
     pts = disk_296()
     bases = [-0.2 + 0.4j, pts.points[250], 0j]
     factored = []
     factor_reciprocal = cnp.factor_reciprocal
-    reports, built = sweep_reports(monkeypatch, DIRICHLET, bases, pts,
-                                   lambda *a: factored.append(factor_reciprocal(*a)) or factored[-1])
-    assert factored[0].resid == math.inf and built == 2
-    untouched, built = sweep_reports(monkeypatch, DIRICHLET, bases, pts, lambda *a: None)
-    assert built == 1
-    assert reports == untouched
+    reports, built, assembled = sweep_reports(
+        monkeypatch, DIRICHLET, bases, pts,
+        factor_reciprocal=lambda *a: factored.append(factor_reciprocal(*a)) or factored[-1])
+    assert factored[0].q is None and (built, assembled) == (1, len(bases))
+    assert (reports, built, assembled) == sweep_reports(
+        monkeypatch, DIRICHLET, bases, pts, RITZ_MIN_N=math.inf)
 
 
 @pytest.mark.parametrize("resid", [math.inf, 1.0])
 def test_a_sweep_whose_bases_all_miss_their_bound_builds_k_at_most_twice(monkeypatch, resid):
-    # inf: R is dropped and K rebuilt before the first base; 1.0: R is kept,
-    # every base misses its Weyl bound, and the first one rebuilds K for all
+    # every base misses its Weyl bound and assembles its defect from R: K was
+    # rebuilt for them (inf: R dropped at once; 1.0: by the first base), now
+    # it is built once
     pts = disk_296()
     bases = [0j, pts.points[40], -0.2 + 0.4j]
     factor_reciprocal = cnp.factor_reciprocal
-    reports, built = sweep_reports(monkeypatch, DBR_AFFINE, bases, pts,
-                                   lambda *a: factor_reciprocal(*a)._replace(resid=resid))
-    assert built <= 2
-    assert reports == sweep_reports(monkeypatch, DBR_AFFINE, bases, pts, lambda *a: None)[0]
+    reports, built, assembled = sweep_reports(
+        monkeypatch, DBR_AFFINE, bases, pts,
+        factor_reciprocal=lambda *a: factor_reciprocal(*a)._replace(resid=resid))
+    assert (built, assembled) == (1, len(bases))
+    assert reports == sweep_reports(monkeypatch, DBR_AFFINE, bases, pts, RITZ_MIN_N=math.inf)[0]
+
+
+def test_a_sweep_at_n_1160_whose_bases_all_miss_their_bound_peaks_below_three_n_by_n_arrays(
+        monkeypatch):
+    # R and one defect at a time (measured 2.22): K rebuilt beside R and a
+    # defect peaked at 3.22
+    pts = SampleSet.default(grid=(24, 48))
+    factor_reciprocal = cnp.factor_reciprocal
+    monkeypatch.setattr(cnp, "factor_reciprocal", lambda *a: factor_reciprocal(*a)._replace(resid=1.0))
+    assembled = recorded(monkeypatch, cnp, "_defect_gram")
+    tracemalloc.start()
+    try:
+        reports = cnp_basepoint_sweep(DBR_AFFINE, [0j, 0.3 + 0j, -0.2 + 0.4j], pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 1160 and len(assembled) == 3
+    assert [r.verdict.status for r in reports] == [Verdict.PSD] * 3
+    assert peak < 3 * 16 * len(pts) ** 2
+
+
+# ------------------------------------------- a vanishing K(z, w), not K(z, base)
+
+VANISHING_PAIR = WeightedHardy([1.0, 0.25])   # 1 + 4 z conj(w): 0 at z = 0.5, w = -0.5
+
+
+@pytest.mark.parametrize("pts, pair, base_row", [
+    (SampleSet.explicit([0.5, -0.5, 0.3j]), "[[0, 1], [1, 0]]", "[[0, 0]]"),
+    (SampleSet.default(grid=(12, 24)).extended([0.5, -0.5]), "[[296, 297], [297, 296]]", "[[296, 0]]"),
+])
+def test_a_vanishing_kernel_gram_entry_is_named_at_its_samples(pts, pair, base_row):
+    # every other vanishing-kernel test trips K(z, base) first; at base 0.5, a
+    # sample, so does this one: K(z, base) vanishes at the kept sample -0.5
+    bases = [0j, 0.5]
+    sweep = cnp_basepoint_sweep(VANISHING_PAIR, bases, pts)
+    (at_0,), (at_half,) = ([n for n in r.notes if n.startswith("VANISHING_KERNEL")] for r in sweep)
+    assert at_0.endswith(f"K(z, w) below 1e-12 in modulus at positions {pair}")
+    assert at_half.endswith(f"K(z, base) below 1e-12 in modulus at positions {base_row}")
+    for base, rep in zip(bases, sweep):
+        assert rep.vanish_flag and rep.verdict.status is Verdict.INCONCLUSIVE
+        assert rep.to_json_dict() == cnp_certify(VANISHING_PAIR, base, pts).to_json_dict()
 
 
 # ------------------------- a second positive eigenvalue of 1/K: early stop

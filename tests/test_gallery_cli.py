@@ -360,6 +360,26 @@ def test_malformed_samples_block_is_a_suite_format_error(tmp_path, capsys, sampl
     assert "SUITE_FORMAT" in err
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("name", 5, "'name' must be a string"),   # beside string names: sorting failed
+    ("name", ["x"], "'name' must be a string"),   # unhashable
+    ("expected", {"cnp": ["PSD"], "criterion": "FAIL"}, "expected.cnp must be one of"),
+], ids=["int_name", "list_name", "list_expected_cnp"])
+def test_an_entry_name_or_expectation_that_is_not_a_string_is_a_suite_format_error(
+        tmp_path, capsys, field, value, problem):
+    # each died with a TypeError traceback (exit 1, read as mismatches)
+    doc = default_suite_dict()
+    doc["entries"][0][field] = value
+    with pytest.raises(SuiteFormat, match=problem):
+        load_suite(doc)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["gallery", "--suite", str(path)])
+    assert code == 3
+    assert out == ""
+    assert "SUITE_FORMAT" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["cnp", "--kernel",
      '{"kind":"normalized_defect","inner":{"kind":"szego"},"base":[[0.1,0],[0,0]]}'],

@@ -25,7 +25,7 @@ from cnpcert.kernels import (
     kernel_eval,
     unit_ball_probe,
 )
-from cnpcert.linalg import HermitianMatrix, gram, hermitian_from_raw
+from cnpcert.linalg import gram, hermitian_from_raw
 from cnpcert.sampling import SampleSet, ball_points
 from cnpcert.series import PowerSeries
 
@@ -229,18 +229,23 @@ def test_defect_squared_symbol_closed_form():
 
 
 def test_defect_gram_of_kernel_gram_matches_evaluate():
+    # J - diag(u) R diag(conj u), R = 1/K and u = K(z, base) / sqrt(K(base, base)),
+    # against 1 - K(z, base) K(base, w) / (K(base, base) K(z, w)) evaluated
     k = DeBrangesRovnyak(half_map(16))
     d = NormalizedDefect(k, 0.2 - 0.1j)
     zs = np.asarray(SampleSet.default(seed=4, grid=(4, 8)).points)
-    kzw = HermitianMatrix(k.evaluate(zs[:, None], zs[None, :]), 1.0, "unsymmetrized", 0.0)
+    r = cnp.factor_reciprocal(gram(k, zs)).entries
     keep = np.ones(zs.size, dtype=bool)
     keep[5] = False   # a dropped sample: the defect on the principal submatrix
     for mask in (np.ones(zs.size, dtype=bool), keep):
         kept = zs[mask]
+        u = np.zeros(zs.size, dtype=complex)
+        u[mask] = d.base_column(kept)[:, 0] / np.sqrt(d.kbb)
         ref = hermitian_from_raw(d.evaluate(kept[:, None], kept[None, :]))
-        m = cnp._defect_gram(d, kzw, mask, list(kept))
-        assert m.entries.tobytes() == ref.entries.tobytes()
-        assert (m.scale, m.asymmetry) == (ref.scale, ref.asymmetry)
+        m = cnp._defect_gram(u, r, mask, "defect")
+        bound = 1e-14 * max(1.0, ref.scale)
+        assert np.max(np.abs(m.entries - ref.entries)) <= bound
+        assert abs(m.scale - ref.scale) <= bound
 
 
 def test_defect_vanishing_kernel_raises():
