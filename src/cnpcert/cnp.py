@@ -17,14 +17,14 @@ The factorization stops early, before its residual is known, once m shows a
 second positive eigenvalue of R beyond rounding: the property then fails on
 the samples at every base (Agler-McCarthy). A base without a Weyl bound, or
 whose bound exceeds RITZ_RESIDUAL * max(1, scale), gets a Rayleigh-Ritz
-certificate instead: min_eig is the Rayleigh quotient x^H D x / x^H x of a
-concrete vector x, an upper bound on the defect's smallest eigenvalue, and
-the base is NOT_PSD when the quotient plus its rounding bound is below
--10 tol. A base that neither settles has its defect assembled from R and u,
-as has each base below RITZ_MIN_N samples, where R is formed but not
-factored. K is evaluated, and R formed from it, once per sample set, by the
-first base that gets past its own checks, so a lone certificate and each
-base of a sweep run the same lines.
+certificate from the same T C T^H instead: min_eig is the Rayleigh quotient
+x^H D x / x^H x of x = U y, y its lowest eigenvector, an upper bound on the
+defect's smallest eigenvalue, and the base is NOT_PSD when the quotient plus
+its rounding bound is below -10 tol. A base that neither settles has its
+defect assembled from R and u, as has each base below RITZ_MIN_N samples,
+where R is formed but not factored. K is evaluated, and R formed from it,
+once per sample set, by the first base that gets past its own checks, so a
+lone certificate and each base of a sweep run the same lines.
 """
 
 from __future__ import annotations
@@ -115,10 +115,11 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     breaks Cauchy-Schwarz by more than CS_BAND gets a note, and a NOT_PSD
     from it becomes INCONCLUSIVE.
 
-    Once the base has passed its own checks, K is built on all of ``pts``,
-    then u is formed (its guard on K(z, base) comes first), then R = 1/K in
-    K's array; a base-point sweep shares K and R across its bases
-    (``_shared``), so a lone certificate is the sweep's report for one base.
+    Once the base has passed its own checks, K and then u (its guard on
+    K(z, base) first; 0 at a dropped sample) are built on all of ``pts``,
+    then R = 1/K in K's array; a base-point sweep shares K and R across its
+    bases (``_shared``), so a lone certificate is the sweep's report for one
+    base. A vanishing-kernel note indexes the given samples.
     Every verdict comes from R and u (see the module docstring), except on a
     K that is not finite: that is INCONCLUSIVE, with no eigensolve.
     """
@@ -133,15 +134,13 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     try:
         defect = NormalizedDefect(kernel, base)
         k = shared.kernel_gram(kernel, pts)
-        u = np.zeros(keep.size, dtype=complex)   # zero off the kept samples
-        u[keep] = defect.base_column(kernel.points(kept))[:, 0] / math.sqrt(defect.kbb)
-        assembly = f"{defect.describe()} on {len(kept)} samples"
+        u = np.where(keep, defect.base_column(kernel.points(pts))[:, 0], 0.0) / math.sqrt(defect.kbb)
         if not k.finite:
             verdict = psd_verdict(k, tol)
         else:
             rec = shared.reciprocal()
-            verdict = _factored_verdict(rec, u, keep, tol, assembly) or psd_verdict(
-                _defect_gram(u, rec.entries, keep, assembly), tol)
+            verdict = _factored_verdict(rec, u, keep, tol) or psd_verdict(
+                _defect_gram(u, rec.entries, keep), tol)
     except VanishingKernel as exc:
         notes += [f"{exc.code}: {exc}", EVIDENCE_NOTE]
         verdict = PsdVerdict(Verdict.INCONCLUSIVE, math.nan, math.nan if tol is None else tol)
@@ -195,7 +194,7 @@ class _Shared:
         return self.rec
 
 
-def _defect_gram(u: np.ndarray, r: np.ndarray, keep: np.ndarray, assembly: str) -> HermitianMatrix:
+def _defect_gram(u: np.ndarray, r: np.ndarray, keep: np.ndarray) -> HermitianMatrix:
     """J - diag(u) R diag(conj u), symmetrized, on the ``keep`` rows and
     columns of R's array ``r``, formed a row block at a time in a new array."""
     idx = np.flatnonzero(keep)
@@ -208,7 +207,7 @@ def _defect_gram(u: np.ndarray, r: np.ndarray, keep: np.ndarray, assembly: str) 
         np.multiply(uk[rows, None], r[np.ix_(idx[rows], idx)], out=block)
         block *= ukc
         np.subtract(1.0, block, out=block)
-    return hermitian_in_place(raw, assembly)
+    return hermitian_in_place(raw)
 
 
 class Reciprocal(NamedTuple):
@@ -260,15 +259,16 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
     return rec
 
 
-def _factored_verdict(
-    rec: Reciprocal, u: np.ndarray, keep: np.ndarray, tol: float | None, assembly: str
-) -> PsdVerdict | None:
+def _factored_verdict(rec: Reciprocal, u: np.ndarray, keep: np.ndarray,
+                      tol: float | None) -> PsdVerdict | None:
     """The verdict on the defect on the ``keep`` samples, with scale the max
     modulus of J - diag(u) R diag(conj u) on all samples: u is 0 at a dropped
     one, whose row and column read 1, so max(1, scale) is the defect's own.
     From T C T^H (see the module docstring) when the Weyl bound max|u|^2 resid
-    is within RITZ_RESIDUAL * max(1, scale), else NOT_PSD from
-    _rayleigh_quotient, else None; None at once where R is not factored."""
+    is within RITZ_RESIDUAL * max(1, scale), else NOT_PSD from the Rayleigh
+    quotient of U y, y the lowest eigenvector of that same T C T^H, else None;
+    None at once where R is not factored. V = U T is on the kept rows alone,
+    so a dropped sample needs no correction, and only a quotient base forms U."""
     if rec.q is None:
         return None
     mods, uc = [], u.conj()   # |J - diag(u) R diag(conj u)| on the upper triangle
@@ -276,36 +276,26 @@ def _factored_verdict(
         i = rows.start
         mods.append(np.max(np.abs(np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:]))))
     scale, m = float(np.max(mods)), int(keep.sum())
-    if rec.resid is not None and np.max(np.abs(u)) ** 2 * rec.resid <= RITZ_RESIDUAL * max(1.0, scale):
-        v = np.hstack([np.ones((m, 1)), u[keep, None] * rec.q[keep], np.zeros((m, 1))])
-        t = np.linalg.qr(v, mode="r")
-        g = np.outer(t[:, 0], t[:, 0].conj()) - t[:, 1:-1] @ rec.m @ t[:, 1:-1].conj().T
-        return psd_verdict(HermitianMatrix(0.5 * (g + g.conj().T), scale, assembly, 0.0), tol)
-    if not math.isfinite(scale):
+    weyl = rec.resid is not None and np.max(np.abs(u)) ** 2 * rec.resid <= RITZ_RESIDUAL * max(1.0, scale)
+    if not (weyl or math.isfinite(scale)):
         return None
+    v = np.hstack([np.ones((m, 1)), u[keep, None] * rec.q[keep], np.zeros((m, 1))])
+    basis, t = (None, np.linalg.qr(v, mode="r")) if weyl else np.linalg.qr(v)
+    g = np.outer(t[:, 0], t[:, 0].conj()) - t[:, 1:-1] @ rec.m @ t[:, 1:-1].conj().T
+    g = HermitianMatrix(0.5 * (g + g.conj().T), scale, "", 0.0)
+    if weyl:
+        return psd_verdict(g, tol)
     tol = default_tol(scale) if tol is None else tol
-    min_eig, bound = _rayleigh_quotient(rec, u, keep)
+    x = np.zeros(keep.size, dtype=complex)
+    x[keep] = basis @ np.linalg.eigh(g.entries)[1][:, 0]
+    min_eig, bound = _rayleigh_quotient(rec, u, x)
     return PsdVerdict(Verdict.NOT_PSD, min_eig, tol) if min_eig + bound < -10.0 * tol else None
 
 
-def _rayleigh_quotient(rec: Reciprocal, u: np.ndarray, keep: np.ndarray):
-    """(x^H D x / x^H x, its rounding bound) for D = J - diag(u) R diag(conj u)
-    on the ``keep`` samples and x the Ritz vector of D's smallest Ritz value on
-    the span of V = diag(1 / conj u) q, zero off them. There V^H D V is
-    s s^H - m, s = V^H 1, since diag(conj u) V = q: only m is needed, less the
-    rows and columns of dropped samples. The quotient, an upper bound on D's
-    smallest eigenvalue, is evaluated directly, by one product with R's own
-    array."""
-    m, drop = rec.m, ~keep
-    if drop.any():   # m of q with its rows at the dropped samples zeroed
-        qd, rq = rec.q[drop], rec.entries[drop] @ rec.q
-        m = m - qd.conj().T @ rq - rq.conj().T @ qd + qd.conj().T @ rec.entries[np.ix_(drop, drop)] @ qd
-    v = np.zeros_like(rec.q)
-    v[keep] = rec.q[keep] / u[keep, None].conj()
-    s = v.sum(axis=0).conj()
-    ti = np.linalg.inv(np.linalg.qr(v, mode="r"))   # the orthonormal basis V T^-1
-    h = ti.conj().T @ (np.outer(s, s.conj()) - m) @ ti
-    x = v @ (ti @ np.linalg.eigh(0.5 * (h + h.conj().T))[1][:, 0])
+def _rayleigh_quotient(rec: Reciprocal, u: np.ndarray, x: np.ndarray):
+    """(x^H D x / x^H x, its rounding bound) for D = J - diag(u) R diag(conj u):
+    an upper bound on D's smallest eigenvalue, evaluated directly, by one
+    product with R's own array."""
     y = u.conj() * x
     xx = float(np.vdot(x, x).real)
     quotient = float(abs(x.sum()) ** 2 - np.vdot(y, rec.entries @ y).real) / xx

@@ -159,6 +159,8 @@ def params_from_json(spec: dict) -> dict:
 
 def family_symbol(name: str, params: dict, order: int = DEFAULT_ORDER) -> PowerSeries:
     family = _family(name)
+    if order < 0:
+        raise ValueError(f"truncation order must be >= 0, got {order}")
     return family.series(*(params[p] for p in family.readers), order)
 
 

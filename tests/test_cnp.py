@@ -361,8 +361,8 @@ def test_factored_defect_matches_the_materialized_defect(
         min_eig, scale = eigvalsh_reference(kernel, base, rep)
         assert rep.verdict.tol == pytest.approx(1e-9 * max(1.0, scale), rel=1e-12)
         assert rep.verdict.tol == pytest.approx(ref.verdict.tol, rel=1e-12)
-        if quotient:   # an upper bound on the smallest eigenvalue, past the NOT_PSD band
-            assert min_eig - 2 * RITZ_RESIDUAL * max(1.0, scale) <= rep.verdict.min_eig
+        if quotient:   # a tight upper bound on the smallest eigenvalue, past the NOT_PSD band
+            assert min_eig - 2 * RITZ_RESIDUAL * max(1.0, scale) <= rep.verdict.min_eig <= 0.999 * min_eig
             assert rep.verdict.min_eig < -10 * rep.verdict.tol
         else:
             assert abs(rep.verdict.min_eig - min_eig) <= 2 * RITZ_RESIDUAL * max(1.0, scale)
@@ -539,12 +539,13 @@ VANISHING_PAIR = WeightedHardy([1.0, 0.25])   # 1 + 4 z conj(w): 0 at z = 0.5, w
 
 
 @pytest.mark.parametrize("pts, pair, base_row", [
-    (SampleSet.explicit([0.5, -0.5, 0.3j]), "[[0, 1], [1, 0]]", "[[0, 0]]"),
-    (SampleSet.default(grid=(12, 24)).extended([0.5, -0.5]), "[[296, 297], [297, 296]]", "[[296, 0]]"),
+    (SampleSet.explicit([0.5, -0.5, 0.3j]), "[[0, 1], [1, 0]]", "[[1, 0]]"),
+    (SampleSet.default(grid=(12, 24)).extended([0.5, -0.5]), "[[296, 297], [297, 296]]", "[[297, 0]]"),
 ])
 def test_a_vanishing_kernel_gram_entry_is_named_at_its_samples(pts, pair, base_row):
     # every other vanishing-kernel test trips K(z, base) first; at base 0.5, a
-    # sample, so does this one: K(z, base) vanishes at the kept sample -0.5
+    # sample, so does this one: K(z, base) vanishes at the kept sample -0.5,
+    # named, as K(z, w) is, by its index among all the given samples
     bases = [0j, 0.5]
     sweep = cnp_basepoint_sweep(VANISHING_PAIR, bases, pts)
     (at_0,), (at_half,) = ([n for n in r.notes if n.startswith("VANISHING_KERNEL")] for r in sweep)
@@ -588,12 +589,12 @@ def test_a_not_psd_sweep_at_n_2056_is_certified_from_one_range_finder_block(monk
     assert peak < 2 * 16 * n ** 2
 
 
-def test_a_base_on_a_sample_takes_the_dropped_sample_out_of_m(monkeypatch):
-    # m covers every sample, the base's too; compressed with it, D's Ritz vector
-    # at points[40] had a quotient of -3.2e-8 against a smallest eigenvalue of
-    # -7.9e-5, and at points[250] the quotient missed the NOT_PSD band, so that
-    # base assembled its defect. (This truncated kernel's NOT_PSD is false, so
-    # the Cauchy-Schwarz guard makes it INCONCLUSIVE.)
+def test_a_base_on_a_sample_takes_its_quotient_on_the_kept_samples(monkeypatch):
+    # m covers every sample, the base's too; the quotient's vector is the lowest
+    # eigenvector of the compression onto [1, diag(u) q] over the kept samples,
+    # zero at the dropped one, and its quotient is within 0.1 % of the smallest
+    # eigenvalue. (This truncated kernel's NOT_PSD is false, so the
+    # Cauchy-Schwarz guard makes it INCONCLUSIVE.)
     kernel = DeBrangesRovnyak(blaschke_product([0.9]))
     pts = disk_296()
     bases = [pts.points[40], pts.points[250]]
@@ -603,7 +604,7 @@ def test_a_base_on_a_sample_takes_the_dropped_sample_out_of_m(monkeypatch):
     for base, rep in zip(bases, reports):
         assert rep.n_samples == len(pts) - 1 and rep.verdict.status is Verdict.INCONCLUSIVE
         min_eig, scale = eigvalsh_reference(kernel, base, rep)
-        assert min_eig - 2 * RITZ_RESIDUAL * max(1.0, scale) <= rep.verdict.min_eig <= 0.8 * min_eig
+        assert min_eig - 2 * RITZ_RESIDUAL * max(1.0, scale) <= rep.verdict.min_eig <= 0.999 * min_eig
         assert rep.verdict.min_eig < -10 * rep.verdict.tol
 
 

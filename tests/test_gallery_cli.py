@@ -225,6 +225,17 @@ def test_hbcheck_witness_without_family_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["gallery", "--order", "-1"],
+    ["hbcheck", "--b", '{"family":"affine","A":[0.5,0],"B":[2,0]}', "--order", "-1"],
+])
+def test_a_negative_order_exits_3_naming_it(capsys, args):
+    # exit 3 naming the order, not an IndexError traceback: exit 1, "mismatches" for gallery
+    code, _, err = run_cli(capsys, args)
+    assert code == 3
+    assert "truncation order must be >= 0, got -1" in err
+
+
 # --------------------------------------------------------------------- pick
 
 def test_pick_constant_construct(capsys):

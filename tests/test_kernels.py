@@ -242,7 +242,7 @@ def test_defect_gram_of_kernel_gram_matches_evaluate():
         u = np.zeros(zs.size, dtype=complex)
         u[mask] = d.base_column(kept)[:, 0] / np.sqrt(d.kbb)
         ref = hermitian_from_raw(d.evaluate(kept[:, None], kept[None, :]))
-        m = cnp._defect_gram(u, r, mask, "defect")
+        m = cnp._defect_gram(u, r, mask)
         bound = 1e-14 * max(1.0, ref.scale)
         assert np.max(np.abs(m.entries - ref.entries)) <= bound
         assert abs(m.scale - ref.scale) <= bound
