@@ -44,10 +44,7 @@ from .linalg import (
     HermitianMatrix,
     PsdVerdict,
     Verdict,
-    block_pick_matrix,
     gram,
-    matrix_to_csv,
-    matrix_to_json_dict,
     pick_matrix,
     psd_verdict,
     smallest_eigenvalue,

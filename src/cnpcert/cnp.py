@@ -13,6 +13,13 @@ R ~ q m q^H to Frobenius residual r, so by Weyl's inequality each base's
 smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
 [1, diag(u) q, 0] = U T (thin QR) and C = diag(1, -m, 0).
 
+A base's scale, max|D_ij|, enters only as max(1, scale), in the default tol
+and the Weyl threshold. A base whose bound w is at most RITZ_RESIDUAL takes
+its verdict at scale 1 and proves it in O(n): D + (w - min(lambda, 0)) I is
+PSD for the verdict's eigenvalue lambda, so by Cauchy-Schwarz no |D_ij|
+exceeds 1 once every |u_k|^2 R_kk clears that shift plus a rounding
+allowance (_unit_scale). Any other base scans max|D_ij| over R, O(n^2).
+
 The factorization stops early, before its residual is known, once m shows a
 second positive eigenvalue of R beyond rounding: the property then fails on
 the samples at every base (Agler-McCarthy). A base without a Weyl bound, or
@@ -223,10 +230,12 @@ class Reciprocal(NamedTuple):
 
 
 def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
-    """R of ``kernel_gram``, a finite Gram, formed in its array by one
-    in-place divide once a row-block scan of all of K found no modulus below
-    DEFECT_EPS (else VanishingKernel, naming the K(z, w) positions): R owns
-    the array, and only the Gram's n, scale and asymmetry still describe K.
+    """R of ``kernel_gram``, a finite Gram, formed in its array by an
+    in-place divide a row block at a time, once the Gram's min_modulus (taken
+    by hermitian_in_place) is at least DEFECT_EPS (else VanishingKernel,
+    naming the K(z, w) positions): R owns the array, and only the Gram's n,
+    scale and asymmetry still describe K. Each block adds its share of
+    ||R||_F^2 while it is in cache, the range finder's first residual.
     From RITZ_MIN_N samples on, the range finder aims at resid <=
     RITZ_RESIDUAL / max K(z, z), enough for every base of a positive kernel
     (|u|^2 <= K(z, z)); a stalled finder is kept up to RITZ_RESIDUAL *
@@ -240,18 +249,21 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
     each length-n sum in m, and n max|R| bounds ||R||_2. Then every base's
     defect has a negative eigenvalue (Agler-McCarthy), which each base
     certifies by a Rayleigh quotient (see _rayleigh_quotient)."""
-    k, n = kernel_gram.entries, kernel_gram.n
-    kmin = min(float(np.min(np.abs(k[rows]))) for rows in row_blocks(n, k[:1].nbytes))
+    k, n, kmin = kernel_gram.entries, kernel_gram.n, kernel_gram.min_modulus
     if kmin < DEFECT_EPS:   # a full-size temporary, on this path alone
         _guard_min_modulus(k, DEFECT_EPS, VanishingKernel, "K(z, w)")
     target = RITZ_RESIDUAL / float(np.max(np.abs(np.diagonal(k))))
+    norm2 = 0.0
     k.setflags(write=True)
-    np.divide(1.0, k, out=k)   # in place: no temporary
+    for rows in row_blocks(n, k[:1].nbytes):   # in place: no temporary
+        block = k[rows]
+        np.divide(1.0, block, out=block)
+        norm2 += np.vdot(block, block).real
     k.setflags(write=False)
     rec = Reciprocal(k, None, None, None, 1.0 / kmin)
     if n < RITZ_MIN_N:
         return rec
-    for q, m, resid in range_steps(k, target):
+    for q, m, resid in range_steps(k, target, math.sqrt(norm2)):
         if resid is None and np.linalg.eigvalsh(m)[-2] > n * n * _EPS * rec.rmax:
             break
     if resid is None or resid <= RITZ_RESIDUAL * max(1.0, rec.rmax):
@@ -264,19 +276,19 @@ def _factored_verdict(rec: Reciprocal, u: np.ndarray, keep: np.ndarray,
     """The verdict on the defect on the ``keep`` samples, with scale the max
     modulus of J - diag(u) R diag(conj u) on all samples: u is 0 at a dropped
     one, whose row and column read 1, so max(1, scale) is the defect's own.
-    From T C T^H (see the module docstring) when the Weyl bound max|u|^2 resid
-    is within RITZ_RESIDUAL * max(1, scale), else NOT_PSD from the Rayleigh
+    From T C T^H (see the module docstring) when the Weyl bound w = max|u|^2
+    resid is within RITZ_RESIDUAL * max(1, scale), else NOT_PSD from the Rayleigh
     quotient of U y, y the lowest eigenvector of that same T C T^H, else None;
     None at once where R is not factored. V = U T is on the kept rows alone,
-    so a dropped sample needs no correction, and only a quotient base forms U."""
+    so a dropped sample needs no correction, and only a quotient base forms U.
+    A base with w <= RITZ_RESIDUAL takes scale 1, scanning (_defect_scale)
+    only if its verdict cannot prove it (_unit_scale)."""
     if rec.q is None:
         return None
-    mods, uc = [], u.conj()   # |J - diag(u) R diag(conj u)| on the upper triangle
-    for rows in row_blocks(keep.size, rec.entries[:1].nbytes):
-        i = rows.start
-        mods.append(np.max(np.abs(np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:]))))
-    scale, m = float(np.max(mods)), int(keep.sum())
-    weyl = rec.resid is not None and np.max(np.abs(u)) ** 2 * rec.resid <= RITZ_RESIDUAL * max(1.0, scale)
+    m = int(keep.sum())
+    w = math.nan if rec.resid is None else float(np.max(np.abs(u))) ** 2 * rec.resid   # NaN: no bound
+    scale = 1.0 if w <= RITZ_RESIDUAL else _defect_scale(rec, u)
+    weyl = w <= RITZ_RESIDUAL * max(1.0, scale)
     if not (weyl or math.isfinite(scale)):
         return None
     v = np.hstack([np.ones((m, 1)), u[keep, None] * rec.q[keep], np.zeros((m, 1))])
@@ -284,12 +296,39 @@ def _factored_verdict(rec: Reciprocal, u: np.ndarray, keep: np.ndarray,
     g = np.outer(t[:, 0], t[:, 0].conj()) - t[:, 1:-1] @ rec.m @ t[:, 1:-1].conj().T
     g = HermitianMatrix(0.5 * (g + g.conj().T), scale, "", 0.0)
     if weyl:
-        return psd_verdict(g, tol)
+        verdict = psd_verdict(g, tol)   # a NaN min_eig proves nothing: min(nan, 0) is nan
+        if w > RITZ_RESIDUAL or _unit_scale(rec, u, keep, w - min(verdict.min_eig, 0.0)):
+            return verdict
+        return psd_verdict(replace(g, scale=_defect_scale(rec, u)), tol)
     tol = default_tol(scale) if tol is None else tol
     x = np.zeros(keep.size, dtype=complex)
     x[keep] = basis @ np.linalg.eigh(g.entries)[1][:, 0]
     min_eig, bound = _rayleigh_quotient(rec, u, x)
     return PsdVerdict(Verdict.NOT_PSD, min_eig, tol) if min_eig + bound < -10.0 * tol else None
+
+
+def _unit_scale(rec: Reciprocal, u: np.ndarray, keep: np.ndarray, delta: float) -> bool:
+    """Whether D + delta I >= 0 on the kept samples proves that no |D_ij| the
+    scan computes exceeds 1: by Cauchy-Schwarz |D_ij| <= max_k D_kk + delta =
+    1 - f + delta, f = min_k |u_k|^2 R_kk (R_kk is real), and D_ii >= -delta,
+    so f >= delta + a and delta + a <= 1 suffice. The allowance a = n (k + 2)^2
+    eps (n_kept + max|u|^2 ||m||_F), from that bound on ||V C V^H||_2, covers
+    the QR of V, the eigensolve of T C T^H, the residual pass and the scan's
+    own arithmetic. O(n k)."""
+    n, k, kept = keep.size, rec.q.shape[1], int(keep.sum())
+    allowance = n * (k + 2) ** 2 * _EPS * (kept + float(np.max(np.abs(u))) ** 2 * np.linalg.norm(rec.m))
+    f = np.min(np.abs(u[keep]) ** 2 * rec.entries.diagonal()[keep].real)
+    return delta + allowance <= min(1.0, f)
+
+
+def _defect_scale(rec: Reciprocal, u: np.ndarray) -> float:
+    """max|J - diag(u) R diag(conj u)| over all samples, in one row-block pass
+    over the upper triangle of R's array: O(n^2), and NaN if any entry is."""
+    mods, uc = [], u.conj()
+    for rows in row_blocks(u.size, rec.entries[:1].nbytes):
+        i = rows.start
+        mods.append(np.max(np.abs(np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:]))))
+    return float(np.max(mods))
 
 
 def _rayleigh_quotient(rec: Reciprocal, u: np.ndarray, x: np.ndarray):

@@ -55,10 +55,6 @@ class LengthMismatch(CnpcertError):
     code = "LENGTH_MISMATCH"
 
 
-class DimensionMismatch(CnpcertError):
-    code = "DIMENSION_MISMATCH"
-
-
 class NoConvergence(CnpcertError):
     code = "NO_CONVERGENCE"
 

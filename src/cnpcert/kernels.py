@@ -34,6 +34,7 @@ from .series import PowerSeries
 DOM_EPS = 1e-12      # denominators below this modulus count as singular
 DEFECT_EPS = 1e-12   # kernel values below this modulus count as vanishing
 SCHUR_SLACK = 1e-9   # sampled sup |b| may exceed 1 by at most this much
+_EPS = float(np.finfo(float).eps)
 
 
 ROW_BLOCK_BYTES = 1 << 20   # large matrices are built in row blocks of this size
@@ -50,6 +51,18 @@ def _guard_min_modulus(values, eps, exc_cls, what):
     if np.any(bad):
         where = np.argwhere(np.atleast_1d(bad))[:4].tolist()
         raise exc_cls(f"{what} below {eps:g} in modulus at positions {where}")
+
+
+def _guard_denominator(den, z, w, what: str, dim: int = 0):
+    """NearSingular naming the positions where |den| < DOM_EPS, den = 1 - <z, w>
+    for disk points (dim 0) or points of the ball of C^dim (last axis). The n^2
+    pass is skipped when an O(n) bound clears it: |<z, w>| <= max||z|| max||w||
+    (Cauchy-Schwarz), and 8 (dim + 2) eps covers the rounding of den, of the
+    bound and of the moduli."""
+    norms = (lambda p: np.sqrt(np.sum(np.abs(p) ** 2, axis=-1))) if dim else np.abs
+    zmax, wmax = (float(np.max(norms(p), initial=0.0)) for p in (z, w))
+    if not 1.0 - zmax * wmax >= DOM_EPS + 8 * (dim + 2) * _EPS:
+        _guard_min_modulus(den, DOM_EPS, NearSingular, what)
 
 
 @lru_cache(maxsize=1)   # cnp_criterion, then the DeBrangesRovnyak kernel, probe one (immutable) symbol
@@ -125,8 +138,9 @@ class Szego(Kernel):
     """K(z, w) = 1 / (1 - conj(w) z) on the unit disk."""
 
     def evaluate(self, z, w):
-        den = 1.0 - np.conj(np.asarray(w, complex)) * np.asarray(z, complex)
-        _guard_min_modulus(den, DOM_EPS, NearSingular, "Szego denominator")
+        zz, ww = np.asarray(z, complex), np.asarray(w, complex)
+        den = 1.0 - np.conj(ww) * zz
+        _guard_denominator(den, zz, ww, "Szego denominator")
         return 1.0 / den
 
     def describe(self):
@@ -155,7 +169,7 @@ class DruryArveson(Kernel):
         for k in range(1, max(zz.shape[-1], ww.shape[-1])):
             inner += zz[..., k] * ww[..., k]
         den = 1.0 - inner
-        _guard_min_modulus(den, DOM_EPS, NearSingular, "Drury-Arveson denominator")
+        _guard_denominator(den, zz, ww, "Drury-Arveson denominator", self.dim)
         return 1.0 / den
 
     def describe(self):
@@ -221,7 +235,7 @@ class DeBrangesRovnyak(Kernel):
         def at(z):
             zz = np.asarray(z, complex)
             den = 1.0 - np.conj(ww) * zz
-            _guard_min_modulus(den, DOM_EPS, NearSingular, "de Branges-Rovnyak denominator")
+            _guard_denominator(den, zz, ww, "de Branges-Rovnyak denominator")
             return (1.0 - bw * self.symbol(zz)) / den
         return at
 

@@ -1,4 +1,4 @@
-"""Hermitian matrix assembly (Gram, Pick, block Pick) and PSD certification.
+"""Hermitian matrix assembly (Gram, Pick) and PSD certification.
 
 Raw kernel matrices are Hermitian-symmetrized unconditionally before any
 eigenvalue computation; the measured asymmetry is kept on the matrix so
@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CnpcertError, DimensionMismatch, DomainViolation, LengthMismatch, NoConvergence
+from .errors import CnpcertError, DomainViolation, LengthMismatch, NoConvergence
 from .kernels import Kernel, row_blocks
 
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
@@ -76,6 +76,7 @@ class HermitianMatrix:
     # (e, i, j): e = |m_ij|^2 / |m_ii m_jj| - 1, largest at i < j; e > 0 breaks
     # Cauchy-Schwarz, so m is not PSD ((-1, 0, 0) below two rows, -inf not taken)
     cs_excess: tuple = (-math.inf, 0, 0)
+    min_modulus: float = math.nan   # min abs entry, from scale's pass (NaN: not taken)
 
     @property
     def n(self) -> int:
@@ -114,13 +115,13 @@ def hermitian_in_place(raw: np.ndarray, assembly: str = "") -> HermitianMatrix:
     """hermitian_from_raw over ``raw``, a writable square complex array,
     which becomes the read-only entries. Entry (i, j) is
     (conj(raw[j, i]) + raw[i, j]) * 0.5, formed a row block and its mirrored
-    column block at a time. Both maxima are taken over the upper triangle,
-    exact since the moduli are symmetric, with np.max, so a NaN entry
-    anywhere makes both NaN. The scale's moduli, times 1 / sqrt|m_ii m_jj|
-    off the diagonal (which symmetrizing leaves at raw's real parts), give
-    cs_excess.
+    column block at a time. Both maxima, and the least modulus, are taken
+    over the upper triangle, exact since the moduli are symmetric, with
+    np.max and np.min, so a NaN entry anywhere makes all three NaN. The
+    scale's moduli, times 1 / sqrt|m_ii m_jj| off the diagonal (which
+    symmetrizing leaves at raw's real parts), give cs_excess.
     """
-    asym, scale, excess = [], [], []
+    asym, scale, least, excess = [], [], [], []
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):   # non-finite: scale says so
         root = 1.0 / np.sqrt(np.abs(raw.diagonal().real))
         for blk in row_blocks(raw.shape[0], raw[:1].nbytes):
@@ -135,6 +136,7 @@ def hermitian_in_place(raw: np.ndarray, assembly: str = "") -> HermitianMatrix:
             upper *= 0.5
             mods = np.abs(upper)
             scale.append(np.max(mods))
+            least.append(np.min(mods))
             mods *= root[i:j, None]
             mods *= root[i:]
             mods.ravel()[::mods.shape[1] + 1] = 0.0   # the diagonal
@@ -142,7 +144,8 @@ def hermitian_in_place(raw: np.ndarray, assembly: str = "") -> HermitianMatrix:
             excess.append((float(mods[at]) ** 2 - 1.0, i + min(at), i + max(at)))
             raw[j:, i:j] = below
     raw.setflags(write=False)
-    return HermitianMatrix(raw, float(np.max(scale)), assembly, float(np.max(asym)), max(excess))
+    return HermitianMatrix(raw, float(np.max(scale)), assembly, float(np.max(asym)), max(excess),
+                           float(np.min(least)))
 
 
 def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:
@@ -182,22 +185,22 @@ def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(total)
 
 
-def range_steps(a: np.ndarray, target: float):
+def range_steps(a: np.ndarray, target: float, resid: float):
     """The steps of a randomized range finder on Hermitian ``a`` (Halko,
-    Martinsson & Tropp 2011): q grows by blocks of a @ omega for Gaussian
-    omega, each block added through a joint QR of [q, a @ omega] so q stays
-    orthonormal to rounding, and b = q^H a q. Each block yields (q, b, None)
-    once it has joined q and b, before its residual pass; the last step is
-    (q, b, r), r = ||a - q b q^H||_F, once r <= target, a step cuts r by less
-    than RITZ_MIN_SHRINK (NaN from overflow included) or q would pass
-    n / RITZ_MAX_FRAC columns (q is empty when ||a|| is not finite). A caller
-    may stop at any step.
+    Martinsson & Tropp 2011), given ``resid`` = ||a||_F, the residual of the
+    empty basis, from the caller's own pass over a: q grows by blocks of
+    a @ omega for Gaussian omega, each block added through a joint QR of
+    [q, a @ omega] so q stays orthonormal to rounding, and b = q^H a q. Each
+    block yields (q, b, None) once it has joined q and b, before its residual
+    pass; the last step is (q, b, r), r = ||a - q b q^H||_F, once r <= target,
+    a step cuts r by less than RITZ_MIN_SHRINK (NaN from overflow included)
+    or q would pass n / RITZ_MAX_FRAC columns (q is empty when ||a|| is not
+    finite). A caller may stop at any step.
     """
     n = a.shape[0]
     rng = np.random.default_rng(RITZ_SEED)
     q = aq = np.empty((n, 0), dtype=complex)
     b = np.empty((0, 0), dtype=complex)
-    resid = float(np.linalg.norm(a))   # the residual of the empty basis
     while target < resid < math.inf and q.shape[1] + RITZ_BLOCK <= n // RITZ_MAX_FRAC:
         k = q.shape[1]
         omega = rng.standard_normal((n, RITZ_BLOCK)) + 1j * rng.standard_normal((n, RITZ_BLOCK))
@@ -277,55 +280,3 @@ def pick_matrix(kernel: Kernel, nodes, targets) -> HermitianMatrix:
     raw = _kernel_matrix(kernel, points)
     pick = (1.0 - lam[:, None] * np.conj(lam)[None, :]) * raw
     return hermitian_from_raw(pick, f"pick[{kernel.describe()}] on {lam.size} nodes")
-
-
-def block_pick_matrix(kernel: Kernel, nodes, mats) -> HermitianMatrix:
-    """n t x n t matrix with (i, j) block (I_t - W_i^T conj(W_j)) K(x_i, x_j)
-    for s x t matrix targets W_i.
-
-    Same pairing rule as pick_matrix (to which this reduces exactly for
-    s = t = 1): the i-indexed target factor enters untransposed-unconjugated
-    so its positivity matches solvability of the matrix interpolation
-    problem. For real targets this coincides with the (I - W_i^* W_j) form.
-    """
-    points = kernel.points(nodes)
-    try:
-        W = np.asarray(list(mats), dtype=complex)
-    except ValueError as exc:
-        raise DimensionMismatch(f"target matrices are ragged: {exc}") from exc
-    if W.ndim != 3:
-        raise DimensionMismatch("expected a sequence of equal-shape 2-D matrices")
-    if W.shape[0] != points.shape[0]:
-        raise LengthMismatch(f"{points.shape[0]} nodes but {W.shape[0]} matrices")
-    n, _, t = W.shape
-    raw = _kernel_matrix(kernel, points)
-    wiwj = np.einsum("isa,jsb->ijab", W, W.conj())
-    blocks = (np.eye(t) - wiwj) * raw[:, :, None, None]
-    big = blocks.transpose(0, 2, 1, 3).reshape(n * t, n * t)
-    return hermitian_from_raw(
-        big, f"block_pick[{kernel.describe()}] {n} nodes, {W.shape[1]}x{t} targets"
-    )
-
-
-def matrix_to_csv(m: HermitianMatrix) -> str:
-    """Rows of interleaved re,im pairs, one matrix row per line."""
-    lines = []
-    for row in m.entries:
-        parts = []
-        for v in row:
-            parts.append(repr(float(v.real)))
-            parts.append(repr(float(v.imag)))
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_to_json_dict(m: HermitianMatrix) -> dict:
-    return {
-        "n": m.n,
-        "scale": float(m.scale),
-        "assembly": m.assembly,
-        "asymmetry": float(m.asymmetry),
-        "entries": [
-            [[float(v.real), float(v.imag)] for v in row] for row in m.entries
-        ],
-    }

@@ -424,6 +424,83 @@ def test_a_lone_certificate_is_the_sweeps_report_for_a_base_on_a_sample(kernel, 
     assert json.dumps(one.to_json_dict()) == json.dumps(swept.to_json_dict())
 
 
+# ------------------------- a PSD base's scale from its own Weyl bound, not a scan
+
+@pytest.mark.parametrize("kernel, pts, bases", [
+    (DBR_AFFINE, disk_296(), [0j, -0.2 + 0.4j, disk_296().points[40]]),
+    (DruryArveson(2), ball_points(296, 2, seed=5),
+     [(0j, 0j), (-0.2 + 0.1j, 0.4j), tuple(ball_points(296, 2, seed=5)[40])]),
+])
+def test_psd_bases_certify_their_unit_scale_without_a_defect_scan(monkeypatch, kernel, pts, bases):
+    # each base's own T C T^H eigenvalue and Weyl bound prove max(1, scale) = 1,
+    # so no base scans its n^2 defect, and every report is the scan's bit for bit;
+    # sample 40 as the base certifies on the other 295
+    scans = recorded(monkeypatch, cnp, "_defect_scale")
+    certified = recorded(monkeypatch, cnp, "_unit_scale")
+    reports, _, assembled = sweep_reports(monkeypatch, kernel, bases, pts)
+    lone = [json.dumps(cnp_certify(kernel, b, pts).to_json_dict()) for b in bases]
+    assert not scans and not assembled and len(certified) == 2 * len(bases)
+    scanned = sweep_reports(monkeypatch, kernel, bases, pts, _unit_scale=lambda *a: False)[0]
+    assert len(scans) == len(bases)
+    assert reports == lone == scanned
+    for rep in map(json.loads, reports):
+        assert rep["verdict"] == "PSD" and rep["tol"] == 1e-9
+    assert json.loads(reports[-1])["n_samples"] == len(pts) - 1
+
+
+def test_not_psd_bases_still_scan_their_scale(monkeypatch):
+    # Blaschke {0, 0.5}: the range finder stops at its first block, so no base
+    # has a Weyl bound; each scans, and its tol is 1e-9 times that scale
+    pts = disk_296()
+    bases = [0j, -0.2 + 0.4j, pts.points[250]]
+    scans = []
+    scale = cnp._defect_scale
+    monkeypatch.setattr(cnp, "_defect_scale", lambda *a: scans.append(scale(*a)) or scans[-1])
+    certified = recorded(monkeypatch, cnp, "_unit_scale")
+    reports = cnp_basepoint_sweep(DBR_BLASCHKE, bases, pts)
+    assert len(scans) == len(bases) and not certified
+    for base, rep, s in zip(bases, reports, scans):
+        assert rep.verdict.status is Verdict.NOT_PSD and s > 1.0
+        assert rep.verdict.tol == 1e-9 * s
+        assert rep.verdict.tol == pytest.approx(1e-9 * eigvalsh_reference(DBR_BLASCHKE, base, rep)[1],
+                                                rel=1e-12)
+
+
+def test_a_base_whose_verdict_cannot_prove_its_scale_scans_it(monkeypatch):
+    # 3u makes D = J - 9 diag(u) R diag(conj u) far from PSD, with entries past
+    # 1; the Weyl bound 9 max|u|^2 resid still holds, but the shift it needs
+    # proves no scale, so the base scans, and tol is 1e-9 times D's scale
+    pts = disk_296()
+    rec = cnp.factor_reciprocal(gram(DBR_AFFINE, pts))
+    defect = NormalizedDefect(DBR_AFFINE, 0.3)
+    u = 3 * defect.base_column(DBR_AFFINE.points(pts))[:, 0] / math.sqrt(defect.kbb)
+    keep = np.ones(len(pts), dtype=bool)
+    assert np.max(np.abs(u)) ** 2 * rec.resid <= RITZ_RESIDUAL
+    scans = recorded(monkeypatch, cnp, "_defect_scale")
+    verdict = cnp._factored_verdict(rec, u, keep, None)
+    ref = linalg.psd_verdict(cnp._defect_gram(u, rec.entries, keep))
+    assert len(scans) == 1 and verdict.status is ref.status is Verdict.NOT_PSD
+    assert verdict.tol == pytest.approx(ref.tol, rel=1e-12) and verdict.tol > 2e-9
+    assert verdict.min_eig == pytest.approx(ref.min_eig, rel=1e-9)
+
+
+@pytest.mark.parametrize("kernel_gram", [
+    lambda: hermitian_from_raw(np.random.default_rng(7).standard_normal((600, 600)) + 2.0),
+    lambda: gram(DBR_AFFINE, SampleSet.default(grid=(24, 48))),
+])
+def test_the_range_finder_starts_from_r_frobenius_norm_summed_by_row_block(monkeypatch, kernel_gram):
+    started = []
+    range_steps = cnp.range_steps
+
+    def first(a, target, resid):
+        started.append((np.linalg.norm(a), resid))
+        return range_steps(a, target, resid)
+    monkeypatch.setattr(cnp, "range_steps", first)
+    cnp.factor_reciprocal(kernel_gram())
+    ((whole, summed),) = started
+    assert abs(summed - whole) <= 1e-13 * whole
+
+
 # ------------------------------------------- one n x n array: R takes K's
 
 def recorded(monkeypatch, module, name):

@@ -314,3 +314,48 @@ def test_dbr_gram_evaluates_the_symbol_on_the_sample_row_once(monkeypatch):
     assert n == 1160 and sizes.count(n) == 1 and sum(sizes) == 2 * n
     whole = hermitian_from_raw(kernel.evaluate(pts[:, None], pts[None]))
     assert m.entries.tobytes() == whole.entries.tobytes()
+
+
+# ------------------------------------- the NearSingular guard and its O(n) bound
+
+R_EDGE = 1.0 - 5e-14   # 1 - r^2 ~ 1e-13: below DOM_EPS
+DBR_AFFINE = DeBrangesRovnyak(PowerSeries([0.25, 0.5]))
+
+
+def edge_samples(kernel):
+    """296 samples within r = 0.9, sample 250 moved to radius R_EDGE (in the
+    second row block of the Gram)."""
+    if kernel.point_ndim:
+        pts = ball_points(296, 2, seed=5)
+        pts[250] = R_EDGE * np.array([0.6j, -0.8])
+    else:
+        pts = np.array(SampleSet.default(seed=5, grid=(12, 24)).points)
+        pts[250] = R_EDGE * np.exp(0.7j)
+    return pts
+
+
+@pytest.mark.parametrize("kernel, name", [
+    (Szego(), "Szego"), (DBR_AFFINE, "de Branges-Rovnyak"), (DruryArveson(2), "Drury-Arveson"),
+])
+def test_a_sample_at_the_edge_is_near_singular_at_its_position(kernel, name):
+    with pytest.raises(NearSingular, match=rf"^{name} denominator below 1e-12 in modulus "
+                                           r"at positions \[\[250, 250\]\]$"):
+        gram(kernel, edge_samples(kernel))
+
+
+@pytest.mark.parametrize("kernel, pts, bases", [
+    (Szego(), SampleSet.default(seed=5, grid=(12, 24)), [0j, 0.3 + 0j]),
+    (DBR_AFFINE, SampleSet.default(seed=5, grid=(12, 24)), [0j, -0.2 + 0.4j]),
+    (DruryArveson(2), ball_points(296, 2, seed=5), [(0j, 0j), (-0.2 + 0.1j, 0.4j)]),
+])
+def test_samples_within_r_0_9_run_no_denominator_guard_pass(monkeypatch, kernel, pts, bases):
+    # 1 - max|z| max|w| (1 - ||z|| ||w|| on the ball) clears DOM_EPS, so no
+    # denominator can be near singular and the n^2 modulus pass is skipped
+    from cnpcert import kernels
+
+    guarded, guard = [], kernels._guard_min_modulus
+    monkeypatch.setattr(kernels, "_guard_min_modulus",
+                        lambda values, eps, exc, what: guarded.append(what) or guard(values, eps, exc, what))
+    reports = cnp.cnp_basepoint_sweep(kernel, bases, pts)
+    assert all(r.verdict.status.value == "PSD" for r in reports)
+    assert guarded and not [what for what in guarded if what.endswith("denominator")]

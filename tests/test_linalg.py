@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cnpcert.descriptors import kernel_from_json
-from cnpcert.errors import DimensionMismatch, DomainMismatch, LengthMismatch
+from cnpcert.errors import DomainMismatch, LengthMismatch
 from cnpcert.kernels import Congruence, Constant, NormalizedDefect, Szego
 from cnpcert.linalg import (
     RITZ_MAX_FRAC,
@@ -16,11 +16,8 @@ from cnpcert.linalg import (
     RITZ_RESIDUAL,
     HermitianMatrix,
     Verdict,
-    block_pick_matrix,
     gram,
     hermitian_from_raw,
-    matrix_to_csv,
-    matrix_to_json_dict,
     pick_matrix,
     psd_verdict,
     range_steps,
@@ -185,7 +182,7 @@ def ritz(m):
     """The last step of the range finder on ``m`` aimed at RITZ_RESIDUAL * max(1, scale),
     and that target."""
     target = RITZ_RESIDUAL * max(1.0, m.scale)
-    return list(range_steps(m.entries, target))[-1], target
+    return list(range_steps(m.entries, target, float(np.linalg.norm(m.entries))))[-1], target
 
 
 def test_ritz_planted_rank_12_with_negative_eigenvalues():
@@ -289,36 +286,6 @@ def test_pick_matrix_length_mismatch():
         pick_matrix(Szego(), [0.0, 0.5], [0.0])
 
 
-def test_block_pick_reduces_to_pick_for_1x1():
-    nodes = [0.1, 0.4 + 0.2j, -0.3j]
-    targets = [0.2 - 0.1j, 0.5, 0.1j]
-    mats = [np.array([[t]]) for t in targets]
-    a = block_pick_matrix(Szego(), nodes, mats)
-    b = pick_matrix(Szego(), nodes, targets)
-    assert np.array_equal(a.entries, b.entries)
-
-
-def test_block_pick_zero_targets_is_gram_kron_identity():
-    nodes = [0.0, 0.5]
-    mats = [np.zeros((2, 2)), np.zeros((2, 2))]
-    a = block_pick_matrix(Szego(), nodes, mats)
-    g = gram(Szego(), nodes)
-    assert np.allclose(a.entries, np.kron(g.entries, np.eye(2)))
-    assert psd_verdict(a).status is Verdict.PSD
-
-
-def test_block_pick_indefinite_single_node():
-    m = block_pick_matrix(Szego(), [0.3], [np.diag([0.5, 2.0])])
-    k = 1.0 / (1.0 - 0.09)
-    assert np.allclose(sorted(np.linalg.eigvalsh(m.entries)), [-3.0 * k, 0.75 * k])
-    assert psd_verdict(m).status is Verdict.NOT_PSD
-
-
-def test_block_pick_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        block_pick_matrix(Szego(), [0.1, 0.2], [np.zeros((2, 2)), np.zeros((3, 2))])
-
-
 # --------------------------------------------------------------- invariants
 
 def test_schur_product_of_szego_grams_is_psd():
@@ -349,24 +316,6 @@ def test_gram_permutation_invariance():
     assert abs(v1.min_eig - v2.min_eig) < 1e-10
 
 
-# ------------------------------------------------------------------ export
-
-def test_csv_export_shape():
-    m = gram(Szego(), [0.0, 0.5])
-    lines = matrix_to_csv(m).strip().split("\n")
-    assert len(lines) == 2
-    assert len(lines[0].split(",")) == 4
-
-
-def test_json_export_roundtrip():
-    m = gram(Szego(), [0.0, 0.5])
-    d = matrix_to_json_dict(m)
-    json.dumps(d)
-    back = np.array([[complex(re, im) for re, im in row] for row in d["entries"]])
-    assert np.allclose(back, m.entries)
-    assert d["n"] == 2
-
-
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_hermitian_from_raw_across_row_blocks(order):
     # n = 600 spans six row blocks; the result is still the full-array formula
@@ -382,6 +331,20 @@ def test_hermitian_from_raw_across_row_blocks(order):
     m = hermitian_from_raw(raw, "random")
     assert m.scale == np.max(np.abs(0.5 * (raw + raw.conj().T)))
     assert m.asymmetry == np.max(np.abs(raw - raw.conj().T))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_min_modulus_is_taken_in_the_symmetrizing_pass(order):
+    # the fixtures of test_hermitian_from_raw_across_row_blocks: six row blocks
+    rng = np.random.default_rng(23)
+    raw = rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600))
+    raw[-1, 3] = np.nan
+    m = hermitian_from_raw(np.asarray(raw, order=order), "random")
+    assert math.isnan(m.min_modulus) and math.isnan(np.min(np.abs(m.entries)))
+    raw[-1, 3] = 1.0
+    m = hermitian_from_raw(np.asarray(raw, order=order), "random")
+    assert m.min_modulus == np.min(np.abs(m.entries))
+    assert m.min_modulus.hex() == float(np.min(np.abs(m.entries))).hex()
 
 
 def test_gram_error_positions_index_the_whole_matrix():
