@@ -37,7 +37,6 @@ from .kernels import (
     Sum,
     Szego,
     WeightedHardy,
-    kernel_eval,
     unit_ball_probe,
 )
 from .linalg import (

@@ -29,6 +29,7 @@ from .descriptors import complex_to_json, kernel_from_json, symbol_from_json, wi
 from .errors import CnpcertError, NotStrictlySolvable, SuiteFormat
 from .families import DEFAULT_ORDER, complex_list_from_json
 from .gallery import default_suite_dict, run_suite
+from .kernels import Szego
 from .linalg import Verdict
 from .pickinterp import (
     InterpolationProblem,
@@ -159,17 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_cnp(args) -> int:
     kernel = kernel_from_json(_load_json_arg(args.kernel), args.order)
-    if kernel.point_ndim == 0:
+    if not kernel.dim:
         base = _parse_complex(args.base)
     else:
-        dim = kernel.domain()[1]
-        base = tuple(_parse_points(args.base)) if args.base != "0" else (0j,) * dim
-    if kernel.point_ndim == 0 or args.points:   # --points are disk points, shape-checked by cnp_certify
+        base = tuple(_parse_points(args.base)) if args.base != "0" else (0j,) * kernel.dim
+    if not kernel.dim or args.points:   # --points are disk points, shape-checked by cnp_certify
         pts = _samples_from_args(args)
     elif args.random < 0:
         raise ValueError(f"--random must be >= 0, got {args.random}")
     else:
-        pts = ball_points(max(args.random, 48), dim, args.rmax, args.seed)
+        pts = ball_points(max(args.random, 48), kernel.dim, args.rmax, args.seed)
     report = cnp_certify(kernel, base, pts, args.tol)
     _emit(report.to_json_dict(), args.json_path)
     return _VERDICT_EXIT[report.verdict.status]
@@ -216,7 +216,7 @@ def cmd_pick(args) -> int:
     report = {"verdict": verdict.to_json_dict(), "interpolant": None}
     exit_code = _VERDICT_EXIT[verdict.status]
     if args.construct:
-        if kernel is not None and kernel.describe() != "szego":
+        if kernel is not None and not isinstance(kernel, Szego):
             raise ValueError("interpolant construction is available for the szego kernel only")
         try:
             f = schur_interpolant(problem)

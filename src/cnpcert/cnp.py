@@ -76,13 +76,9 @@ class CertReport:
 
     verdict: PsdVerdict
     base: object
-    samples: tuple
+    n_samples: int   # how many samples lie away from the base
     vanish_flag: bool
     notes: tuple
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.samples)
 
     def to_json_dict(self):
         b = np.asarray(self.base, dtype=complex)
@@ -101,22 +97,21 @@ class CertReport:
         }
 
 
-def _exclude_base(pts: list, base, kernel: Kernel):
-    """The samples away from the base, and the mask of which were kept.
-    Both go through ``kernel.points`` first, so points of the wrong shape
-    raise DomainMismatch instead of failing to broadcast."""
+def _exclude_base(pts, base, kernel: Kernel) -> np.ndarray:
+    """The mask of the samples away from the base. Both go through
+    ``kernel.points`` first, so points of the wrong shape raise
+    DomainMismatch instead of failing to broadcast."""
     (at,), arr = kernel.points([base]), kernel.points(pts)
-    if not pts:
-        return pts, np.zeros(0, dtype=bool)
-    keep = np.abs(arr - at).reshape(len(pts), -1).max(axis=1) > _BASE_EXCLUSION
-    return [p for p, k in zip(pts, keep.tolist()) if k], keep
+    dist = np.abs(arr - at)
+    return (dist.max(axis=1) if kernel.dim else dist) > _BASE_EXCLUSION
 
 
 def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=None) -> CertReport:
     """Certify positivity of the base-normalized defect on a sample set.
 
     The base point is dropped from the samples if present (its defect row and
-    column vanish identically and add nothing). A vanishing kernel value while
+    column vanish identically and add nothing); a ValueError is raised, before
+    any Gram is built, when no sample is left. A vanishing kernel value while
     assembling the defect yields an INCONCLUSIVE report with ``vanish_flag``
     set instead of an exception, so sweeps stay total. A kernel Gram that
     breaks Cauchy-Schwarz by more than CS_BAND gets a note, and a NOT_PSD
@@ -133,13 +128,15 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     if tol is not None:   # before any Gram is built, on every path
         tol = checked_tol(tol)
     pts = list(pts)
-    kept, keep = _exclude_base(pts, base, kernel)
+    keep = _exclude_base(pts, base, kernel)
     notes = []
     if not keep.all():
         notes.append("dropped sample point(s) coinciding with the base")
     shared = _shared or _Shared()
     try:
         defect = NormalizedDefect(kernel, base)
+        if not keep.any():
+            raise ValueError("at least one sample point away from the base is required")
         k = shared.kernel_gram(kernel, pts)
         u = np.where(keep, defect.base_column(kernel.points(pts))[:, 0], 0.0) / math.sqrt(defect.kbb)
         if not k.finite:
@@ -151,12 +148,12 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     except VanishingKernel as exc:
         notes += [f"{exc.code}: {exc}", EVIDENCE_NOTE]
         verdict = PsdVerdict(Verdict.INCONCLUSIVE, math.nan, math.nan if tol is None else tol)
-        return CertReport(verdict, base, tuple(kept), True, tuple(notes))
+        return CertReport(verdict, base, int(keep.sum()), True, tuple(notes))
     notes += [note for note in (shared.note, shared.cs_note) if note]
     if shared.cs_note and verdict.status is Verdict.NOT_PSD:
         verdict = replace(verdict, status=Verdict.INCONCLUSIVE)
     notes.append(EVIDENCE_NOTE)
-    return CertReport(verdict, base, tuple(kept), False, tuple(notes))
+    return CertReport(verdict, base, int(keep.sum()), False, tuple(notes))
 
 
 def _cs_note(kernel_gram: HermitianMatrix) -> str | None:
@@ -205,8 +202,6 @@ def _defect_gram(u: np.ndarray, r: np.ndarray, keep: np.ndarray) -> HermitianMat
     """J - diag(u) R diag(conj u), symmetrized, on the ``keep`` rows and
     columns of R's array ``r``, formed a row block at a time in a new array."""
     idx = np.flatnonzero(keep)
-    if not idx.size:
-        raise ValueError("at least one sample point away from the base is required")
     raw, uk = empty_matrix(idx.size), u[idx]
     ukc = uk.conj()
     for rows in row_blocks(idx.size, raw[:1].nbytes):
@@ -294,7 +289,7 @@ def _factored_verdict(rec: Reciprocal, u: np.ndarray, keep: np.ndarray,
     v = np.hstack([np.ones((m, 1)), u[keep, None] * rec.q[keep], np.zeros((m, 1))])
     basis, t = (None, np.linalg.qr(v, mode="r")) if weyl else np.linalg.qr(v)
     g = np.outer(t[:, 0], t[:, 0].conj()) - t[:, 1:-1] @ rec.m @ t[:, 1:-1].conj().T
-    g = HermitianMatrix(0.5 * (g + g.conj().T), scale, "", 0.0)
+    g = HermitianMatrix(0.5 * (g + g.conj().T), scale, 0.0)
     if weyl:
         verdict = psd_verdict(g, tol)   # a NaN min_eig proves nothing: min(nan, 0) is nan
         if w > RITZ_RESIDUAL or _unit_scale(rec, u, keep, w - min(verdict.min_eig, 0.0)):

@@ -199,11 +199,7 @@ def decomposition_check(b: PowerSeries, pts, tol: float | None = None) -> PsdVer
     m1 = gram(k1, points)
     m2 = gram(k2, points)
     m0 = gram(k0, points)
-    combined = hermitian_from_raw(
-        m2.entries + m0.entries - m1.entries,
-        f"decomposition[{b.order}] on {len(points)} samples",
-    )
-    return psd_verdict(combined, tol)
+    return psd_verdict(hermitian_from_raw(m2.entries + m0.entries - m1.entries), tol)
 
 
 def decomposition_identity_residual(b: PowerSeries, f: PowerSeries, pts) -> float:

@@ -92,6 +92,6 @@ def kernel_from_json(obj: dict, order: int = families.DEFAULT_ORDER) -> Kernel:
         )
     if kind == "normalized_defect":
         inner = kernel_from_json(obj["inner"], order)
-        read_base = complex_from_json if inner.point_ndim == 0 else complex_list_from_json
+        read_base = complex_list_from_json if inner.dim else complex_from_json
         return NormalizedDefect(inner, read_base(obj["base"]))
     raise ValueError(f"unknown kernel kind {kind!r}")

@@ -15,7 +15,7 @@ the open unit ball. K(z, w) is holomorphic in z and anti-holomorphic in w.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -79,16 +79,10 @@ def unit_ball_probe(b: PowerSeries) -> float:
 
 
 class Kernel:
-    """Base class for kernel expression nodes."""
+    """Base class for kernel expression nodes. ``dim`` is the domain: 0 the
+    disk, d the ball of C^d, None any domain (read as the disk)."""
 
-    def domain(self):
-        """("disk",), ("ball", d), or None for domain-agnostic nodes."""
-        return ("disk",)
-
-    @property
-    def point_ndim(self) -> int:
-        dom = self.domain()
-        return 1 if dom is not None and dom[0] == "ball" else 0
+    dim = 0
 
     def evaluate(self, z, w):
         raise NotImplementedError
@@ -103,18 +97,17 @@ class Kernel:
         the last array axis; any length other than the ball's dimension
         raises ``DomainMismatch``."""
         arr = np.asarray(pts, dtype=complex)
-        if self.point_ndim == 0:
+        if not self.dim:
             return np.abs(arr) < 1.0
-        dim = self.domain()[1]
-        if arr.size and arr.shape[-1:] != (dim,):
-            raise DomainMismatch(f"points of shape {arr.shape} are not in the ball of C^{dim}")
+        if arr.size and arr.shape[-1:] != (self.dim,):
+            raise DomainMismatch(f"points of shape {arr.shape} are not in the ball of C^{self.dim}")
         return np.sum(np.abs(arr) ** 2, axis=-1) < 1.0
 
     def points(self, pts) -> np.ndarray:
         """``pts`` as a complex array of shape (n,) on the disk or (n, d) on
         the ball of C^d; any other shape raises ``DomainMismatch``."""
         arr = np.asarray(list(pts), dtype=complex)
-        shape = () if self.point_ndim == 0 else (self.domain()[1],)
+        shape = (self.dim,) if self.dim else ()
         if arr.shape[0] == 0:
             arr = arr.reshape((0,) + shape)
         if arr.shape[1:] != shape:
@@ -129,9 +122,6 @@ class Kernel:
         if np.any(outside):
             raise exc_cls(f"{what} at positions {np.argwhere(outside)[:4].tolist()}")
 
-    def describe(self) -> str:
-        return type(self).__name__.lower()
-
 
 @dataclass(frozen=True)
 class Szego(Kernel):
@@ -143,23 +133,17 @@ class Szego(Kernel):
         _guard_denominator(den, zz, ww, "Szego denominator")
         return 1.0 / den
 
-    def describe(self):
-        return "szego"
-
 
 @dataclass(frozen=True)
 class DruryArveson(Kernel):
     """K(z, w) = 1 / (1 - <z, w>) on the unit ball of C^dim."""
 
-    dim: int
+    dim: int = field()   # required: the inherited Kernel.dim is not a default
 
     def __post_init__(self):
         if int(self.dim) < 1:
             raise ValueError("Drury-Arveson dimension must be >= 1")
         object.__setattr__(self, "dim", int(self.dim))
-
-    def domain(self):
-        return ("ball", self.dim)
 
     def evaluate(self, z, w):
         zz = np.asarray(z, complex)
@@ -171,9 +155,6 @@ class DruryArveson(Kernel):
         den = 1.0 - inner
         _guard_denominator(den, zz, ww, "Drury-Arveson denominator", self.dim)
         return 1.0 / den
-
-    def describe(self):
-        return f"drury_arveson(d={self.dim})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +181,6 @@ class WeightedHardy(Kernel):
 
     def evaluate(self, z, w):
         return self._series(np.asarray(z, complex) * np.conj(np.asarray(w, complex)))
-
-    def describe(self):
-        return f"weighted_hardy(n={self.weights.size})"
 
 
 @dataclass(frozen=True)
@@ -239,15 +217,13 @@ class DeBrangesRovnyak(Kernel):
             return (1.0 - bw * self.symbol(zz)) / den
         return at
 
-    def describe(self):
-        return f"dbr(order={self.symbol.order})"
-
 
 @dataclass(frozen=True)
 class Constant(Kernel):
     """K(z, w) = value, a nonnegative real; domain-agnostic."""
 
     value: float
+    dim = None
 
     def __post_init__(self):
         if isinstance(self.value, bool) or not isinstance(self.value, numbers.Real):
@@ -257,21 +233,8 @@ class Constant(Kernel):
             raise ValueError("constant kernels must have a finite nonnegative value")
         object.__setattr__(self, "value", v)
 
-    def domain(self):
-        return None
-
     def evaluate(self, z, w):
         return complex(self.value)
-
-    def describe(self):
-        return f"constant({self.value:g})"
-
-
-def _unify_domains(left: Kernel, right: Kernel):
-    dl, dr = left.domain(), right.domain()
-    if dl is not None and dr is not None and dl != dr:
-        raise DomainMismatch(f"kernel domains differ: {dl} vs {dr}")
-    return dl or dr
 
 
 @dataclass(frozen=True)
@@ -282,16 +245,13 @@ class Sum(Kernel):
     right: Kernel
 
     def __post_init__(self):
-        _unify_domains(self.left, self.right)
-
-    def domain(self):
-        return self.left.domain() or self.right.domain() or ("disk",)
+        dims = {self.left.dim, self.right.dim} - {None}
+        if len(dims) > 1:
+            raise DomainMismatch(f"kernel domains differ: dim {self.left.dim} vs {self.right.dim}")
+        object.__setattr__(self, "dim", dims.pop() if dims else 0)
 
     def evaluate(self, z, w):
         return self.left.evaluate(z, w) + self.right.evaluate(z, w)
-
-    def describe(self):
-        return f"sum({self.left.describe()}, {self.right.describe()})"
 
 
 @dataclass(frozen=True)
@@ -302,7 +262,7 @@ class Pullback(Kernel):
     map: PowerSeries
 
     def __post_init__(self):
-        if self.inner.domain() not in (None, ("disk",)):
+        if self.inner.dim:
             raise DomainMismatch("pull-backs are defined for disk kernels only")
 
     def evaluate(self, z, w):
@@ -313,9 +273,6 @@ class Pullback(Kernel):
                 arr, RangeViolation, f"pull-back map leaves the kernel domain on argument {name}")
         return self.inner.evaluate(mz, mw)
 
-    def describe(self):
-        return f"pullback({self.inner.describe()})"
-
 
 @dataclass(frozen=True)
 class Congruence(Kernel):
@@ -325,16 +282,13 @@ class Congruence(Kernel):
     factor: PowerSeries
 
     def __post_init__(self):
-        if self.inner.domain() not in (None, ("disk",)):
+        if self.inner.dim:
             raise DomainMismatch("congruences are defined for disk kernels only")
 
     def evaluate(self, z, w):
         fz = np.asarray(self.factor(z), complex)
         fw = np.asarray(self.factor(w), complex)
         return fz * np.conj(fw) * self.inner.evaluate(z, w)
-
-    def describe(self):
-        return f"congruence({self.inner.describe()})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,9 +317,7 @@ class NormalizedDefect(Kernel):
                 f"K(base, base) = {kbb:.6g} is not real and positive"
             )
         object.__setattr__(self, "kbb", kbb.real)
-
-    def domain(self):
-        return self.inner.domain()
+        object.__setattr__(self, "dim", self.inner.dim)
 
     def evaluate(self, z, w):
         kzb = np.asarray(self.inner.evaluate(z, self.base), complex)
@@ -382,21 +334,3 @@ class NormalizedDefect(Kernel):
         _guard_min_modulus(kzb, DEFECT_EPS, VanishingKernel, "K(z, base)")
         return kzb
 
-    def describe(self):
-        return f"defect({self.inner.describe()})"
-
-
-def kernel_eval(kernel: Kernel, z, w):
-    """Evaluate K(z, w) after checking both arguments lie in the domain.
-
-    Scalars in, scalar out; numpy arrays broadcast. Constant kernels return a
-    scalar regardless of input shape.
-    """
-    zz = np.asarray(z, dtype=complex)
-    ww = np.asarray(w, dtype=complex)
-    for name, arr in (("z", zz), ("w", ww)):
-        kernel.require_inside(arr, DomainViolation, f"argument {name} outside the kernel domain")
-    out = np.asarray(kernel.evaluate(zz, ww), dtype=complex)
-    if out.ndim == 0:
-        return complex(out)
-    return out

@@ -1,4 +1,4 @@
-"""Hermitian matrix assembly (Gram, Pick) and PSD certification.
+"""Gram and Pick matrices, Hermitian-symmetrized, and PSD certification.
 
 Raw kernel matrices are Hermitian-symmetrized unconditionally before any
 eigenvalue computation; the measured asymmetry is kept on the matrix so
@@ -67,11 +67,11 @@ class PsdVerdict:
 
 @dataclass(frozen=True, eq=False)
 class HermitianMatrix:
-    """Dense complex Hermitian matrix with assembly metadata."""
+    """Dense complex Hermitian matrix with its scale, asymmetry and
+    Cauchy-Schwarz excess."""
 
     entries: np.ndarray
     scale: float          # max abs entry after symmetrization
-    assembly: str         # human-readable provenance
     asymmetry: float      # max |raw - raw^H| before symmetrization
     # (e, i, j): e = |m_ij|^2 / |m_ii m_jj| - 1, largest at i < j; e > 0 breaks
     # Cauchy-Schwarz, so m is not PSD ((-1, 0, 0) below two rows, -inf not taken)
@@ -100,7 +100,7 @@ def empty_matrix(n: int) -> np.ndarray:
     return np.empty((n, n), dtype=complex)
 
 
-def hermitian_from_raw(raw, assembly: str = "") -> HermitianMatrix:
+def hermitian_from_raw(raw) -> HermitianMatrix:
     """0.5 (raw + raw^H), with its max modulus as scale and max |raw - raw^H|
     as asymmetry: hermitian_in_place on a copy of raw."""
     raw = np.asarray(raw, dtype=complex)
@@ -108,10 +108,10 @@ def hermitian_from_raw(raw, assembly: str = "") -> HermitianMatrix:
         raise ValueError("expected a square matrix of dimension >= 1")
     herm = empty_matrix(raw.shape[0])
     herm[...] = raw
-    return hermitian_in_place(herm, assembly)
+    return hermitian_in_place(herm)
 
 
-def hermitian_in_place(raw: np.ndarray, assembly: str = "") -> HermitianMatrix:
+def hermitian_in_place(raw: np.ndarray) -> HermitianMatrix:
     """hermitian_from_raw over ``raw``, a writable square complex array,
     which becomes the read-only entries. Entry (i, j) is
     (conj(raw[j, i]) + raw[i, j]) * 0.5, formed a row block and its mirrored
@@ -144,7 +144,7 @@ def hermitian_in_place(raw: np.ndarray, assembly: str = "") -> HermitianMatrix:
             excess.append((float(mods[at]) ** 2 - 1.0, i + min(at), i + max(at)))
             raw[j:, i:j] = below
     raw.setflags(write=False)
-    return HermitianMatrix(raw, float(np.max(scale)), assembly, float(np.max(asym)), max(excess),
+    return HermitianMatrix(raw, float(np.max(scale)), float(np.max(asym)), max(excess),
                            float(np.min(least)))
 
 
@@ -168,8 +168,7 @@ def gram(kernel: Kernel, pts) -> HermitianMatrix:
     points = kernel.points(pts)
     if points.shape[0] < 1:
         raise ValueError("at least one sample point is required")
-    raw = _kernel_matrix(kernel, points)
-    return hermitian_in_place(raw, f"{kernel.describe()} on {points.shape[0]} samples")
+    return hermitian_in_place(_kernel_matrix(kernel, points))
 
 
 def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
@@ -279,4 +278,4 @@ def pick_matrix(kernel: Kernel, nodes, targets) -> HermitianMatrix:
         raise ValueError("interpolation targets must be finite")
     raw = _kernel_matrix(kernel, points)
     pick = (1.0 - lam[:, None] * np.conj(lam)[None, :]) * raw
-    return hermitian_from_raw(pick, f"pick[{kernel.describe()}] on {lam.size} nodes")
+    return hermitian_from_raw(pick)

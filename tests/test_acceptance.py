@@ -254,7 +254,7 @@ def test_acceptance_09_eigensolver_oracle():
         diag = rng.uniform(-2.0, 2.0, n)
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         q, _ = np.linalg.qr(a)
-        m = hermitian_from_raw(q @ np.diag(diag) @ q.conj().T, "planted")
+        m = hermitian_from_raw(q @ np.diag(diag) @ q.conj().T)
         err = abs(smallest_eigenvalue(m) - diag.min()) / m.scale
         worst = max(worst, err)
     assert worst < 1e-10

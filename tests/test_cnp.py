@@ -222,6 +222,13 @@ def test_a_base_outside_the_domain_is_reported_before_samples_outside_it():
         cnp_basepoint_sweep(Szego(), [0j, 1.5], pts)
 
 
+@pytest.mark.parametrize("n", [10, 300])
+def test_samples_that_all_coincide_with_the_base_raise_value_error(n):
+    # from RITZ_MIN_N samples on this was an IndexError from a 0 x 0 compression
+    with pytest.raises(ValueError, match="at least one sample point away from the base"):
+        cnp_certify(Szego(), 0.3, [0.3] * n)
+
+
 class SkewedSzego(Kernel):
     """Szego plus 1e-6 z w: not conjugate-symmetric, as a buggy kernel would
     be, yet exact at the base 0, so only K(z, w) carries the asymmetry."""
@@ -320,9 +327,10 @@ def test_reciprocal_of_a_symmetrized_gram_is_bitwise_hermitian(kernel, pts):
     assert np.array_equal(rec.entries, rec.entries.conj().T)
 
 
-def eigvalsh_reference(kernel, base, rep):
-    """min_eig of the materialized, symmetrized defect on the report's samples, and its scale."""
-    pts = kernel.points(rep.samples)
+def eigvalsh_reference(kernel, base, pts):
+    """min_eig of the materialized, symmetrized defect on the samples away
+    from the base, and its scale."""
+    pts = kernel.points(pts)[cnp._exclude_base(pts, base, kernel)]
     m = hermitian_from_raw(NormalizedDefect(kernel, base).evaluate(pts[:, None], pts[None]))
     return float(np.linalg.eigvalsh(m.entries)[0]), m.scale
 
@@ -358,7 +366,7 @@ def test_factored_defect_matches_the_materialized_defect(
     for base, rep, ref in zip(bases + bases, reports, one_by_one + swept):
         assert rep.verdict.status is ref.verdict.status is status
         assert (rep.n_samples, rep.notes) == (ref.n_samples, ref.notes)
-        min_eig, scale = eigvalsh_reference(kernel, base, rep)
+        min_eig, scale = eigvalsh_reference(kernel, base, pts)
         assert rep.verdict.tol == pytest.approx(1e-9 * max(1.0, scale), rel=1e-12)
         assert rep.verdict.tol == pytest.approx(ref.verdict.tol, rel=1e-12)
         if quotient:   # a tight upper bound on the smallest eigenvalue, past the NOT_PSD band
@@ -406,7 +414,7 @@ def test_a_stalled_factorization_serves_the_bases_whose_bound_it_meets(monkeypat
     assert not assembled
     for base, rep in zip(bases, reports):
         assert rep.verdict.status is Verdict.PSD
-        min_eig, scale = eigvalsh_reference(kernel, base, rep)
+        min_eig, scale = eigvalsh_reference(kernel, base, pts)
         assert abs(rep.verdict.min_eig - min_eig) <= 2 * RITZ_RESIDUAL * max(1.0, scale)
 
 
@@ -462,7 +470,7 @@ def test_not_psd_bases_still_scan_their_scale(monkeypatch):
     for base, rep, s in zip(bases, reports, scans):
         assert rep.verdict.status is Verdict.NOT_PSD and s > 1.0
         assert rep.verdict.tol == 1e-9 * s
-        assert rep.verdict.tol == pytest.approx(1e-9 * eigvalsh_reference(DBR_BLASCHKE, base, rep)[1],
+        assert rep.verdict.tol == pytest.approx(1e-9 * eigvalsh_reference(DBR_BLASCHKE, base, pts)[1],
                                                 rel=1e-12)
 
 
@@ -680,7 +688,7 @@ def test_a_base_on_a_sample_takes_its_quotient_on_the_kept_samples(monkeypatch):
     assert not assembled
     for base, rep in zip(bases, reports):
         assert rep.n_samples == len(pts) - 1 and rep.verdict.status is Verdict.INCONCLUSIVE
-        min_eig, scale = eigvalsh_reference(kernel, base, rep)
+        min_eig, scale = eigvalsh_reference(kernel, base, pts)
         assert min_eig - 2 * RITZ_RESIDUAL * max(1.0, scale) <= rep.verdict.min_eig <= 0.999 * min_eig
         assert rep.verdict.min_eig < -10 * rep.verdict.tol
 
@@ -693,7 +701,7 @@ def test_a_base_on_a_sample_takes_its_quotient_on_the_kept_samples(monkeypatch):
 ])
 def test_complete_pick_kernels_never_stop_the_range_finder_early(monkeypatch, kernel, grid):
     n = grid[0] * grid[1] + 8
-    if kernel.point_ndim:
+    if kernel.dim:
         pts = ball_points(n, 2, r_max=0.95, seed=5)
     else:
         pts = SampleSet.default(seed=5, grid=grid, r_max=0.95)

@@ -32,7 +32,6 @@ from cnpcert.families import (
     power_symbol,
     scaled_identity_symbol,
 )
-from cnpcert.kernels import kernel_eval
 from cnpcert.linalg import Verdict
 from cnpcert.sampling import SampleSet
 from cnpcert.series import PowerSeries, divide
@@ -45,12 +44,12 @@ COLLISION_PAIR = [0.4, 0.125]  # b(z1) = b(z2) for the Blaschke zeros {0, 1/2}
 
 def test_dbr_kernel_identity_symbol():
     k = dbr_kernel(PowerSeries([0.0, 1.0]))
-    assert abs(kernel_eval(k, 0.3, -0.2j) - 1.0) < 1e-14
+    assert abs(k.evaluate(0.3, -0.2j) - 1.0) < 1e-14
 
 
 def test_dbr_kernel_half_symbol():
     k = dbr_kernel(scaled_identity_symbol(2))
-    assert abs(kernel_eval(k, 0.5, 0.5) - 1.25) < 1e-14
+    assert abs(k.evaluate(0.5, 0.5) - 1.25) < 1e-14
 
 
 def test_dbr_kernel_rejects_large_symbol():

@@ -279,6 +279,17 @@ def test_pick_extremal_construct_exit_1(capsys):
     assert json.loads(out)["interpolant"]["error"] == "NOT_STRICTLY_SOLVABLE"
 
 
+def test_pick_construct_is_for_the_szego_kernel_only(capsys):
+    problem = ["pick", "--problem", '{"nodes":[[0,0],[0.5,0]],"targets":[[0,0],[0.375,0]]}',
+               "--construct", "--kernel"]
+    code, _, _ = run_cli(capsys, problem + ['{"kind":"szego"}'])
+    assert code == 0
+    other = '{"kind":"sum","left":{"kind":"szego"},"right":{"kind":"constant","value":0}}'
+    code, out, err = run_cli(capsys, problem + [other])
+    assert (code, out) == (3, "")
+    assert "available for the szego kernel only" in err
+
+
 def test_pick_malformed_problem_exit_3(capsys):
     code, _, err = run_cli(capsys, ["pick", "--problem", '{"nodes": "zap"}'])
     assert code == 3

@@ -22,7 +22,6 @@ from cnpcert.kernels import (
     Sum,
     Szego,
     WeightedHardy,
-    kernel_eval,
     unit_ball_probe,
 )
 from cnpcert.linalg import gram, hermitian_from_raw
@@ -41,30 +40,30 @@ disk_pts = st.complex_numbers(max_magnitude=0.85).filter(lambda z: abs(z) < 0.85
 
 def test_szego_values():
     k = Szego()
-    assert kernel_eval(k, 0, 0) == 1.0
-    assert abs(kernel_eval(k, 0.5, 0.5) - 4 / 3) < 1e-15
+    assert k.evaluate(0, 0) == 1.0
+    assert abs(k.evaluate(0.5, 0.5) - 4 / 3) < 1e-15
 
 
 def test_szego_domain_violation():
     with pytest.raises(DomainViolation):
-        kernel_eval(Szego(), 1.2, 0.0)
+        gram(Szego(), [1.2, 0.0])
 
 
 def test_szego_near_singular():
     z = 1.0 - 5e-14
     with pytest.raises(NearSingular):
-        kernel_eval(Szego(), z, z)
+        Szego().evaluate(z, z)
 
 
 def test_dbr_identity_symbol_is_constant_one():
     k = DeBrangesRovnyak(PowerSeries([0.0, 1.0]))
     for z, w in [(0.2, 0.5), (0.3 + 0.4j, -0.1j), (0.0, 0.7)]:
-        assert abs(kernel_eval(k, z, w) - 1.0) < 1e-14
+        assert abs(k.evaluate(z, w) - 1.0) < 1e-14
 
 
 def test_dbr_half_symbol_value():
     k = DeBrangesRovnyak(half_map())
-    assert abs(kernel_eval(k, 0.5, 0.5) - 1.25) < 1e-14
+    assert abs(k.evaluate(0.5, 0.5) - 1.25) < 1e-14
 
 
 def test_dbr_rejects_non_unit_ball_symbol():
@@ -82,14 +81,14 @@ def test_drury_arveson_dim1_matches_szego():
     pts = [0.3 + 0.2j, -0.5j, 0.7]
     for z in pts:
         for w in pts:
-            a, b = kernel_eval(da, [z], [w]), kernel_eval(sz, z, w)
+            a, b = da.evaluate([z], [w]), sz.evaluate(z, w)
             # same formula; the array path may use FMA, keep it below one ulp
             assert abs(a - b) <= 1e-16 * (1 + abs(b))
 
 
 def test_drury_arveson_domain():
     with pytest.raises(DomainViolation):
-        kernel_eval(DruryArveson(2), [0.8, 0.7], [0.0, 0.0])
+        gram(DruryArveson(2), [[0.8, 0.7], [0.0, 0.0]])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -104,7 +103,7 @@ def test_weighted_hardy_all_ones_matches_szego():
     wh, sz = WeightedHardy(np.ones(256)), Szego()
     zs = np.array([0.5, -0.3 + 0.2j, 0.7j, 0.79, 0.8])
     dev = np.abs(
-        kernel_eval(wh, zs[:, None], zs[None, :]) - kernel_eval(sz, zs[:, None], zs[None, :])
+        wh.evaluate(zs[:, None], zs[None, :]) - sz.evaluate(zs[:, None], zs[None, :])
     )
     assert dev.max() < 1e-12
 
@@ -125,11 +124,11 @@ def test_constant_validation():
 
 def test_sum_with_zero_constant_is_identity():
     k = Sum(Szego(), Constant(0.0))
-    assert kernel_eval(k, 0.4, 0.2j) == kernel_eval(Szego(), 0.4, 0.2j)
+    assert k.evaluate(0.4, 0.2j) == Szego().evaluate(0.4, 0.2j)
 
 
 def test_sum_szego_twice():
-    assert kernel_eval(Sum(Szego(), Szego()), 0, 0) == 2.0
+    assert Sum(Szego(), Szego()).evaluate(0, 0) == 2.0
 
 
 def test_sum_domain_mismatch():
@@ -137,21 +136,36 @@ def test_sum_domain_mismatch():
         Sum(Szego(), DruryArveson(2))
 
 
+def test_a_node_takes_its_domain_from_its_children():
+    # a constant fits any domain: a sum takes its other term's, a sum of two
+    # constants the disk, a defect its inner kernel's
+    pts = ball_points(3, 2, seed=1)
+    assert Sum(Constant(1.0), DruryArveson(2)).points(pts).shape == (3, 2)
+    assert Sum(Constant(1.0), Constant(2.0)).points([0.1, 0.2j]).shape == (2,)
+    with pytest.raises(DomainMismatch):
+        Sum(Constant(1.0), Constant(2.0)).points(pts)
+    assert NormalizedDefect(DruryArveson(2), (0j, 0j)).points(pts).shape == (3, 2)
+    for node in (Pullback, Congruence):
+        with pytest.raises(DomainMismatch):
+            node(DruryArveson(2), half_map())
+        assert node(Constant(1.0), half_map()).points([0.1]).shape == (1,)
+
+
 def test_pullback_by_identity_is_identity():
     k = Pullback(Szego(), PowerSeries([0.0, 1.0]))
-    assert kernel_eval(k, 0.3, 0.6) == kernel_eval(Szego(), 0.3, 0.6)
+    assert k.evaluate(0.3, 0.6) == Szego().evaluate(0.3, 0.6)
 
 
 def test_pullback_by_half_map():
     k = Pullback(Szego(), half_map())
-    assert abs(kernel_eval(k, 0.5, 0.5) - 16 / 15) < 1e-14
+    assert abs(k.evaluate(0.5, 0.5) - 16 / 15) < 1e-14
 
 
 def test_pullback_range_violation():
     # map z + 0.9 exits the disk at z = 0.3
     k = Pullback(Szego(), PowerSeries([0.9, 1.0]))
     with pytest.raises(RangeViolation):
-        kernel_eval(k, 0.3, 0.0)
+        k.evaluate(0.3, 0.0)
 
 
 def test_pullback_gram_commutes_exactly():
@@ -165,12 +179,12 @@ def test_pullback_gram_commutes_exactly():
 
 def test_congruence_unit_factor_is_identity():
     k = Congruence(Szego(), PowerSeries([1.0, 0.0]))
-    assert kernel_eval(k, 0.3, 0.4) == kernel_eval(Szego(), 0.3, 0.4)
+    assert k.evaluate(0.3, 0.4) == Szego().evaluate(0.3, 0.4)
 
 
 def test_congruence_constant_two_scales_by_four():
     k = Congruence(Szego(), PowerSeries([2.0]))
-    assert abs(kernel_eval(k, 0.3, 0.4) - 4 * kernel_eval(Szego(), 0.3, 0.4)) < 1e-14
+    assert abs(k.evaluate(0.3, 0.4) - 4 * Szego().evaluate(0.3, 0.4)) < 1e-14
 
 
 def test_congruence_identity_factor_matches_explicit_formula():
@@ -178,8 +192,8 @@ def test_congruence_identity_factor_matches_explicit_formula():
     inner = DeBrangesRovnyak(half_map())
     k = Congruence(inner, PowerSeries([0.0, 1.0]))
     z, w = 0.4 + 0.1j, -0.3 + 0.5j
-    expect = z * np.conj(w) * kernel_eval(inner, z, w)
-    assert abs(kernel_eval(k, z, w) - expect) < 1e-14
+    expect = z * np.conj(w) * inner.evaluate(z, w)
+    assert abs(k.evaluate(z, w) - expect) < 1e-14
 
 
 def test_decomposition_pieces_match_closed_formulas():
@@ -196,9 +210,9 @@ def test_decomposition_pieces_match_closed_formulas():
     for z, w in [(0.5, 0.5), (0.3 + 0.2j, -0.4j), (-0.6, 0.1 + 0.1j)]:
         fz, fw, bz, bw = f_series(z), f_series(w), b(z), b(w)
         expect1 = fz * np.conj(fw) / (1 - np.conj(bw) * bz)
-        assert abs(kernel_eval(k1, z, w) - expect1) < 1e-13
+        assert abs(k1.evaluate(z, w) - expect1) < 1e-13
         expect2 = z * np.conj(w) * expect1
-        assert abs(kernel_eval(k2, z, w) - expect2) < 1e-13
+        assert abs(k2.evaluate(z, w) - expect2) < 1e-13
 
 
 # ----------------------------------------------------------------- defect
@@ -206,7 +220,7 @@ def test_decomposition_pieces_match_closed_formulas():
 def test_defect_szego_is_product_kernel():
     d = NormalizedDefect(Szego(), 0j)
     for z, w in [(0.5, 0.5), (0.3 + 0.2j, -0.6j), (0.7, -0.7)]:
-        assert abs(kernel_eval(d, z, w) - z * np.conj(w)) < 1e-14
+        assert abs(d.evaluate(z, w) - z * np.conj(w)) < 1e-14
 
 
 def test_defect_rank_one_kernel_vanishes():
@@ -216,7 +230,7 @@ def test_defect_rank_one_kernel_vanishes():
     k = DeBrangesRovnyak(blaschke_product([0.3], order=64))
     d = NormalizedDefect(k, 0j)
     zs = np.array([0.5, -0.2 + 0.4j, 0.8j])
-    vals = kernel_eval(d, zs[:, None], zs[None, :])
+    vals = d.evaluate(zs[:, None], zs[None, :])
     assert np.max(np.abs(vals)) < 1e-12
 
 
@@ -225,7 +239,7 @@ def test_defect_squared_symbol_closed_form():
     d = NormalizedDefect(DeBrangesRovnyak(b), 0j)
     for z, w in [(0.5, 0.5), (0.5, -0.5), (0.3j, 0.2)]:
         t = z * np.conj(w)
-        assert abs(kernel_eval(d, z, w) - t / (1 + t)) < 1e-14
+        assert abs(d.evaluate(z, w) - t / (1 + t)) < 1e-14
 
 
 def test_defect_gram_of_kernel_gram_matches_evaluate():
@@ -252,7 +266,7 @@ def test_defect_vanishing_kernel_raises():
     k = Congruence(Szego(), PowerSeries([-0.5, 1.0]))  # factor z - 1/2
     d = NormalizedDefect(k, 0j)
     with pytest.raises(VanishingKernel):
-        kernel_eval(d, 0.5, 0.3)
+        d.evaluate(0.5, 0.3)
 
 
 def test_defect_base_outside_domain():
@@ -273,15 +287,13 @@ def test_conjugate_symmetry(points):
     for k in kernels:
         for z in points:
             for w in points:
-                a = kernel_eval(k, z, w)
-                b = kernel_eval(k, w, z)
+                a = k.evaluate(z, w)
+                b = k.evaluate(w, z)
                 assert abs(a - np.conj(b)) <= 1e-12 * (1 + abs(a))
 
 
 def test_drury_arveson_rejects_points_of_another_dimension():
     # a point of C^3 must not broadcast against DA(2) (it evaluated to 1.0526)
-    with pytest.raises(DomainMismatch):
-        kernel_eval(DruryArveson(2), [0.1] * 3, [0.2, 0, 0.3])
     with pytest.raises(DomainMismatch):
         gram(DruryArveson(2), ball_points(10, 3, seed=1))
     with pytest.raises(DomainMismatch):
@@ -325,7 +337,7 @@ DBR_AFFINE = DeBrangesRovnyak(PowerSeries([0.25, 0.5]))
 def edge_samples(kernel):
     """296 samples within r = 0.9, sample 250 moved to radius R_EDGE (in the
     second row block of the Gram)."""
-    if kernel.point_ndim:
+    if kernel.dim:
         pts = ball_points(296, 2, seed=5)
         pts[250] = R_EDGE * np.array([0.6j, -0.8])
     else:

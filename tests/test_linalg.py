@@ -28,7 +28,7 @@ from cnpcert.series import PowerSeries
 
 
 def herm(entries):
-    return hermitian_from_raw(np.asarray(entries, dtype=complex), "test")
+    return hermitian_from_raw(np.asarray(entries, dtype=complex))
 
 
 # ------------------------------------------------------------------- gram
@@ -56,7 +56,6 @@ def test_gram_asymmetry_metadata():
     assert m.asymmetry < 1e-14
     assert not m.asym_warning
     assert m.scale > 1.0
-    assert "szego" in m.assembly
 
 
 # ----------------------------------------------------------------- min eig
@@ -74,7 +73,7 @@ def test_min_eig_matches_planted_spectrum(seed):
     diag = rng.uniform(-3.0, 3.0, n)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, _ = np.linalg.qr(a)
-    m = hermitian_from_raw(q @ np.diag(diag) @ q.conj().T, "planted")
+    m = hermitian_from_raw(q @ np.diag(diag) @ q.conj().T)
     assert abs(smallest_eigenvalue(m) - diag.min()) < 1e-10 * m.scale
 
 
@@ -99,7 +98,7 @@ def test_non_finite_entry_is_inconclusive_without_warning(bad):
     raw[1, 2] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = hermitian_from_raw(raw, "non-finite")
+        m = hermitian_from_raw(raw)
         v = psd_verdict(m)
     assert not m.finite
     assert v.status is Verdict.INCONCLUSIVE
@@ -115,7 +114,7 @@ def test_non_finite_entry_off_the_upper_triangle_reaches_scale(pos, bad):
     raw[pos] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = hermitian_from_raw(raw, "non-finite")
+        m = hermitian_from_raw(raw)
         v = psd_verdict(m)
     assert not m.finite
     assert v.status is Verdict.INCONCLUSIVE
@@ -126,7 +125,7 @@ def test_hermitian_from_raw_matches_full_array_formulas(order):
     rng = np.random.default_rng(17)
     raw = rng.standard_normal((150, 150)) + 1j * rng.standard_normal((150, 150))
     raw = np.asarray(raw, order=order)
-    m = hermitian_from_raw(raw, "random")
+    m = hermitian_from_raw(raw)
     ref = 0.5 * (raw + raw.conj().T)
     assert m.entries.tobytes() == np.ascontiguousarray(ref).tobytes()
     assert m.scale == np.max(np.abs(ref))
@@ -155,10 +154,10 @@ def test_asym_warning_measures_asymmetry_against_max_1_scale():
     # the rounding of its O(1) terms: warned "asymmetry 2.338e-16 exceeds
     # tolerance at scale 1.443e-15"
     zeros = np.zeros((2, 2), dtype=complex)
-    assert not HermitianMatrix(zeros, 1.443e-15, "vanishing defect", 2.338e-16).asym_warning
-    assert HermitianMatrix(zeros, 1.443e-15, "vanishing defect", 2e-10).asym_warning
-    assert not HermitianMatrix(zeros, 1e3, "large", 2e-8).asym_warning
-    assert HermitianMatrix(zeros, 1e3, "large", 2e-7).asym_warning
+    assert not HermitianMatrix(zeros, 1.443e-15, 2.338e-16).asym_warning
+    assert HermitianMatrix(zeros, 1.443e-15, 2e-10).asym_warning
+    assert not HermitianMatrix(zeros, 1e3, 2e-8).asym_warning
+    assert HermitianMatrix(zeros, 1e3, 2e-7).asym_warning
 
 
 def test_psd_verdict_rejects_non_finite_tolerance():
@@ -175,7 +174,7 @@ def planted(n, diag, seed):
     rng = np.random.default_rng(seed)
     r = len(diag)
     v, _ = np.linalg.qr(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
-    return hermitian_from_raw((v * np.asarray(diag)) @ v.conj().T, "planted low rank")
+    return hermitian_from_raw((v * np.asarray(diag)) @ v.conj().T)
 
 
 def ritz(m):
@@ -215,7 +214,7 @@ def test_ritz_full_rank_falls_back_to_eigvalsh():
     n = 300
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-    m = hermitian_from_raw(q @ np.diag(rng.uniform(-3.0, 3.0, n)) @ q.conj().T, "full rank")
+    m = hermitian_from_raw(q @ np.diag(rng.uniform(-3.0, 3.0, n)) @ q.conj().T)
     assert m.n >= RITZ_MIN_N
     (q, b, resid), target = ritz(m)
     assert not resid <= target and q.shape[1] <= m.n // RITZ_MAX_FRAC
@@ -244,7 +243,7 @@ def test_ritz_is_deterministic():
 ])
 def test_ritz_matches_eigvalsh_on_defect_matrices(desc, base):
     kernel = kernel_from_json(desc)
-    if kernel.point_ndim == 0:
+    if not kernel.dim:
         pts = SampleSet.default(grid=(20, 40)).points
     else:
         pts = ball_points(808, 2)
@@ -291,7 +290,7 @@ def test_pick_matrix_length_mismatch():
 def test_schur_product_of_szego_grams_is_psd():
     pts = SampleSet.default(seed=11)
     g = gram(Szego(), pts).entries
-    prod = hermitian_from_raw(g * g, "schur product")
+    prod = hermitian_from_raw(g * g)
     v = psd_verdict(prod)
     assert v.status is Verdict.PSD
 
@@ -322,13 +321,13 @@ def test_hermitian_from_raw_across_row_blocks(order):
     rng = np.random.default_rng(23)
     raw = rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600))
     raw[-1, 3] = np.nan   # below the diagonal, in the last block
-    m = hermitian_from_raw(np.asarray(raw, order=order), "random")
+    m = hermitian_from_raw(np.asarray(raw, order=order))
     ref = 0.5 * (raw + raw.conj().T)
     assert m.entries.tobytes() == np.ascontiguousarray(ref).tobytes()
     assert not m.entries.flags.writeable
     assert math.isnan(m.scale) and math.isnan(m.asymmetry)
     raw[-1, 3] = 1.0
-    m = hermitian_from_raw(raw, "random")
+    m = hermitian_from_raw(raw)
     assert m.scale == np.max(np.abs(0.5 * (raw + raw.conj().T)))
     assert m.asymmetry == np.max(np.abs(raw - raw.conj().T))
 
@@ -339,10 +338,10 @@ def test_min_modulus_is_taken_in_the_symmetrizing_pass(order):
     rng = np.random.default_rng(23)
     raw = rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600))
     raw[-1, 3] = np.nan
-    m = hermitian_from_raw(np.asarray(raw, order=order), "random")
+    m = hermitian_from_raw(np.asarray(raw, order=order))
     assert math.isnan(m.min_modulus) and math.isnan(np.min(np.abs(m.entries)))
     raw[-1, 3] = 1.0
-    m = hermitian_from_raw(np.asarray(raw, order=order), "random")
+    m = hermitian_from_raw(np.asarray(raw, order=order))
     assert m.min_modulus == np.min(np.abs(m.entries))
     assert m.min_modulus.hex() == float(np.min(np.abs(m.entries))).hex()
 
