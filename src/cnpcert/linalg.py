@@ -114,11 +114,12 @@ def hermitian_from_raw(raw) -> HermitianMatrix:
 def hermitian_in_place(raw: np.ndarray) -> HermitianMatrix:
     """hermitian_from_raw over ``raw``, a writable square complex array,
     which becomes the read-only entries. Entry (i, j) is
-    (conj(raw[j, i]) + raw[i, j]) * 0.5, formed a row block and its mirrored
-    column block at a time. Both maxima, and the least modulus, are taken
-    over the upper triangle, exact since the moduli are symmetric, with
-    np.max and np.min, so a NaN entry anywhere makes all three NaN. The
-    scale's moduli, times 1 / sqrt|m_ii m_jj| off the diagonal (which
+    (conj(raw[j, i]) + raw[i, j]) * 0.5, formed a row block at a time: the
+    sum on the upper triangle, written to the lower as its conjugate (the
+    same sum bit for bit, NaN signs included), then both halved. Both maxima,
+    and the least modulus, are taken over the upper triangle, exact since the
+    moduli are symmetric, with np.max and np.min, so a NaN entry anywhere
+    makes all three NaN. The scale's moduli, times 1 / sqrt|m_ii m_jj| off the diagonal (which
     symmetrizing leaves at raw's real parts), give cs_excess.
     """
     asym, scale, least, excess = [], [], [], []
@@ -129,10 +130,10 @@ def hermitian_in_place(raw: np.ndarray) -> HermitianMatrix:
             upper = raw[i:j, i:]
             rows = np.conjugate(raw[i:, i:j].T)   # raw^H on the same entries
             asym.append(np.max(np.abs(upper - rows)))
-            below = np.conjugate(upper[:, j - i:].T)
-            below += raw[j:, i:j]
-            below *= 0.5
             np.add(rows, upper, out=upper)
+            lower = raw[j:, i:j]
+            np.conjugate(upper[:, j - i:].T, out=lower)   # the mirrored sum, bit for bit
+            lower *= 0.5
             upper *= 0.5
             mods = np.abs(upper)
             scale.append(np.max(mods))
@@ -142,7 +143,6 @@ def hermitian_in_place(raw: np.ndarray) -> HermitianMatrix:
             mods.ravel()[::mods.shape[1] + 1] = 0.0   # the diagonal
             at = divmod(int(np.argmax(mods)), mods.shape[1])
             excess.append((float(mods[at]) ** 2 - 1.0, i + min(at), i + max(at)))
-            raw[j:, i:j] = below
     raw.setflags(write=False)
     return HermitianMatrix(raw, float(np.max(scale)), float(np.max(asym)), max(excess),
                            float(np.min(least)))
