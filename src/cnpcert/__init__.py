@@ -1,10 +1,10 @@
 """Reproducing-kernel toolkit.
 
-Truncated power series with functional reversion, evaluable kernel
-expression trees on the disk and ball, Hermitian/PSD certification, sampled
-certification of the complete Nevanlinna-Pick property, the constructive
-criterion for de Branges-Rovnyak kernels, and Schur-recursion Pick
-interpolation for the Szego kernel.
+Truncated power series with functional reversion, exact rational maps,
+evaluable kernel expression trees on the disk and ball, Hermitian/PSD
+certification, sampled certification of the complete Nevanlinna-Pick
+property, the constructive criterion for de Branges-Rovnyak kernels, and
+Schur-recursion Pick interpolation for the Szego kernel.
 """
 
 __version__ = "0.1.0"
@@ -51,10 +51,9 @@ from .linalg import (
 from .pickinterp import (
     InterpolationProblem,
     SchurInterpolant,
-    blaschke_product,
     pick_solvable,
     sampled_sup,
     schur_interpolant,
 )
 from .sampling import SampleSet, ball_points
-from .series import PowerSeries, divide
+from .series import PowerSeries, Rational, divide

@@ -7,11 +7,14 @@ complete Pick property exactly when b admits a holomorphic left inverse h
 disk with modulus at most |1 - conj(b(0)) z|.
 
 Numerically that splits into a necessary part that is checkable from b alone
-(injectivity probe, series reversion round-trip, the modulus inequality
-sampled on b's range) and a sufficient part that needs the caller to supply
+(injectivity probe, left-inverse round trip, the modulus inequality sampled
+on b's range) and a sufficient part that needs the caller to supply
 the extension of (z - b(0)) / h as a concrete series witness. The report
 keeps the two apart: PASS_NECESSARY never claims more than consistency,
 PASS_WITH_EXTENSION means the witness checked out at sampled resolution.
+A symbol is a ``series.Rational`` (a named family) or a ``PowerSeries``. A
+Moebius symbol's left inverse is its adjugate; any other symbol's is the
+Newton reversion of its series, a Rational's through its ``order``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import NearZeroSample, NonInvertible, NotSchurClass, WitnessInconsi
 from .kernels import SCHUR_SLACK, Congruence, Constant, DeBrangesRovnyak, Pullback, Szego, unit_ball_probe
 from .linalg import PsdVerdict, gram, hermitian_from_raw, psd_verdict
 from .sampling import PROBE_GRID, SampleSet, polar_grid
-from .series import PowerSeries
+from .series import PowerSeries, Rational, Symbol
 
 COLL_EPS = 1e-7        # collision threshold for the injectivity probe
 SEP_MIN = 1e-4         # minimum argument separation for a genuine collision
@@ -83,21 +86,22 @@ class CriterionReport:
         }
 
 
-def _require_symbol(b: PowerSeries):
+def _require_symbol(b: Symbol):
     if b.center != 0:
         raise ValueError("symbols must be series centered at 0")
-    if b.order < 1 or float(np.max(np.abs(b.coeffs[1:]))) < 1e-15:
+    if (b.degree == 0 if isinstance(b, Rational)
+            else b.order < 1 or float(np.max(np.abs(b.coeffs[1:]))) < 1e-15):
         raise ValueError("the symbol must be nonconstant")
 
 
-def dbr_kernel(b: PowerSeries) -> DeBrangesRovnyak:
+def dbr_kernel(b: Symbol) -> DeBrangesRovnyak:
     """Kernel node for a nonconstant symbol; the construction runs the
     sampled unit-ball probe and rejects symbols outside it."""
     _require_symbol(b)
     return DeBrangesRovnyak(b)
 
 
-def injectivity_probe(b: PowerSeries, pts) -> InjectivityStatus:
+def injectivity_probe(b: Symbol, pts) -> InjectivityStatus:
     """Look for pairs mapped to (numerically) the same value.
 
     NOT_INJ needs a genuine collision: values within COLL_EPS relative slack
@@ -119,25 +123,28 @@ def injectivity_probe(b: PowerSeries, pts) -> InjectivityStatus:
     return InjectivityStatus.INJ_EVIDENCE
 
 
-def functional_inverse(b: PowerSeries) -> PowerSeries:
-    """Series h centered at b(0) with h(b(z)) = z through the truncation
-    order; raises NonInvertible when b'(0) is numerically zero, in which case
-    no holomorphic left inverse can exist for a nonconstant b."""
+def functional_inverse(b: Symbol) -> Symbol:
+    """h with h(b(z)) = z: a Moebius symbol's adjugate, else the series
+    centered at b(0) inverting b's series through its order. NonInvertible
+    when b'(0) is numerically zero: then no holomorphic left inverse exists."""
     _require_symbol(b)
+    if isinstance(b, Rational):
+        return b.inverse() if b.degree == 1 else b.series().revert()
     return b.revert()
 
 
-def reversion_residual(h: PowerSeries, b: PowerSeries) -> float:
-    """Max per-coefficient deviation of h(b(z)) from the identity."""
-    comp = h.compose(b)
-    ident = np.zeros(comp.order + 1, dtype=complex)
-    ident[0] = b.center
-    if comp.order >= 1:
-        ident[1] = 1.0
-    return float(np.max(np.abs(comp.coeffs - ident)))
+def reversion_residual(h: Symbol, b: Symbol) -> float:
+    """Max |h(b(z)) - z| over the PROBE_GRID polar grid for an exact (Rational)
+    h, a rounding-level number; for a series h, the max per-coefficient
+    deviation of h(b(z)) from the identity."""
+    if isinstance(h, Rational):
+        zs = polar_grid(*PROBE_GRID)
+        return float(np.max(np.abs(h(b(zs)) - zs)))
+    comp = h.compose(b.series() if isinstance(b, Rational) else b)
+    return float(np.max(np.abs(comp.coeffs - PowerSeries.identity(comp.order, b.center).coeffs)))
 
 
-def schwarz_pick_margin(b: PowerSeries, pts) -> float:
+def schwarz_pick_margin(b: Symbol, pts) -> float:
     """min over samples of |z| |1 - conj(b(0)) b(z)| - |b(z) - b(0)|.
 
     A nonnegative margin is the sampled form of the modulus inequality
@@ -147,13 +154,13 @@ def schwarz_pick_margin(b: PowerSeries, pts) -> float:
     arr = np.asarray(list(pts), dtype=complex)
     if np.any(np.abs(arr) < _ORIGIN_EPS):
         raise ValueError("samples for the margin check must exclude the origin")
-    b0 = complex(b.coeffs[0])
+    b0 = complex(b(0))
     vals = np.asarray(b(arr), dtype=complex)
     margins = np.abs(arr) * np.abs(1.0 - np.conj(b0) * vals) - np.abs(vals - b0)
     return float(margins.min())
 
 
-def extension_margin(b: PowerSeries, witness: ExtensionWitness, pts) -> float:
+def extension_margin(b: Symbol, witness: ExtensionWitness, pts) -> float:
     """Check a witness q against b and measure its disk-wide margin.
 
     First the consistency probe: q(b(z)) z must reproduce b(z) - b(0) on the
@@ -163,7 +170,7 @@ def extension_margin(b: PowerSeries, witness: ExtensionWitness, pts) -> float:
     it was sampled.
     """
     arr = np.asarray(list(pts), dtype=complex)
-    b0 = complex(b.coeffs[0])
+    b0 = complex(b(0))
     q = witness.series
     vals = np.asarray(b(arr), dtype=complex)
     resid = np.max(np.abs(np.asarray(q(vals), complex) * arr - (vals - b0)))
@@ -177,7 +184,7 @@ def extension_margin(b: PowerSeries, witness: ExtensionWitness, pts) -> float:
     return float(margins.min())
 
 
-def decomposition_check(b: PowerSeries, pts, tol: float | None = None) -> PsdVerdict:
+def decomposition_check(b: Symbol, pts, tol: float | None = None) -> PsdVerdict:
     """Positivity of the rearranged kernel identity.
 
     With F = 1 - conj(b(0)) b, build K1 = F-congruence of the pulled-back
@@ -188,11 +195,8 @@ def decomposition_check(b: PowerSeries, pts, tol: float | None = None) -> PsdVer
     caller, as the second route the tests hold cnp_certify's verdicts to.
     """
     _require_symbol(b)
-    b0 = complex(b.coeffs[0])
-    f_coeffs = -np.conj(b0) * b.coeffs
-    f_coeffs[0] += 1.0
-    f_series = PowerSeries(f_coeffs, 0j)
-    k1 = Congruence(Pullback(Szego(), b), f_series)
+    b0 = complex(b(0))
+    k1 = Congruence(Pullback(Szego(), b), lambda z: 1.0 - np.conj(b0) * b(z))
     k2 = Congruence(k1, PowerSeries.identity(order=1))
     k0 = Constant(1.0 - abs(b0) ** 2)
     points = list(pts)
@@ -202,7 +206,7 @@ def decomposition_check(b: PowerSeries, pts, tol: float | None = None) -> PsdVer
     return psd_verdict(hermitian_from_raw(m2.entries + m0.entries - m1.entries), tol)
 
 
-def decomposition_identity_residual(b: PowerSeries, f: PowerSeries, pts) -> float:
+def decomposition_identity_residual(b: Symbol, f: PowerSeries, pts) -> float:
     """Residual of the exact algebraic identity behind the decomposition.
 
     For every test series f and sample z, with v = b(z) and c = f(b(0)) (1 -
@@ -219,7 +223,7 @@ def decomposition_identity_residual(b: PowerSeries, f: PowerSeries, pts) -> floa
         raise NearZeroSample(
             "samples within 1e-6 of the origin make the identity division degenerate"
         )
-    b0 = complex(b.coeffs[0])
+    b0 = complex(b(0))
     vals = np.asarray(b(arr), dtype=complex)
     fb = np.asarray(f(vals), dtype=complex)
     c = complex(f(b0)) * (1.0 - abs(b0) ** 2)
@@ -230,7 +234,7 @@ def decomposition_identity_residual(b: PowerSeries, f: PowerSeries, pts) -> floa
 
 
 def cnp_criterion(
-    b: PowerSeries,
+    b: Symbol,
     witness: ExtensionWitness | None = None,
     pts: SampleSet | None = None,
 ) -> CriterionReport:
@@ -252,18 +256,17 @@ def cnp_criterion(
     inj = injectivity_probe(b, pts)
     if inj is InjectivityStatus.NOT_INJ:
         notes.append("injectivity probe found a collision; no left inverse can exist")
+    meaningless = "the truncated inverse is numerically meaningless"
     try:
-        h = functional_inverse(b)
-        resid = reversion_residual(h, b)
+        resid = reversion_residual(functional_inverse(b), b)
+        note = f"reversion round-trip residual {resid:.3e} exceeds {REV_RESID_TOL:g}; {meaningless}"
     except NonInvertible:
-        h, resid = None, float("inf")
-        notes.append("linear coefficient at 0 is numerically zero; reversion undefined")
+        resid, note = float("inf"), "linear coefficient at 0 is numerically zero; reversion undefined"
+    except ValueError as exc:   # the series reversion, or its round trip, overflowed
+        resid, note = float("inf"), f"reversion overflowed ({exc}); {meaningless}"
     rev_ok = bool(resid <= REV_RESID_TOL)
-    if h is not None and not rev_ok:
-        notes.append(
-            f"reversion round-trip residual {resid:.3e} exceeds {REV_RESID_TOL:g}; "
-            "the truncated inverse is numerically meaningless"
-        )
+    if not rev_ok:
+        notes.append(note)
     margin = schwarz_pick_margin(b, pts)
     ext_margin = None
     if witness is not None:
@@ -287,7 +290,7 @@ def cnp_criterion(
         else:
             notes.append("necessary checks passed; no extension witness supplied")
     return CriterionReport(
-        b0=complex(b.coeffs[0]),
+        b0=complex(b(0)),
         injectivity=inj,
         reversion_ok=rev_ok,
         reversion_residual=resid,

@@ -22,7 +22,7 @@ from .kernels import (
     Szego,
     WeightedHardy,
 )
-from .series import PowerSeries
+from .series import PowerSeries, Symbol
 
 
 def complex_to_json(c: complex):
@@ -38,8 +38,8 @@ def series_from_json(obj: dict) -> PowerSeries:
     return PowerSeries(coeffs, center)
 
 
-def symbol_from_json(spec: dict, order: int = families.DEFAULT_ORDER) -> PowerSeries:
-    """A symbol from either a named family spec or an explicit series."""
+def symbol_from_json(spec: dict, order: int = families.DEFAULT_ORDER) -> Symbol:
+    """A symbol from either a named family spec (a Rational) or an explicit series."""
     if not isinstance(spec, dict):
         raise ValueError("symbol spec must be a JSON object")
     if "family" in spec:

@@ -1,8 +1,7 @@
 """Named symbol families shipped with the gallery and CLI: the one registry.
 
-Each family is a simple rational self-map of the disk given by one or two
-constants, together with (where the construction provides one) the
-closed-form witness series for the criterion's extension check:
+Each family is a rational self-map of the disk given by one or two
+constants, built as a ``series.Rational`` and so evaluated exactly:
 
   affine           (z + A) / B, inside the unit ball iff |A| + 1 <= |B|;
                    inverse B z - A, witness the constant 1 / B.
@@ -14,8 +13,12 @@ closed-form witness series for the criterion's extension check:
                    degree-1 case has a witness, 1 + conj(z0) z, and there the
                    modulus inequality holds with equality.
 
+A degree-1 map is a Moebius map: its inverse is its adjugate, whence the
+witness (z - b(0)) / h for the criterion's extension check. The truncation
+order reaches only maps of degree >= 2, through their coefficient view.
+
 ``FAMILIES`` declares each family once: how its parameters are read from
-JSON, its truncated series and its witness. Everything else looks it up.
+JSON, and its map. Everything else looks it up.
 """
 
 from __future__ import annotations
@@ -24,10 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .pickinterp import blaschke_product
-from .series import PowerSeries
-
-DEFAULT_ORDER = 64
+from .series import DEFAULT_ORDER, PowerSeries, Rational
 
 
 def complex_from_json(v) -> complex:
@@ -63,85 +63,37 @@ def integer_from_json(v) -> int:
     return int(v)
 
 
-def affine_symbol(A, B, order: int = DEFAULT_ORDER) -> PowerSeries:
-    A, B = complex(A), complex(B)
-    if B == 0:
-        raise ValueError("affine family requires B != 0")
-    coeffs = np.zeros(order + 1, dtype=complex)
-    coeffs[0] = A / B
-    if order >= 1:
-        coeffs[1] = 1.0 / B
-    return PowerSeries(coeffs, 0j)
-
-
-def moebius_over_symbol(A, B, order: int = DEFAULT_ORDER) -> PowerSeries:
-    A, B = complex(A), complex(B)
-    if B == 0:
-        raise ValueError("moebius_over family requires B != 0")
-    coeffs = np.zeros(order + 1, dtype=complex)
-    if order >= 1:
-        n = np.arange(1, order + 1)
-        coeffs[1:] = -A * (-1.0 / B) ** n
-    return PowerSeries(coeffs, 0j)
-
-
-def scaled_identity_symbol(R, order: int = DEFAULT_ORDER) -> PowerSeries:
-    R = complex(R)
-    if R == 0:
-        raise ValueError("scaled_identity family requires R != 0")
-    coeffs = np.zeros(order + 1, dtype=complex)
-    if order >= 1:
-        coeffs[1] = 1.0 / R
-    return PowerSeries(coeffs, 0j)
-
-
-def power_symbol(k: int, order: int = DEFAULT_ORDER) -> PowerSeries:
-    k = int(k)
+def _power(k: int):
     if k < 1:
         raise ValueError("power family requires exponent k >= 1")
-    coeffs = np.zeros(max(order, k) + 1, dtype=complex)
-    coeffs[k] = 1.0
-    return PowerSeries(coeffs, 0j)
+    return [0.0] * k + [1.0], [1.0]
 
 
-blaschke_symbol = blaschke_product
-
-
-def _blaschke_witness(zeros) -> PowerSeries | None:
-    zeros = [complex(z) for z in zeros]
-    if len(zeros) == 1:
-        return PowerSeries(np.array([1.0, np.conj(zeros[0])]), 0j)
-    return None
+def _blaschke(zeros):
+    """prod_k (z - z_k) / (1 - conj(z_k) z); every zero strictly inside the disk."""
+    num = den = np.ones(1, dtype=complex)
+    for z0 in map(complex, zeros):
+        if abs(z0) >= 1.0:
+            raise ValueError("Blaschke zeros must lie strictly inside the unit disk")
+        num, den = np.convolve(num, [-z0, 1.0]), np.convolve(den, [1.0, -np.conj(z0)])
+    return num, den
 
 
 class Family(NamedTuple):
-    """One named family. ``readers`` maps each parameter, in argument order,
-    to its JSON reader; ``series(*params, order)`` is the truncated symbol and
-    ``witness(*params)`` the closed-form witness, or None where there is none."""
+    """One named family: ``readers`` maps each parameter, in argument order, to
+    its JSON reader; ``parts(*params)`` is the map's numerator and denominator."""
 
     readers: dict
-    series: Callable
-    witness: Callable
+    parts: Callable
 
 
 _AB = {"A": complex_from_json, "B": complex_from_json}
 FAMILIES = {
-    "affine": Family(_AB, affine_symbol, lambda A, B: PowerSeries.constant(1.0 / complex(B))),
-    "moebius_over": Family(
-        _AB, moebius_over_symbol,
-        lambda A, B: PowerSeries(np.array([complex(A) / complex(B), -1.0 / complex(B)]), 0j),
-    ),
-    "scaled_identity": Family(
-        {"R": complex_from_json}, scaled_identity_symbol,
-        lambda R: PowerSeries.constant(1.0 / complex(R)),
-    ),
-    "power": Family(
-        {"k": integer_from_json}, power_symbol,
-        lambda k: PowerSeries.constant(1.0) if int(k) == 1 else None,
-    ),
-    "blaschke": Family(
-        {"zeros": complex_list_from_json}, blaschke_symbol, _blaschke_witness
-    ),
+    "affine": Family(_AB, lambda A, B: ([A, 1.0], [B])),
+    "moebius_over": Family(_AB, lambda A, B: ([0.0, A], [B, 1.0])),
+    "scaled_identity": Family({"R": complex_from_json}, lambda R: ([0.0, 1.0], [R])),
+    "power": Family({"k": integer_from_json}, _power),
+    "blaschke": Family({"zeros": complex_list_from_json}, _blaschke),
 }
 
 
@@ -157,14 +109,17 @@ def params_from_json(spec: dict) -> dict:
     return {p: read(spec[p]) for p, read in _family(spec["family"]).readers.items()}
 
 
-def family_symbol(name: str, params: dict, order: int = DEFAULT_ORDER) -> PowerSeries:
+def family_symbol(name: str, params: dict, order: int = DEFAULT_ORDER) -> Rational:
+    """The family's map; ``order`` truncates only its coefficient view."""
     family = _family(name)
     if order < 0:
         raise ValueError(f"truncation order must be >= 0, got {order}")
-    return family.series(*(params[p] for p in family.readers), order)
+    return Rational(*family.parts(*(params[p] for p in family.readers)), order)
 
 
 def family_witness(name: str, params: dict) -> PowerSeries | None:
-    """Closed-form witness series for the family, or None when there is none."""
-    family = _family(name)
-    return family.witness(*(params[p] for p in family.readers))
+    """The closed-form witness series (z - b(0)) / h of a degree-1 family map
+    (a z + b) / (c z + d): (a - c z) / d, the denominator of its adjugate h
+    over d. None for a map of any other degree."""
+    b = family_symbol(name, params)
+    return PowerSeries(b.inverse().den / b.den[0]) if b.degree == 1 else None

@@ -29,7 +29,7 @@ from .errors import (
     VanishingKernel,
 )
 from .sampling import PROBE_GRID, polar_grid
-from .series import PowerSeries
+from .series import PowerSeries, Symbol
 
 DOM_EPS = 1e-12      # denominators below this modulus count as singular
 DEFECT_EPS = 1e-12   # kernel values below this modulus count as vanishing
@@ -66,7 +66,7 @@ def _guard_denominator(den, z, w, what: str, dim: int = 0):
 
 
 @lru_cache(maxsize=1)   # cnp_criterion, then the DeBrangesRovnyak kernel, probe one (immutable) symbol
-def unit_ball_probe(b: PowerSeries) -> float:
+def unit_ball_probe(b: Symbol) -> float:
     """Sampled sup of |b| over the PROBE_GRID polar grid of the disk.
 
     A cheap necessary check for membership in the closed unit ball of bounded
@@ -191,7 +191,7 @@ class DeBrangesRovnyak(Kernel):
     symbols whose sampled sup modulus exceeds 1 beyond rounding slack.
     """
 
-    symbol: PowerSeries
+    symbol: Symbol
 
     def __post_init__(self):
         if self.symbol.center != 0:
@@ -259,7 +259,7 @@ class Pullback(Kernel):
     """(z, w) -> K(map(z), map(w)) for an analytic self-map of the disk."""
 
     inner: Kernel
-    map: PowerSeries
+    map: Symbol
 
     def __post_init__(self):
         if self.inner.dim:
@@ -279,7 +279,7 @@ class Congruence(Kernel):
     """(z, w) -> factor(z) conj(factor(w)) K(z, w); preserves positivity."""
 
     inner: Kernel
-    factor: PowerSeries
+    factor: Symbol
 
     def __post_init__(self):
         if self.inner.dim:

@@ -20,7 +20,6 @@ from .errors import LengthMismatch, NotStrictlySolvable
 from .kernels import Kernel, Szego
 from .linalg import PsdVerdict, pick_matrix, psd_verdict
 from .sampling import _close_pairs, polar_grid
-from .series import PowerSeries
 
 STRICT_EPS = 1e-8   # smallest Pick eigenvalue the construction will accept
 
@@ -129,25 +128,3 @@ def schur_interpolant(problem: InterpolationProblem) -> SchurInterpolant:
 def sampled_sup(f, radius: float = 0.999) -> float:
     """Max modulus of f over 512 equispaced points on the given circle."""
     return float(np.max(np.abs(np.asarray(f(polar_grid(1, 512, radius)), complex))))
-
-
-def blaschke_product(zeros, order: int = 64) -> PowerSeries:
-    """Truncated series at 0 of prod_k (z - z_k) / (1 - conj(z_k) z).
-
-    All zeros must lie strictly inside the disk. Coefficients of each factor
-    come from the geometric expansion of its denominator, so the truncation
-    error decays like max|z_k|^order.
-    """
-    for z0 in zeros:
-        if abs(complex(z0)) >= 1.0:
-            raise ValueError("Blaschke zeros must lie strictly inside the unit disk")
-    acc = PowerSeries.constant(1.0, order=order)
-    for z0 in zeros:
-        z0 = complex(z0)
-        coeffs = np.zeros(order + 1, dtype=complex)
-        coeffs[0] = -z0
-        if order >= 1:
-            n = np.arange(1, order + 1)
-            coeffs[1:] = np.conj(z0) ** (n - 1) * (1.0 - abs(z0) ** 2)
-        acc = acc * PowerSeries(coeffs, 0j)
-    return acc

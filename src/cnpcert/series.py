@@ -14,16 +14,19 @@ coefficient vector t: from g correct through order m', one composition gives
 g - (t(g) - w) g', correct through 2m' as g' = 1/t'(g) through m' - 1. The
 step orders ceil(n / 2^k) end at the order n (100: 2, 4, 7, 13, 25, 50, 100).
 Overflow there is a ValueError (non-finite coefficients), not a RuntimeWarning.
+A ``Rational`` map num(z) / den(z) is evaluated exactly; its ``series()`` is
+the truncated coefficient view, and a degree-1 map inverts exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CenterMismatch, CompositionCenter, DivisionOrder, NonInvertible
 
+DEFAULT_ORDER = 64   # truncation order of a coefficient view when none is given
 REV_EPS = 1e-10   # linear coefficients at or below this are not invertible
 DIV_EPS = 1e-12   # modulus threshold for leading-order detection in division
 _CENTER_TOL = 1e-12
@@ -36,6 +39,22 @@ def _coeff_array(coeffs) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("series coefficients must be finite")
     return arr
+
+
+def _padded(c: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficients of c, padded with zeros."""
+    out = np.zeros(n, dtype=complex)
+    out[: min(n, c.size)] = c[:n]
+    return out
+
+
+def _horner(coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] u^k by Horner's rule; overflow leaves it non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = np.full(u.shape, coeffs[0]) if coeffs.size == 1 else coeffs[-1] * u + coeffs[-2]
+        for c in coeffs[-3::-1]:
+            acc = acc * u + c
+    return acc
 
 
 def _mul_trunc(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
@@ -114,14 +133,8 @@ class PowerSeries:
 
         Never raises on overflow, the result is simply non-finite.
         """
-        u = np.asarray(z, dtype=complex) - self.center
-        acc = np.full(u.shape, self.coeffs[-1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c in self.coeffs[-2::-1]:
-                acc = acc * u + c
-        if acc.ndim == 0:
-            return complex(acc)
-        return acc
+        acc = _horner(self.coeffs, np.asarray(z, dtype=complex) - self.center)
+        return complex(acc) if acc.ndim == 0 else acc
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -197,6 +210,58 @@ class PowerSeries:
                 g[: m + 1] = gg - _mul_trunc(tg, np.arange(1, m + 1) * gg[1:], m)
         g[0] = self.center
         return PowerSeries(g, center=self.coeffs[0])
+
+
+@dataclass(frozen=True, eq=False)
+class Rational:
+    """Immutable rational map num(z) / den(z): coprime polynomials in ascending
+    powers, trailing zeros trimmed, den(0) != 0. ``order`` is the truncation
+    order of its coefficient view ``series()``."""
+
+    num: np.ndarray
+    den: np.ndarray
+    order: int = DEFAULT_ORDER
+    degree: int = field(init=False)   # max(deg num, deg den); 0 when num / den is constant
+    center = 0j   # not a field: a symbol's center, as for a PowerSeries
+
+    def __post_init__(self):
+        for name in ("num", "den"):
+            arr = _coeff_array(getattr(self, name))
+            nz = np.flatnonzero(arr)
+            arr = arr[: nz[-1] + 1 if nz.size else 1]
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.den[0] == 0:
+            raise ValueError("a rational map needs den(0) != 0")
+        n = max(self.num.size, self.den.size)
+        cross = _padded(self.num, n) * self.den[0] - _padded(self.den, n) * self.num[0]
+        constant = np.max(np.abs(cross)) <= 1e-15 * abs(self.den[0]) ** 2
+        object.__setattr__(self, "degree", 0 if constant else n - 1)
+
+    def __call__(self, z):
+        """num(z) / den(z); broadcasts, and never raises on overflow or a pole."""
+        u = np.asarray(z, dtype=complex)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = _horner(self.num, u) / _horner(self.den, u)
+        return complex(out) if out.ndim == 0 else out
+
+    def series(self, order: int | None = None) -> PowerSeries:
+        """The map's power series at 0 through ``order`` (default: its own):
+        num times the reciprocal series of den."""
+        n = self.order if order is None else order
+        return PowerSeries(_padded(self.num, n + 1)) * PowerSeries(
+            _reciprocal(_padded(self.den, n + 1), n))
+
+    def inverse(self) -> "Rational":
+        """The exact inverse of a degree-1 map (a z + b) / (c z + d), its
+        adjugate (d w - b) / (a - c w); NonInvertible at any other degree."""
+        if self.degree != 1:
+            raise NonInvertible(f"a rational map of degree {self.degree} has no rational inverse")
+        (b, a), (d, c) = _padded(self.num, 2), _padded(self.den, 2)
+        return Rational([-b, d], [a, -c], self.order)
+
+
+Symbol = PowerSeries | Rational   # what a symbol, pull-back map or congruence factor may be
 
 
 def divide(num: PowerSeries, den: PowerSeries) -> PowerSeries:

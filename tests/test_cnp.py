@@ -10,7 +10,7 @@ from cnpcert import cnp, linalg
 from cnpcert.cnp import EVIDENCE_NOTE, SWEEP_ANOMALY_NOTE, cnp_basepoint_sweep, cnp_certify
 from cnpcert.dbr import dbr_kernel
 from cnpcert.errors import DomainMismatch, DomainViolation
-from cnpcert.families import moebius_over_symbol
+from cnpcert.families import family_symbol
 from cnpcert.kernels import (
     Congruence,
     DeBrangesRovnyak,
@@ -21,7 +21,6 @@ from cnpcert.kernels import (
     WeightedHardy,
 )
 from cnpcert.linalg import RITZ_MIN_N, RITZ_RESIDUAL, Verdict, gram, hermitian_from_raw
-from cnpcert.pickinterp import blaschke_product
 from cnpcert.sampling import SampleSet, ball_points
 from cnpcert.series import PowerSeries
 
@@ -43,7 +42,7 @@ def test_squared_symbol_two_point_counterexample():
 
 
 def test_degree_one_inner_symbol_defect_vanishes():
-    k = DeBrangesRovnyak(blaschke_product([0.3]))
+    k = DeBrangesRovnyak(family_symbol("blaschke", {"zeros": [0.3]}))
     rep = cnp_certify(k, 0j, SampleSet.default())
     assert rep.verdict.status is Verdict.PSD
     assert abs(rep.verdict.min_eig) <= 1e-10
@@ -152,7 +151,7 @@ def assert_sweep_matches_certify(kernel, bases, pts):
 
 def test_sweep_matches_certify_with_base_on_a_sample():
     pts = SampleSet.default(seed=5, grid=(6, 12))
-    kernel = DeBrangesRovnyak(blaschke_product([0.0, 0.5]))
+    kernel = DeBrangesRovnyak(family_symbol("blaschke", {"zeros": [0.0, 0.5]}))
     bases = [0j, pts.points[7], -0.2 + 0.4j]
     sweep = assert_sweep_matches_certify(kernel, bases, pts)
     assert [r.n_samples for r in sweep] == [80, 79, 80]
@@ -288,7 +287,7 @@ def test_pair_base_on_a_disk_kernel_is_a_domain_mismatch():
 # ------------------------------------ the defect from a factorization of 1/K
 
 DBR_AFFINE = DeBrangesRovnyak(PowerSeries([0.25, 0.5]))   # (z + 0.5) / 2: PSD
-DBR_BLASCHKE = DeBrangesRovnyak(blaschke_product([0.0, 0.5]))   # NOT_PSD
+DBR_BLASCHKE = DeBrangesRovnyak(family_symbol("blaschke", {"zeros": [0.0, 0.5]}))   # NOT_PSD
 DBR_POWER_2 = DeBrangesRovnyak(PowerSeries([0.0, 0.0, 1.0]))   # b = z^2: NOT_PSD
 # the Dirichlet kernel sum (z conj w)^n / (n + 1), truncated at 200 terms: a
 # complete Pick kernel whose 1/K has numerical rank above 296 / 8 at r_max 0.9
@@ -400,7 +399,7 @@ def test_a_stalled_factorization_serves_the_bases_whose_bound_it_meets(monkeypat
     # the range finder stops at 32 columns (64 would pass 296 / 8) with resid
     # 5.6e-11, above its target 1e-10 / max K(z, z) = 1.2e-11; each of these
     # bases meets its own Weyl bound all the same, so none needs its defect assembled
-    kernel = DeBrangesRovnyak(moebius_over_symbol(1.5, 2.5))
+    kernel = DeBrangesRovnyak(family_symbol("moebius_over", {"A": 1.5, "B": 2.5}))
     pts = SampleSet.default(seed=5, grid=(12, 24), r_max=0.95)
     kernel_gram = gram(kernel, pts)
     kmax = np.max(np.abs(np.diagonal(kernel_gram.entries)))   # R then takes K's array
@@ -680,7 +679,7 @@ def test_a_base_on_a_sample_takes_its_quotient_on_the_kept_samples(monkeypatch):
     # zero at the dropped one, and its quotient is within 0.1 % of the smallest
     # eigenvalue. (This truncated kernel's NOT_PSD is false, so the
     # Cauchy-Schwarz guard makes it INCONCLUSIVE.)
-    kernel = DeBrangesRovnyak(blaschke_product([0.9]))
+    kernel = DeBrangesRovnyak(family_symbol("blaschke", {"zeros": [0.9]}).series(64))
     pts = disk_296()
     bases = [pts.points[40], pts.points[250]]
     assembled = recorded(monkeypatch, cnp, "_defect_gram")
@@ -695,8 +694,8 @@ def test_a_base_on_a_sample_takes_its_quotient_on_the_kept_samples(monkeypatch):
 
 @pytest.mark.parametrize("kernel, grid", [
     (DBR_AFFINE, (12, 24)), (DBR_AFFINE, (24, 48)),
-    (DeBrangesRovnyak(moebius_over_symbol(1.5, 2.5)), (12, 24)),
-    (DeBrangesRovnyak(moebius_over_symbol(1.5, 2.5)), (24, 48)),
+    (DeBrangesRovnyak(family_symbol("moebius_over", {"A": 1.5, "B": 2.5})), (12, 24)),
+    (DeBrangesRovnyak(family_symbol("moebius_over", {"A": 1.5, "B": 2.5})), (24, 48)),
     (DruryArveson(2), (12, 24)), (DruryArveson(2), (24, 48)),
 ])
 def test_complete_pick_kernels_never_stop_the_range_finder_early(monkeypatch, kernel, grid):
@@ -721,7 +720,8 @@ def test_complete_pick_kernels_never_stop_the_range_finder_early(monkeypatch, ke
     (0.9, 128, Verdict.PSD), (0.99, 256, Verdict.PSD),
 ])
 def test_a_degree_one_blaschke_kernel_breaking_cauchy_schwarz_is_not_a_disproof(zero, order, status):
-    rep = cnp_certify(DeBrangesRovnyak(blaschke_product([zero], order)), 0j, SampleSet.default())
+    b = family_symbol("blaschke", {"zeros": [zero]}).series(order)
+    rep = cnp_certify(DeBrangesRovnyak(b), 0j, SampleSet.default())
     assert rep.verdict.status is status
     flagged = [n for n in rep.notes if n.startswith("KERNEL_INCONSISTENT")]
     if status is Verdict.INCONCLUSIVE:

@@ -18,20 +18,14 @@ from cnpcert.dbr import (
     reversion_residual,
     schwarz_pick_margin,
 )
+from cnpcert.descriptors import symbol_from_json, witness_from_json
 from cnpcert.errors import (
     NearZeroSample,
     NonInvertible,
     NotSchurClass,
     WitnessInconsistent,
 )
-from cnpcert.families import (
-    affine_symbol,
-    blaschke_symbol,
-    family_witness,
-    moebius_over_symbol,
-    power_symbol,
-    scaled_identity_symbol,
-)
+from cnpcert.families import family_symbol, family_witness
 from cnpcert.linalg import Verdict
 from cnpcert.sampling import SampleSet
 from cnpcert.series import PowerSeries, divide
@@ -48,7 +42,7 @@ def test_dbr_kernel_identity_symbol():
 
 
 def test_dbr_kernel_half_symbol():
-    k = dbr_kernel(scaled_identity_symbol(2))
+    k = dbr_kernel(family_symbol("scaled_identity", {"R": 2}))
     assert abs(k.evaluate(0.5, 0.5) - 1.25) < 1e-14
 
 
@@ -65,16 +59,16 @@ def test_dbr_kernel_rejects_constant_symbol():
 # ---------------------------------------------------------------- injectivity
 
 def test_injectivity_squared_symbol_collides():
-    assert injectivity_probe(power_symbol(2), PTS) is InjectivityStatus.NOT_INJ
+    assert injectivity_probe(family_symbol("power", {"k": 2}), PTS) is InjectivityStatus.NOT_INJ
 
 
 def test_injectivity_affine_symbol():
-    b = affine_symbol(1.0, 3.0)  # (z + 1)/3
+    b = family_symbol("affine", {"A": 1.0, "B": 3.0})  # (z + 1)/3
     assert injectivity_probe(b, PTS) is InjectivityStatus.INJ_EVIDENCE
 
 
 def test_injectivity_single_point_inconclusive():
-    assert injectivity_probe(power_symbol(2), [0.5]) is InjectivityStatus.INCONCLUSIVE
+    assert injectivity_probe(family_symbol("power", {"k": 2}), [0.5]) is InjectivityStatus.INCONCLUSIVE
 
 
 def test_injectivity_nonfinite_inconclusive():
@@ -83,7 +77,7 @@ def test_injectivity_nonfinite_inconclusive():
 
 
 def test_injectivity_blaschke2_needs_collision_samples():
-    b = blaschke_symbol([0.0, 0.5])
+    b = family_symbol("blaschke", {"zeros": [0.0, 0.5]})
     assert injectivity_probe(b, PTS) is InjectivityStatus.INJ_EVIDENCE
     assert (
         injectivity_probe(b, PTS.extended(COLLISION_PAIR)) is InjectivityStatus.NOT_INJ
@@ -94,20 +88,17 @@ def test_injectivity_blaschke2_needs_collision_samples():
 
 def test_inverse_of_affine_is_exact():
     A, B = 0.5, 2.0
-    h = functional_inverse(affine_symbol(A, B))
-    # closed form B z - A, centered at b(0) = A/B
-    assert h.center == A / B
-    assert abs(h.coeffs[1] - B) < 1e-14
-    assert np.max(np.abs(h.coeffs[2:])) < 1e-14
+    h = functional_inverse(family_symbol("affine", {"A": A, "B": B}))
+    # the adjugate of (z + A) / B: the closed form B w - A
+    assert (h.num == [-A, B]).all() and (h.den == [1.0]).all()
     for w in [0.3, -0.2 + 0.1j, 0.6]:
         assert abs(h(w) - (B * w - A)) < 1e-12
 
 
 @pytest.mark.parametrize("A,B,tol", [(-1.0, -2.0, 1e-10), (2.0, 4.0, 1e-10), (1.2, 2.4, 2e-10)])
 def test_inverse_of_moebius_matches_closed_form(A, B, tol):
-    # |A| barely above 1 puts the inverse's convergence radius near 1 and
-    # costs a little cancellation at high orders, hence the looser tolerance
-    h = functional_inverse(moebius_over_symbol(A, B))
+    # the adjugate B w / (A - w), through its coefficient view
+    h = functional_inverse(family_symbol("moebius_over", {"A": A, "B": B})).series(32)
     n = np.arange(1, 33)
     expect = B / A ** n
     assert np.max(np.abs(h.coeffs[1:33] - expect)) < tol
@@ -121,18 +112,20 @@ def test_inverse_of_quadratic_head():
 
 def test_noninvertible_symbol():
     with pytest.raises(NonInvertible):
-        functional_inverse(power_symbol(2))
+        functional_inverse(family_symbol("power", {"k": 2}))
 
 
 def test_reversion_residual_small_for_gallery_symbols():
-    for b in [affine_symbol(0.5, 2), moebius_over_symbol(-1, -2), blaschke_symbol([0.3])]:
+    for b in [family_symbol("affine", {"A": 0.5, "B": 2}),
+              family_symbol("moebius_over", {"A": -1, "B": -2}),
+              family_symbol("blaschke", {"zeros": [0.3]})]:
         assert reversion_residual(functional_inverse(b), b) < 1e-11
 
 
 # ----------------------------------------------------------------- margins
 
 def test_schwarz_pick_margin_half_symbol():
-    b = scaled_identity_symbol(2)
+    b = family_symbol("scaled_identity", {"R": 2})
     margin = schwarz_pick_margin(b, PTS)
     expect = min(abs(z) / 2 for z in PTS)
     assert abs(margin - expect) < 1e-12
@@ -142,7 +135,7 @@ def test_schwarz_pick_margin_half_symbol():
 def test_schwarz_pick_margin_squared_symbol_passes_while_cnp_fails():
     # the margin check is necessary-only: z^2 passes it, injectivity is the
     # binding failure
-    b = power_symbol(2)
+    b = family_symbol("power", {"k": 2})
     margin = schwarz_pick_margin(b, PTS)
     expect = min(abs(z) - abs(z) ** 2 for z in PTS)
     assert abs(margin - expect) < 1e-12
@@ -153,11 +146,11 @@ def test_schwarz_pick_margin_squared_symbol_passes_while_cnp_fails():
 
 def test_schwarz_pick_margin_rejects_origin():
     with pytest.raises(ValueError):
-        schwarz_pick_margin(scaled_identity_symbol(2), [1e-8, 0.5])
+        schwarz_pick_margin(family_symbol("scaled_identity", {"R": 2}), [1e-8, 0.5])
 
 
 def test_blaschke2_margin_reported_but_overall_fail():
-    b = blaschke_symbol([0.0, 0.5])
+    b = family_symbol("blaschke", {"zeros": [0.0, 0.5]})
     rep = cnp_criterion(b, None, PTS.extended(COLLISION_PAIR))
     assert rep.schwarz_pick_margin > 0
     assert rep.injectivity is InjectivityStatus.NOT_INJ
@@ -167,7 +160,7 @@ def test_blaschke2_margin_reported_but_overall_fail():
 # ----------------------------------------------------------------- witnesses
 
 def test_extension_margin_affine_constant_witness():
-    b = affine_symbol(0.0, 2.0)
+    b = family_symbol("affine", {"A": 0.0, "B": 2.0})
     margin = extension_margin(b, ExtensionWitness(PowerSeries.constant(0.5)), PTS)
     assert abs(margin - 0.5) < 1e-12  # min |1 - 0| - 1/2 over the grid
 
@@ -179,7 +172,7 @@ def test_extension_margin_identity_symbol_boundary():
 
 
 def test_extension_witness_scaled_is_inconsistent():
-    b = affine_symbol(0.5, 2.0)
+    b = family_symbol("affine", {"A": 0.5, "B": 2.0})
     bad = ExtensionWitness(PowerSeries.constant(2.0 / 2.0))  # 2x the true 1/B
     with pytest.raises(WitnessInconsistent):
         extension_margin(b, bad, PTS)
@@ -187,11 +180,13 @@ def test_extension_witness_scaled_is_inconsistent():
 
 def test_local_quotient_agrees_with_witness_near_center():
     cases = [
-        (affine_symbol(0.5, 2.0), family_witness("affine", {"A": 0.5, "B": 2.0})),
-        (moebius_over_symbol(-1, -2), family_witness("moebius_over", {"A": -1, "B": -2})),
-        (blaschke_symbol([0.3]), family_witness("blaschke", {"zeros": [0.3]})),
+        ("affine", {"A": 0.5, "B": 2.0}),
+        ("moebius_over", {"A": -1, "B": -2}),
+        ("blaschke", {"zeros": [0.3]}),
     ]
-    for b, q in cases:
+    for name, params in cases:
+        b, q = family_symbol(name, params).series(), family_witness(name, params)
+        # the local quotient of the series reversion
         h = functional_inverse(b)
         a = complex(b.coeffs[0])
         num = PowerSeries.identity(order=h.order, center=a) - PowerSeries.constant(
@@ -205,16 +200,14 @@ def test_local_quotient_agrees_with_witness_near_center():
 def test_family_sweep_margins():
     # across admissible parameter grids the sampled-range margin stays
     # nonnegative and consistent witnesses keep a margin above -1e-9
-    for a_vals, scales, build, fam in [
-        ([0, 0.2, -0.35, 0.25 + 0.25j, -0.4j], [1.0, 1.2, 1.5, 2.0, 3.0],
-         affine_symbol, "affine"),
-        ([1.0, -1.25, 1.5j, 1.2 + 0.9j, 2.0], [1.0, 1.25, 1.5, 2.0, 2.5],
-         moebius_over_symbol, "moebius_over"),
+    for a_vals, scales, fam in [
+        ([0, 0.2, -0.35, 0.25 + 0.25j, -0.4j], [1.0, 1.2, 1.5, 2.0, 3.0], "affine"),
+        ([1.0, -1.25, 1.5j, 1.2 + 0.9j, 2.0], [1.0, 1.25, 1.5, 2.0, 2.5], "moebius_over"),
     ]:
         for A in a_vals:
             for s in scales:
                 B = s * (abs(A) + 1.0)
-                b = build(A, B)
+                b = family_symbol(fam, {"A": A, "B": B})
                 w = ExtensionWitness(family_witness(fam, {"A": A, "B": B}))
                 rep = cnp_criterion(b, w, PTS)
                 assert rep.schwarz_pick_margin >= 0.0, (fam, A, B)
@@ -225,16 +218,16 @@ def test_family_sweep_margins():
 # ------------------------------------------------------------- decomposition
 
 GALLERY = [
-    affine_symbol(0.5, 2),
-    affine_symbol(0.3j, -1.5),
-    moebius_over_symbol(-1, -2),
-    moebius_over_symbol(1.2, 2.4),
-    scaled_identity_symbol(1.5),
-    scaled_identity_symbol(2),
-    scaled_identity_symbol(4),
-    blaschke_symbol([0.3]),
-    power_symbol(2),
-    blaschke_symbol([0.0, 0.5]),
+    family_symbol("affine", {"A": 0.5, "B": 2}),
+    family_symbol("affine", {"A": 0.3j, "B": -1.5}),
+    family_symbol("moebius_over", {"A": -1, "B": -2}),
+    family_symbol("moebius_over", {"A": 1.2, "B": 2.4}),
+    family_symbol("scaled_identity", {"R": 1.5}),
+    family_symbol("scaled_identity", {"R": 2}),
+    family_symbol("scaled_identity", {"R": 4}),
+    family_symbol("blaschke", {"zeros": [0.3]}),
+    family_symbol("power", {"k": 2}),
+    family_symbol("blaschke", {"zeros": [0.0, 0.5]}),
 ]
 
 
@@ -247,12 +240,13 @@ def test_decomposition_agrees_with_defect_certification():
 
 
 def test_decomposition_examples():
-    assert decomposition_check(scaled_identity_symbol(2), PTS).status is Verdict.PSD
+    assert decomposition_check(family_symbol("scaled_identity", {"R": 2}), PTS).status is Verdict.PSD
     assert (
-        decomposition_check(power_symbol(2), SampleSet.default().extended([0.5, -0.5])).status
+        decomposition_check(family_symbol("power", {"k": 2}),
+                            SampleSet.default().extended([0.5, -0.5])).status
         is Verdict.NOT_PSD
     )
-    v = decomposition_check(blaschke_symbol([0.3]), PTS)
+    v = decomposition_check(family_symbol("blaschke", {"zeros": [0.3]}), PTS)
     assert v.status is Verdict.PSD
     assert v.min_eig >= -v.tol
 
@@ -265,15 +259,17 @@ def test_identity_residual_rounding_level():
         "z": PowerSeries.identity(order=4),
         "z2": PowerSeries([0, 0, 1, 0, 0]),
     }
-    for b in [affine_symbol(0.5, 2), moebius_over_symbol(-1, -2), blaschke_symbol([0.0, 0.5])]:
+    for b in [family_symbol("affine", {"A": 0.5, "B": 2}),
+              family_symbol("moebius_over", {"A": -1, "B": -2}),
+              family_symbol("blaschke", {"zeros": [0.0, 0.5]})]:
         for f in fs.values():
             assert decomposition_identity_residual(b, f, PTS) < 1e-10
 
 
 def test_identity_residual_szego_section_is_annihilated():
     # f equal to the kernel section at b(0) makes the companion vanish
-    b = affine_symbol(0.5, 2)
-    a = complex(b.coeffs[0])
+    b = family_symbol("affine", {"A": 0.5, "B": 2})
+    a = complex(b(0))
     f = PowerSeries(np.conj(a) ** np.arange(65), 0j)
     arr = np.asarray(PTS.points)
     vals = b(arr)
@@ -286,19 +282,20 @@ def test_identity_residual_szego_section_is_annihilated():
 def test_identity_rejects_near_origin_samples():
     with pytest.raises(NearZeroSample):
         decomposition_identity_residual(
-            affine_symbol(0.5, 2), PowerSeries.constant(1.0), [1e-7, 0.5]
+            family_symbol("affine", {"A": 0.5, "B": 2}), PowerSeries.constant(1.0), [1e-7, 0.5]
         )
 
 
 def test_identity_requires_invertible_symbol():
     with pytest.raises(NonInvertible):
-        decomposition_identity_residual(power_symbol(2), PowerSeries.constant(1.0), PTS)
+        decomposition_identity_residual(
+            family_symbol("power", {"k": 2}), PowerSeries.constant(1.0), PTS)
 
 
 # ----------------------------------------------------------------- criterion
 
 def test_criterion_pass_with_extension():
-    b = scaled_identity_symbol(2)
+    b = family_symbol("scaled_identity", {"R": 2})
     rep = cnp_criterion(b, ExtensionWitness(PowerSeries.constant(0.5)), PTS)
     assert rep.overall is CriterionVerdict.PASS_WITH_EXTENSION
     assert rep.reversion_ok
@@ -306,13 +303,13 @@ def test_criterion_pass_with_extension():
 
 
 def test_criterion_pass_necessary_without_witness():
-    rep = cnp_criterion(scaled_identity_symbol(2), None, PTS)
+    rep = cnp_criterion(family_symbol("scaled_identity", {"R": 2}), None, PTS)
     assert rep.overall is CriterionVerdict.PASS_NECESSARY
     assert not rep.extension_supplied
 
 
 def test_criterion_fail_squared_symbol():
-    rep = cnp_criterion(power_symbol(2), None, PTS)
+    rep = cnp_criterion(family_symbol("power", {"k": 2}), None, PTS)
     assert rep.overall is CriterionVerdict.FAIL
     assert rep.injectivity is InjectivityStatus.NOT_INJ
     assert not rep.reversion_ok
@@ -321,9 +318,38 @@ def test_criterion_fail_squared_symbol():
 def test_criterion_fail_blaschke2_reversion_blows_up():
     # without collision samples the FAIL still comes from the meaningless
     # truncated inverse (its radius of convergence is ~0.07)
-    rep = cnp_criterion(blaschke_symbol([0.0, 0.5]), None, PTS)
+    rep = cnp_criterion(family_symbol("blaschke", {"zeros": [0.0, 0.5]}), None, PTS)
     assert not rep.reversion_ok
     assert rep.overall is CriterionVerdict.FAIL
+
+
+def test_criterion_an_overflowing_reversion_is_a_diverged_round_trip():
+    # the Newton reversion of blaschke_deg2_0_05's order-512 series overflows;
+    # that raised a ValueError, an exit-3 input error for `gallery --order 512`
+    rep = cnp_criterion(family_symbol("blaschke", {"zeros": [0.0, 0.5]}, 512), None, PTS)
+    assert rep.overall is CriterionVerdict.FAIL and not rep.reversion_ok
+    assert rep.to_json_dict()["reversion_residual"] is None
+    assert any(n.startswith("reversion overflowed (series coefficients must be finite)")
+               for n in rep.notes)
+
+
+# the eight symbols of the ROADMAP panel whose dBR kernels are CNP
+PANEL = [{"family": "blaschke", "zeros": [[z, 0]]} for z in (0.3, 0.6, 0.9, 0.95, 0.99)] + [
+    {"family": "moebius_over", "A": [1.5, 0], "B": [2.5, 0]},
+    {"family": "moebius_over", "A": [-1, 0], "B": [-2, 0]},
+    {"family": "affine", "A": [0.5, 0], "B": [2, 0]},
+]
+
+
+@pytest.mark.parametrize("order", [32, 64, 128, 256, 512])
+@pytest.mark.parametrize("spec", PANEL, ids=lambda spec: json.dumps(spec))
+def test_the_panel_of_cnp_symbols_is_right_at_every_order(spec, order):
+    # truncation made 9 cnp and 22 criterion cells of this panel wrong, some
+    # by an exception: NotSchurClass, WitnessInconsistent, or an overflow
+    b = symbol_from_json(spec, order)
+    rep = cnp_criterion(b, witness_from_json("shipped", spec), PTS)
+    assert rep.overall is CriterionVerdict.PASS_WITH_EXTENSION, rep.notes
+    assert cnp_certify(dbr_kernel(b), 0j, PTS).verdict.status is Verdict.PSD
 
 
 def test_criterion_rejects_non_unit_ball_symbol():
@@ -333,8 +359,8 @@ def test_criterion_rejects_non_unit_ball_symbol():
 
 def test_not_inj_implies_not_psd_on_collision_samples():
     cases = [
-        (power_symbol(2), [0.5, -0.5]),
-        (blaschke_symbol([0.0, 0.5]), COLLISION_PAIR),
+        (family_symbol("power", {"k": 2}), [0.5, -0.5]),
+        (family_symbol("blaschke", {"zeros": [0.0, 0.5]}), COLLISION_PAIR),
     ]
     for b, pair in cases:
         pts = SampleSet.explicit(pair + [0.05, 0.1j])
@@ -344,7 +370,8 @@ def test_not_inj_implies_not_psd_on_collision_samples():
 
 
 def test_criterion_report_json():
-    rep = cnp_criterion(scaled_identity_symbol(2), ExtensionWitness(PowerSeries.constant(0.5)), PTS)
+    rep = cnp_criterion(
+        family_symbol("scaled_identity", {"R": 2}), ExtensionWitness(PowerSeries.constant(0.5)), PTS)
     d = rep.to_json_dict()
     json.dumps(d)
     assert d["overall"] == "PASS_WITH_EXTENSION"

@@ -225,9 +225,9 @@ def test_defect_szego_is_product_kernel():
 
 def test_defect_rank_one_kernel_vanishes():
     # degree-1 inner symbol gives a rank-one kernel, defect identically 0
-    from cnpcert.pickinterp import blaschke_product
+    from cnpcert.families import family_symbol
 
-    k = DeBrangesRovnyak(blaschke_product([0.3], order=64))
+    k = DeBrangesRovnyak(family_symbol("blaschke", {"zeros": [0.3]}))
     d = NormalizedDefect(k, 0j)
     zs = np.array([0.5, -0.2 + 0.4j, 0.8j])
     vals = d.evaluate(zs[:, None], zs[None, :])

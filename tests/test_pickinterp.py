@@ -4,11 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cnpcert.errors import LengthMismatch, NotStrictlySolvable
+from cnpcert.families import family_symbol
 from cnpcert.kernels import Szego, unit_ball_probe
 from cnpcert.linalg import Verdict, gram, pick_matrix, smallest_eigenvalue
 from cnpcert.pickinterp import (
     InterpolationProblem,
-    blaschke_product,
     pick_solvable,
     sampled_sup,
     schur_interpolant,
@@ -101,19 +101,19 @@ def test_interpolant_roundtrip(seed):
 # ------------------------------------------------------------------ blaschke
 
 def test_blaschke_single_zero_at_origin():
-    b = blaschke_product([0.0])
+    b = family_symbol("blaschke", {"zeros": [0.0]}).series()
     assert abs(b.coeffs[1] - 1.0) < 1e-15
     assert np.max(np.abs(np.delete(b.coeffs, 1))) < 1e-15
 
 
 def test_blaschke_double_zero_at_origin():
-    b = blaschke_product([0.0, 0.0])
+    b = family_symbol("blaschke", {"zeros": [0.0, 0.0]}).series()
     assert abs(b.coeffs[2] - 1.0) < 1e-15
     assert np.max(np.abs(np.delete(b.coeffs, 2))) < 1e-15
 
 
 def test_blaschke_matches_rational_form():
-    b = blaschke_product([0.0, 0.5])
+    b = family_symbol("blaschke", {"zeros": [0.0, 0.5]})
     for z in [0.3, -0.6, 0.2 + 0.4j, 0.8j]:
         expect = z * (z - 0.5) / (1 - 0.5 * z)
         assert abs(b(z) - expect) < 1e-10
@@ -121,7 +121,7 @@ def test_blaschke_matches_rational_form():
 
 def test_blaschke_zero_outside_disk_rejected():
     with pytest.raises(ValueError):
-        blaschke_product([1.0])
+        family_symbol("blaschke", {"zeros": [1.0]})
 
 
 @given(
@@ -132,5 +132,5 @@ def test_blaschke_zero_outside_disk_rejected():
     )
 )
 def test_blaschke_products_stay_in_unit_ball(zeros):
-    b = blaschke_product(zeros)
+    b = family_symbol("blaschke", {"zeros": zeros})
     assert unit_ball_probe(b) <= 1 + 1e-9

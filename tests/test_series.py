@@ -3,13 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cnpcert import series
 from cnpcert.errors import CenterMismatch, CompositionCenter, DivisionOrder, NonInvertible
-from cnpcert.families import affine_symbol, blaschke_symbol, moebius_over_symbol, scaled_identity_symbol
-from cnpcert.series import PowerSeries, divide
+from cnpcert.families import family_symbol
+from cnpcert.sampling import PROBE_GRID, polar_grid
+from cnpcert.series import PowerSeries, Rational, divide
 
 
 def geometric(order, ratio=1.0):
@@ -183,10 +184,10 @@ def _closed_form_inverse(kind, n):
 
 
 _SYMBOLS = {
-    "affine": lambda n: affine_symbol(0.5, 2.0, n),
-    "scaled": lambda n: scaled_identity_symbol(1.5, n),
-    "moebius": lambda n: moebius_over_symbol(2.0, 4.0, n),
-    "blaschke": lambda n: blaschke_symbol([0.3], n),
+    "affine": lambda n: family_symbol("affine", {"A": 0.5, "B": 2.0}).series(n),
+    "scaled": lambda n: family_symbol("scaled_identity", {"R": 1.5}).series(n),
+    "moebius": lambda n: family_symbol("moebius_over", {"A": 2.0, "B": 4.0}).series(n),
+    "blaschke": lambda n: family_symbol("blaschke", {"zeros": [0.3]}).series(n),
 }
 
 
@@ -215,12 +216,12 @@ def test_revert_composes_once_per_step_on_orders_halved_back_from_n(monkeypatch,
         return compose_zero(outer, inner, order)
 
     monkeypatch.setattr(series, "_compose_zero", counted)
-    blaschke_symbol([0.3], n).revert()
+    family_symbol("blaschke", {"zeros": [0.3]}).series(n).revert()
     assert seen == orders
 
 
 def test_revert_overflow_is_a_value_error_without_warnings():
-    b = blaschke_symbol([0.0, 0.5], 512)   # gallery's blaschke_deg2_0_05 at order 512
+    b = family_symbol("blaschke", {"zeros": [0.0, 0.5]}).series(512)   # blaschke_deg2_0_05
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="must be finite"):
@@ -316,3 +317,58 @@ def test_divide_times_denominator_recovers_numerator(seed):
 def test_nonfinite_coefficients_rejected():
     with pytest.raises(ValueError):
         PowerSeries([1.0, float("inf")])
+
+
+# ---------------------------------------------------------------- rational maps
+
+_phase = st.floats(0.0, 2 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+_zero = st.builds(lambda r, u: r * u, st.floats(0.0, 0.9), _phase)   # |z| <= 0.9
+
+
+@st.composite
+def degree_one_symbols(draw):
+    """A named degree-1 family, its parameters drawn so that it maps the disk into itself."""
+    a, big = draw(_zero), draw(st.floats(1.0, 3.0)) * draw(_phase)
+    kind = draw(st.sampled_from(["affine", "moebius_over", "scaled_identity", "blaschke"]))
+    if kind == "affine":             # |A| + 1 <= |B|
+        return family_symbol("affine", {"A": a, "B": (abs(a) + 1.0) * big})
+    if kind == "moebius_over":       # |A| + 1 <= |B|
+        return family_symbol("moebius_over", {"A": big, "B": (abs(big) + 1.0) * draw(_phase)})
+    if kind == "scaled_identity":
+        return family_symbol("scaled_identity", {"R": big})
+    return family_symbol("blaschke", {"zeros": [a]})
+
+
+@seed(20210)
+@settings(database=None)
+@given(
+    st.one_of(degree_one_symbols(), st.lists(_zero, min_size=1, max_size=3).map(
+        lambda zeros: family_symbol("blaschke", {"zeros": zeros}))),
+    st.lists(st.builds(lambda r, u: r * u, st.floats(0.0, 0.5), _phase), min_size=1, max_size=8),
+)
+def test_a_rational_map_agrees_with_horner_on_its_own_series(b, zs):
+    zs = np.asarray(zs)
+    assert np.max(np.abs(b(zs) - b.series(64)(zs))) <= 1e-13
+
+
+@seed(20210)
+@settings(database=None)
+@given(degree_one_symbols())
+def test_a_degree_one_inverse_round_trips_on_the_probe_grid(b):
+    zs = polar_grid(*PROBE_GRID)
+    h = b.inverse()
+    assert b.degree == h.degree == 1
+    assert np.max(np.abs(h(b(zs)) - zs)) <= 1e-13
+
+
+def test_a_rational_map_is_trimmed_and_knows_its_degree():
+    b = Rational([0.5, 2.0, 0.0], [1.0, 0.0])
+    assert (b.num == [0.5, 2.0]).all() and (b.den == [1.0]).all() and b.degree == 1
+    assert Rational([0.0, 0.0], [2.0, 1.0]).degree == 0       # 0 / (z + 2)
+    assert Rational([1.0, 0.5], [2.0, 1.0]).degree == 0       # (1 + z/2) / (2 + z)
+    assert family_symbol("blaschke", {"zeros": [0.0, 0.5]}).degree == 2
+    with pytest.raises(NonInvertible):
+        family_symbol("blaschke", {"zeros": [0.0, 0.5]}).inverse()
+    with pytest.raises(ValueError, match="den"):
+        Rational([1.0], [0.0, 1.0])
+
