@@ -12,8 +12,8 @@ on b's range) and a sufficient part that needs the caller to supply
 the extension of (z - b(0)) / h as a concrete series witness. The report
 keeps the two apart: PASS_NECESSARY never claims more than consistency,
 PASS_WITH_EXTENSION means the witness checked out at sampled resolution.
-A symbol is a ``series.Rational`` (a named family) or a ``PowerSeries``. A
-Moebius symbol's left inverse is its adjugate; any other symbol's is the
+A symbol is a ``series.Rational`` (a named family) or a ``PowerSeries``; its
+``revert()`` is the left inverse: a Moebius map's adjugate, exact, or else the
 Newton reversion of its series, a Rational's through its ``order``.
 """
 
@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NearZeroSample, NonInvertible, NotSchurClass, WitnessInconsistent
+from .errors import NearZeroSample, NonFiniteCoefficients, NonInvertible, NotSchurClass, WitnessInconsistent
 from .kernels import SCHUR_SLACK, Congruence, Constant, DeBrangesRovnyak, Pullback, Szego, unit_ball_probe
 from .linalg import PsdVerdict, gram, hermitian_from_raw, psd_verdict
 from .sampling import PROBE_GRID, SampleSet, polar_grid
@@ -89,8 +89,7 @@ class CriterionReport:
 def _require_symbol(b: Symbol):
     if b.center != 0:
         raise ValueError("symbols must be series centered at 0")
-    if (b.degree == 0 if isinstance(b, Rational)
-            else b.order < 1 or float(np.max(np.abs(b.coeffs[1:]))) < 1e-15):
+    if b.degree == 0:
         raise ValueError("the symbol must be nonconstant")
 
 
@@ -118,18 +117,14 @@ def injectivity_probe(b: Symbol, pts) -> InjectivityStatus:
     dp = np.abs(arr[:, None] - arr[None, :])
     thresh = COLL_EPS * np.maximum(1.0, np.abs(vals))[:, None]
     collided = (dv < thresh) & (dp > SEP_MIN)
-    if bool(collided.any()):
-        return InjectivityStatus.NOT_INJ
-    return InjectivityStatus.INJ_EVIDENCE
+    return InjectivityStatus.NOT_INJ if collided.any() else InjectivityStatus.INJ_EVIDENCE
 
 
 def functional_inverse(b: Symbol) -> Symbol:
-    """h with h(b(z)) = z: a Moebius symbol's adjugate, else the series
-    centered at b(0) inverting b's series through its order. NonInvertible
-    when b'(0) is numerically zero: then no holomorphic left inverse exists."""
+    """h with h(b(z)) = z, ``b.revert()``: a Moebius map's adjugate, else the
+    series reversion. NonInvertible when b'(0) is numerically zero: then no
+    holomorphic left inverse exists."""
     _require_symbol(b)
-    if isinstance(b, Rational):
-        return b.inverse() if b.degree == 1 else b.series().revert()
     return b.revert()
 
 
@@ -140,7 +135,7 @@ def reversion_residual(h: Symbol, b: Symbol) -> float:
     if isinstance(h, Rational):
         zs = polar_grid(*PROBE_GRID)
         return float(np.max(np.abs(h(b(zs)) - zs)))
-    comp = h.compose(b.series() if isinstance(b, Rational) else b)
+    comp = h.compose(b.series())
     return float(np.max(np.abs(comp.coeffs - PowerSeries.identity(comp.order, b.center).coeffs)))
 
 
@@ -250,8 +245,7 @@ def cnp_criterion(
     sup = unit_ball_probe(b)
     if sup > 1.0 + SCHUR_SLACK:
         raise NotSchurClass(f"sampled sup |b| = {sup:.6g} exceeds 1")
-    if pts is None:
-        pts = SampleSet.default()
+    pts = SampleSet.default() if pts is None else pts
     notes = []
     inj = injectivity_probe(b, pts)
     if inj is InjectivityStatus.NOT_INJ:
@@ -262,21 +256,14 @@ def cnp_criterion(
         note = f"reversion round-trip residual {resid:.3e} exceeds {REV_RESID_TOL:g}; {meaningless}"
     except NonInvertible:
         resid, note = float("inf"), "linear coefficient at 0 is numerically zero; reversion undefined"
-    except ValueError as exc:   # the series reversion, or its round trip, overflowed
+    except NonFiniteCoefficients as exc:   # the series reversion, or its round trip, overflowed
         resid, note = float("inf"), f"reversion overflowed ({exc}); {meaningless}"
     rev_ok = bool(resid <= REV_RESID_TOL)
     if not rev_ok:
         notes.append(note)
     margin = schwarz_pick_margin(b, pts)
-    ext_margin = None
-    if witness is not None:
-        ext_margin = extension_margin(b, witness, pts)
-    failed = (
-        inj is InjectivityStatus.NOT_INJ
-        or not rev_ok
-        or margin < -MARGIN_TOL
-    )
-    if failed:
+    ext_margin = None if witness is None else extension_margin(b, witness, pts)
+    if inj is InjectivityStatus.NOT_INJ or not rev_ok or margin < -MARGIN_TOL:
         overall = CriterionVerdict.FAIL
     elif witness is not None and ext_margin >= -MARGIN_TOL:
         overall = CriterionVerdict.PASS_WITH_EXTENSION

@@ -27,6 +27,10 @@ class DivisionOrder(CnpcertError):
     code = "DIVISION_ORDER"
 
 
+class NonFiniteCoefficients(CnpcertError, ValueError):   # a series input error, or an overflow
+    code = "NON_FINITE"
+
+
 class DomainViolation(CnpcertError):
     code = "DOMAIN_VIOLATION"
 

@@ -122,4 +122,5 @@ def family_witness(name: str, params: dict) -> PowerSeries | None:
     (a z + b) / (c z + d): (a - c z) / d, the denominator of its adjugate h
     over d. None for a map of any other degree."""
     b = family_symbol(name, params)
-    return PowerSeries(b.inverse().den / b.den[0]) if b.degree == 1 else None
+    (_, a), (d, c) = np.append(b.num, 0)[:2], np.append(b.den, 0)[:2]
+    return PowerSeries(np.trim_zeros(np.array([a, -c]) / d, "b")) if b.degree == 1 else None

@@ -13,7 +13,7 @@ cancelled leading order). Reversion is Newton iteration on the shifted
 coefficient vector t: from g correct through order m', one composition gives
 g - (t(g) - w) g', correct through 2m' as g' = 1/t'(g) through m' - 1. The
 step orders ceil(n / 2^k) end at the order n (100: 2, 4, 7, 13, 25, 50, 100).
-Overflow there is a ValueError (non-finite coefficients), not a RuntimeWarning.
+Overflow there is NonFiniteCoefficients, a ValueError, not a RuntimeWarning.
 A ``Rational`` map num(z) / den(z) is evaluated exactly; its ``series()`` is
 the truncated coefficient view, and a degree-1 map inverts exactly.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CenterMismatch, CompositionCenter, DivisionOrder, NonInvertible
+from .errors import CenterMismatch, CompositionCenter, DivisionOrder, NonFiniteCoefficients, NonInvertible
 
 DEFAULT_ORDER = 64   # truncation order of a coefficient view when none is given
 REV_EPS = 1e-10   # linear coefficients at or below this are not invertible
@@ -37,7 +37,7 @@ def _coeff_array(coeffs) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("coefficients must form a non-empty 1-D sequence")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("series coefficients must be finite")
+        raise NonFiniteCoefficients("series coefficients must be finite")
     return arr
 
 
@@ -124,6 +124,14 @@ class PowerSeries:
     @property
     def order(self) -> int:
         return self.coeffs.size - 1
+
+    @property
+    def degree(self) -> int:   # index of the last coefficient past 0 of modulus >= 1e-15, else 0
+        return int(np.flatnonzero(np.abs(self.coeffs[1:]) >= 1e-15).max(initial=-1)) + 1
+
+    def series(self) -> "PowerSeries":
+        """The series itself: a symbol's coefficient view, as for a Rational."""
+        return self
 
     def __repr__(self):
         return f"PowerSeries(order={self.order}, center={self.center!r})"
@@ -245,20 +253,21 @@ class Rational:
             out = _horner(self.num, u) / _horner(self.den, u)
         return complex(out) if out.ndim == 0 else out
 
-    def series(self, order: int | None = None) -> PowerSeries:
-        """The map's power series at 0 through ``order`` (default: its own):
-        num times the reciprocal series of den."""
-        n = self.order if order is None else order
-        return PowerSeries(_padded(self.num, n + 1)) * PowerSeries(
-            _reciprocal(_padded(self.den, n + 1), n))
+    def series(self) -> PowerSeries:
+        """The map's power series at 0 through its ``order``: num times the
+        reciprocal series of den."""
+        n = self.order
+        return PowerSeries(_padded(self.num, n + 1)) * PowerSeries(_reciprocal(_padded(self.den, n + 1), n))
 
-    def inverse(self) -> "Rational":
-        """The exact inverse of a degree-1 map (a z + b) / (c z + d), its
-        adjugate (d w - b) / (a - c w); NonInvertible at any other degree."""
-        if self.degree != 1:
-            raise NonInvertible(f"a rational map of degree {self.degree} has no rational inverse")
+    def revert(self) -> "Symbol":
+        """h with h(self(z)) = z near 0. A degree-1 map (a z + b) / (c z + d)
+        with a != 0 inverts exactly, by its adjugate (d w - b) / (a - c w);
+        any other map by the Newton reversion of ``series()``, centered at
+        self(0), which raises NonInvertible when self'(0) is numerically zero."""
         (b, a), (d, c) = _padded(self.num, 2), _padded(self.den, 2)
-        return Rational([-b, d], [a, -c], self.order)
+        if self.degree == 1 and a != 0:
+            return Rational([-b, d], [a, -c], self.order)
+        return self.series().revert()
 
 
 Symbol = PowerSeries | Rational   # what a symbol, pull-back map or congruence factor may be

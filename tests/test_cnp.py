@@ -679,7 +679,7 @@ def test_a_base_on_a_sample_takes_its_quotient_on_the_kept_samples(monkeypatch):
     # zero at the dropped one, and its quotient is within 0.1 % of the smallest
     # eigenvalue. (This truncated kernel's NOT_PSD is false, so the
     # Cauchy-Schwarz guard makes it INCONCLUSIVE.)
-    kernel = DeBrangesRovnyak(family_symbol("blaschke", {"zeros": [0.9]}).series(64))
+    kernel = DeBrangesRovnyak(family_symbol("blaschke", {"zeros": [0.9]}, 64).series())
     pts = disk_296()
     bases = [pts.points[40], pts.points[250]]
     assembled = recorded(monkeypatch, cnp, "_defect_gram")
@@ -720,7 +720,7 @@ def test_complete_pick_kernels_never_stop_the_range_finder_early(monkeypatch, ke
     (0.9, 128, Verdict.PSD), (0.99, 256, Verdict.PSD),
 ])
 def test_a_degree_one_blaschke_kernel_breaking_cauchy_schwarz_is_not_a_disproof(zero, order, status):
-    b = family_symbol("blaschke", {"zeros": [zero]}).series(order)
+    b = family_symbol("blaschke", {"zeros": [zero]}, order).series()
     rep = cnp_certify(DeBrangesRovnyak(b), 0j, SampleSet.default())
     assert rep.verdict.status is status
     flagged = [n for n in rep.notes if n.startswith("KERNEL_INCONSISTENT")]

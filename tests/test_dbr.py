@@ -28,7 +28,7 @@ from cnpcert.errors import (
 from cnpcert.families import family_symbol, family_witness
 from cnpcert.linalg import Verdict
 from cnpcert.sampling import SampleSet
-from cnpcert.series import PowerSeries, divide
+from cnpcert.series import PowerSeries, Rational, divide
 
 PTS = SampleSet.default()
 COLLISION_PAIR = [0.4, 0.125]  # b(z1) = b(z2) for the Blaschke zeros {0, 1/2}
@@ -98,7 +98,7 @@ def test_inverse_of_affine_is_exact():
 @pytest.mark.parametrize("A,B,tol", [(-1.0, -2.0, 1e-10), (2.0, 4.0, 1e-10), (1.2, 2.4, 2e-10)])
 def test_inverse_of_moebius_matches_closed_form(A, B, tol):
     # the adjugate B w / (A - w), through its coefficient view
-    h = functional_inverse(family_symbol("moebius_over", {"A": A, "B": B})).series(32)
+    h = functional_inverse(family_symbol("moebius_over", {"A": A, "B": B})).series()
     n = np.arange(1, 33)
     expect = B / A ** n
     assert np.max(np.abs(h.coeffs[1:33] - expect)) < tol
@@ -331,6 +331,16 @@ def test_criterion_an_overflowing_reversion_is_a_diverged_round_trip():
     assert rep.to_json_dict()["reversion_residual"] is None
     assert any(n.startswith("reversion overflowed (series coefficients must be finite)")
                for n in rep.notes)
+
+
+def test_criterion_of_a_moebius_map_whose_adjugate_has_a_pole_at_0():
+    # 1 / (2 + z): its adjugate (2 w - 1) / (-w) is no Rational, so its left
+    # inverse is the series reversion, as for the same map given as a series
+    b = Rational([1.0], [2.0, 1.0])
+    rep = cnp_criterion(b, ExtensionWitness(PowerSeries([0.0, -0.5])), PTS)
+    assert rep.reversion_ok and rep.reversion_residual <= 1e-15
+    assert rep.overall is CriterionVerdict.PASS_WITH_EXTENSION, rep.notes
+    assert cnp_criterion(b.series(), None, PTS).overall is CriterionVerdict.PASS_NECESSARY
 
 
 # the eight symbols of the ROADMAP panel whose dBR kernels are CNP

@@ -7,7 +7,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from cnpcert import series
-from cnpcert.errors import CenterMismatch, CompositionCenter, DivisionOrder, NonInvertible
+from cnpcert.errors import (
+    CenterMismatch, CompositionCenter, DivisionOrder, NonFiniteCoefficients, NonInvertible,
+)
 from cnpcert.families import family_symbol
 from cnpcert.sampling import PROBE_GRID, polar_grid
 from cnpcert.series import PowerSeries, Rational, divide
@@ -184,10 +186,10 @@ def _closed_form_inverse(kind, n):
 
 
 _SYMBOLS = {
-    "affine": lambda n: family_symbol("affine", {"A": 0.5, "B": 2.0}).series(n),
-    "scaled": lambda n: family_symbol("scaled_identity", {"R": 1.5}).series(n),
-    "moebius": lambda n: family_symbol("moebius_over", {"A": 2.0, "B": 4.0}).series(n),
-    "blaschke": lambda n: family_symbol("blaschke", {"zeros": [0.3]}).series(n),
+    "affine": lambda n: family_symbol("affine", {"A": 0.5, "B": 2.0}, n).series(),
+    "scaled": lambda n: family_symbol("scaled_identity", {"R": 1.5}, n).series(),
+    "moebius": lambda n: family_symbol("moebius_over", {"A": 2.0, "B": 4.0}, n).series(),
+    "blaschke": lambda n: family_symbol("blaschke", {"zeros": [0.3]}, n).series(),
 }
 
 
@@ -216,15 +218,15 @@ def test_revert_composes_once_per_step_on_orders_halved_back_from_n(monkeypatch,
         return compose_zero(outer, inner, order)
 
     monkeypatch.setattr(series, "_compose_zero", counted)
-    family_symbol("blaschke", {"zeros": [0.3]}).series(n).revert()
+    family_symbol("blaschke", {"zeros": [0.3]}, n).series().revert()
     assert seen == orders
 
 
 def test_revert_overflow_is_a_value_error_without_warnings():
-    b = family_symbol("blaschke", {"zeros": [0.0, 0.5]}).series(512)   # blaschke_deg2_0_05
+    b = family_symbol("blaschke", {"zeros": [0.0, 0.5]}, 512).series()   # blaschke_deg2_0_05
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(NonFiniteCoefficients, match="must be finite"):
             b.revert()
 
 
@@ -348,7 +350,7 @@ def degree_one_symbols(draw):
 )
 def test_a_rational_map_agrees_with_horner_on_its_own_series(b, zs):
     zs = np.asarray(zs)
-    assert np.max(np.abs(b(zs) - b.series(64)(zs))) <= 1e-13
+    assert np.max(np.abs(b(zs) - b.series()(zs))) <= 1e-13
 
 
 @seed(20210)
@@ -356,7 +358,7 @@ def test_a_rational_map_agrees_with_horner_on_its_own_series(b, zs):
 @given(degree_one_symbols())
 def test_a_degree_one_inverse_round_trips_on_the_probe_grid(b):
     zs = polar_grid(*PROBE_GRID)
-    h = b.inverse()
+    h = b.revert()
     assert b.degree == h.degree == 1
     assert np.max(np.abs(h(b(zs)) - zs)) <= 1e-13
 
@@ -367,8 +369,22 @@ def test_a_rational_map_is_trimmed_and_knows_its_degree():
     assert Rational([0.0, 0.0], [2.0, 1.0]).degree == 0       # 0 / (z + 2)
     assert Rational([1.0, 0.5], [2.0, 1.0]).degree == 0       # (1 + z/2) / (2 + z)
     assert family_symbol("blaschke", {"zeros": [0.0, 0.5]}).degree == 2
-    with pytest.raises(NonInvertible):
-        family_symbol("blaschke", {"zeros": [0.0, 0.5]}).inverse()
     with pytest.raises(ValueError, match="den"):
         Rational([1.0], [0.0, 1.0])
+
+
+def test_a_rational_map_reverts_exactly_only_by_an_adjugate_it_can_hold():
+    h = family_symbol("blaschke", {"zeros": [0.3]}).revert()
+    assert isinstance(h, Rational) and (h.num == [0.3, 1.0]).all() and (h.den == [1.0, 0.3]).all()
+    # 1 / (2 + z) has degree 1, but its adjugate (2 w - 1) / (-w) has a pole at 0:
+    # its series reverts, centered at b(0)
+    b = Rational([1.0], [2.0, 1.0])
+    h = b.revert()
+    zs = polar_grid(4, 16, 0.2)
+    assert isinstance(h, PowerSeries) and h.order == 64 and h.center == 0.5
+    assert np.max(np.abs(h(b(zs)) - zs)) <= 1e-15
+    b = family_symbol("blaschke", {"zeros": [0.0, 0.5]}, 16)
+    assert isinstance(b.revert(), PowerSeries) and b.revert().order == 16
+    with pytest.raises(NonInvertible):
+        family_symbol("power", {"k": 2}).revert()
 
