@@ -13,8 +13,9 @@ Subcommands and exit codes:
            2 INCONCLUSIVE, 3 input error
 
 Reports are JSON on stdout (optionally duplicated to --json PATH);
-diagnostics go to stderr. Complex numbers are written like "0.3+0.1i";
-lists of points are comma separated.
+diagnostics go to stderr. A malformed command line is an input error: exit
+3, with argparse's message on stderr. Complex numbers are written like
+"0.3+0.1i"; lists of points are comma separated.
 """
 
 from __future__ import annotations
@@ -123,12 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                        help="series truncation order (default: %(default)s)")
     common.add_argument("--json", dest="json_path", default=None, help="also write report here")
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=None,
                      help="verdict tolerance (default: 1e-9 * max(1, scale))")
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--order", type=int, default=DEFAULT_ORDER, help="order of the coefficient "
+                       "view reverted for a named map of degree >= 2 (default: %(default)s)")
 
     p_cnp = sub.add_parser("cnp", parents=[tol, common], help="certify normalized-defect positivity")
     p_cnp.add_argument("--kernel", required=True, help="kernel descriptor JSON (path or inline)")
@@ -136,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     _sample_args(p_cnp)
     p_cnp.set_defaults(func=cmd_cnp)
 
-    p_hb = sub.add_parser("hbcheck", parents=[common], help="run the constructive criterion on a symbol")
+    p_hb = sub.add_parser("hbcheck", parents=[order, common], help="run the constructive criterion on a symbol")
     p_hb.add_argument("--b", required=True, help="symbol spec JSON (path or inline)")
     p_hb.add_argument(
         "--witness", default=None,
@@ -145,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     _sample_args(p_hb)
     p_hb.set_defaults(func=cmd_hbcheck)
 
-    p_gal = sub.add_parser("gallery", parents=[tol, common], help="run a verdict suite")
+    p_gal = sub.add_parser("gallery", parents=[tol, order, common], help="run a verdict suite")
     p_gal.add_argument("--suite", default=None, help="suite JSON path (default: the shipped gallery)")
     p_gal.set_defaults(func=cmd_gallery)
 
@@ -159,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_cnp(args) -> int:
-    kernel = kernel_from_json(_load_json_arg(args.kernel), args.order)
+    kernel = kernel_from_json(_load_json_arg(args.kernel))
     if not kernel.dim:
         base = _parse_complex(args.base)
     else:
@@ -211,7 +213,7 @@ def cmd_pick(args) -> int:
     if not isinstance(doc, dict) or not {"nodes", "targets"} <= doc.keys():
         raise ValueError("problem JSON needs 'nodes' and 'targets' arrays of numbers or [re, im] pairs")
     problem = InterpolationProblem(*(complex_list_from_json(doc[k]) for k in ("nodes", "targets")))
-    kernel = kernel_from_json(_load_json_arg(args.kernel), args.order) if args.kernel else None
+    kernel = kernel_from_json(_load_json_arg(args.kernel)) if args.kernel else None
     verdict = pick_solvable(problem, kernel, args.tol)
     report = {"verdict": verdict.to_json_dict(), "interpolant": None}
     exit_code = _VERDICT_EXIT[verdict.status]
@@ -238,8 +240,10 @@ def cmd_pick(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse: 0 after --help, 2 for a malformed command line
+        return 3 if exc.code else 0
     try:
         return args.func(args)
     except SuiteFormat as exc:

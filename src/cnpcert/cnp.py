@@ -164,7 +164,8 @@ def _cs_note(kernel_gram: HermitianMatrix) -> str | None:
     return (
         f"KERNEL_INCONSISTENT: |K(z_i, z_j)|^2 exceeds K(z_i, z_i) K(z_j, z_j) by {e:.3e} "
         f"relative at samples i = {i}, j = {j}, so the kernel values are inaccurate (a "
-        "positive kernel obeys Cauchy-Schwarz) and cannot support NOT_PSD; raise --order"
+        "positive kernel obeys Cauchy-Schwarz) and cannot support NOT_PSD; give a series "
+        "symbol more coefficients"
     )
 
 

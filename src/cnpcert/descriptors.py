@@ -67,7 +67,7 @@ def witness_from_json(spec, b_spec: dict) -> ExtensionWitness | None:
     raise ValueError("witness spec must be null, 'shipped', or {'series': ...}")
 
 
-def kernel_from_json(obj: dict, order: int = families.DEFAULT_ORDER) -> Kernel:
+def kernel_from_json(obj: dict) -> Kernel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("kernel descriptors need a 'kind' tag")
     kind = obj["kind"]
@@ -79,19 +79,17 @@ def kernel_from_json(obj: dict, order: int = families.DEFAULT_ORDER) -> Kernel:
         weights = obj["weights"] if isinstance(obj["weights"], list) else [obj["weights"]]
         return WeightedHardy([real_from_json(w) for w in weights])
     if kind == "dbr":
-        return dbr_kernel(symbol_from_json(obj["b"], order))
+        return dbr_kernel(symbol_from_json(obj["b"]))
     if kind == "constant":
         return Constant(obj["value"])
     if kind == "sum":
-        return Sum(kernel_from_json(obj["left"], order), kernel_from_json(obj["right"], order))
+        return Sum(kernel_from_json(obj["left"]), kernel_from_json(obj["right"]))
     if kind == "pullback":
-        return Pullback(kernel_from_json(obj["inner"], order), symbol_from_json(obj["map"], order))
+        return Pullback(kernel_from_json(obj["inner"]), symbol_from_json(obj["map"]))
     if kind == "congruence":
-        return Congruence(
-            kernel_from_json(obj["inner"], order), symbol_from_json(obj["factor"], order)
-        )
+        return Congruence(kernel_from_json(obj["inner"]), symbol_from_json(obj["factor"]))
     if kind == "normalized_defect":
-        inner = kernel_from_json(obj["inner"], order)
+        inner = kernel_from_json(obj["inner"])
         read_base = complex_list_from_json if inner.dim else complex_from_json
         return NormalizedDefect(inner, read_base(obj["base"]))
     raise ValueError(f"unknown kernel kind {kind!r}")

@@ -74,10 +74,6 @@ class SchurInterpolant:
                     f"stage parameter modulus {abs(gamma):.6g} exceeds 1"
                 )
 
-    @property
-    def parameters(self):
-        return tuple(g for _, g in self.stages)
-
     def __call__(self, z):
         zz = np.asarray(z, dtype=complex)
         x_last, g_last = self.stages[-1]

@@ -107,6 +107,28 @@ def test_run_suite_deterministic_modulo_wall_time():
     assert r1["inputs_digest"] == r2["inputs_digest"]
 
 
+# ------------------------------------------------------------- command line
+
+@pytest.mark.parametrize("argv", [
+    ["cnp", "--kernel", '{"kind":"szego"}', "--bogus"],
+    ["hbcheck", "--b", '{"family":"power","k":2}', "--grid"],
+    ["cnp", "--kernel", '{"kind":"szego"}', "--order", "x"],
+    # the truncation order reaches only the criterion: cnp and pick take none
+    ["cnp", "--kernel", '{"kind":"szego"}', "--order", "64"],
+    ["pick", "--problem", '{"nodes":[[0,0],[0.5,0]],"targets":[[0,0],[0.375,0]]}',
+     "--order", "64"],
+])
+def test_a_malformed_command_line_is_an_input_error(capsys, argv):
+    # argparse's own exit code, 2, would read as INCONCLUSIVE or PASS_NECESSARY
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3 and out == "" and "error:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, ["--help"])
+    assert code == 0 and out.startswith("usage: cnpcert")
+
+
 # ---------------------------------------------------------------------- cnp
 
 def test_cnp_szego_exit_0(tmp_path, capsys):

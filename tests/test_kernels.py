@@ -234,6 +234,22 @@ def test_defect_rank_one_kernel_vanishes():
     assert np.max(np.abs(vals)) < 1e-12
 
 
+@pytest.mark.parametrize("name, params", [
+    ("blaschke", {"zeros": [0j, 0.5 + 0j]}),
+    ("moebius_over", {"A": 1.5 + 0j, "B": 2.5 + 0j}),
+])
+def test_a_dbr_gram_does_not_read_its_symbols_order(name, params):
+    # a named symbol is evaluated in closed form; its order sets only the
+    # coefficient view that the criterion reverts
+    from cnpcert.families import family_symbol
+
+    pts = SampleSet.default(seed=5, grid=(6, 12)).points
+    low, high = (gram(DeBrangesRovnyak(family_symbol(name, params, order)), pts)
+                 for order in (2, 256))
+    assert np.array_equal(low.entries, high.entries)
+    assert (low.scale, low.cs_excess) == (high.scale, high.cs_excess)
+
+
 def test_defect_squared_symbol_closed_form():
     b = PowerSeries([0.0, 0.0, 1.0])
     d = NormalizedDefect(DeBrangesRovnyak(b), 0j)

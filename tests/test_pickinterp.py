@@ -93,7 +93,7 @@ def test_interpolant_roundtrip(seed):
     for x, t in zip(prob.nodes, prob.targets):
         assert abs(f(x) - t) < 1e-8
     assert sampled_sup(f) <= 1 + 1e-6
-    assert all(abs(g) <= 1 + 1e-10 for g in f.parameters)
+    assert all(abs(g) <= 1 + 1e-10 for _, g in f.stages)
     # construction success implies the solvability verdict
     assert pick_solvable(prob).status is Verdict.PSD
 
