@@ -6,9 +6,9 @@ evidence only, since the property quantifies over every finite set. Reports
 say so explicitly.
 
 With R = 1/K entrywise and u = K(z, base) / sqrt(K(base, base)), the defect
-is exactly J - diag(u) R diag(conj u) (J all ones). R is base-free and is
-formed in K's array once per sample set. From RITZ_MIN_N samples on, where R
-is numerically low-rank, the defect is not formed: R is factored once,
+is exactly J - diag(u) R diag(conj u) (J all ones). R is base-free, formed
+in K's array as K is symmetrized, once per sample set. From RITZ_MIN_N samples
+on, where R is numerically low-rank, the defect is not formed: R is factored once,
 R ~ q m q^H to Frobenius residual r, so by Weyl's inequality each base's
 smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
 [1, diag(u) q, 0] = U T (thin QR) and C = diag(1, -m, 0).
@@ -117,13 +117,14 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     breaks Cauchy-Schwarz by more than CS_BAND gets a note, and a NOT_PSD
     from it becomes INCONCLUSIVE.
 
-    Once the base has passed its own checks, K and then u (its guard on
-    K(z, base) first; 0 at a dropped sample) are built on all of ``pts``,
-    then R = 1/K in K's array; a base-point sweep shares K and R across its
-    bases (``_shared``), so a lone certificate is the sweep's report for one
-    base. A vanishing-kernel note indexes the given samples.
-    Every verdict comes from R and u (see the module docstring), except on a
-    K that is not finite: that is INCONCLUSIVE, with no eigensolve.
+    Once the base has passed its own checks, K, its array R = 1/K as it is
+    symmetrized, then u (its guard on K(z, base) first; 0 at a dropped
+    sample) are built on all of ``pts``, and only then is a vanishing K(z, w)
+    raised; a base-point sweep shares K and R across its bases (``_shared``),
+    so a lone certificate is the sweep's report for one base. A vanishing-kernel
+    or NON_FINITE note indexes the given samples. Every verdict comes from R
+    and u (see the module docstring), except on a K that is not finite:
+    that is INCONCLUSIVE, with no eigensolve.
     """
     if tol is not None:   # before any Gram is built, on every path
         tol = checked_tol(tol)
@@ -170,10 +171,10 @@ def _cs_note(kernel_gram: HermitianMatrix) -> str | None:
 
 
 class _Shared:
-    """One sample set's kernel Gram K (its array R's once R is formed), K's
-    asymmetry and Cauchy-Schwarz notes (or None), R, and the VanishingKernel
-    that building K or R raised (or None): neither is built again for a
-    later base."""
+    """One sample set's kernel Gram K (its array R's, see factor_reciprocal),
+    K's asymmetry or NON_FINITE note and its Cauchy-Schwarz note (or None),
+    R, and the VanishingKernel that building K or R raised (or None):
+    neither is built again for a later base."""
 
     k = rec = note = cs_note = failure = None
 
@@ -187,9 +188,12 @@ class _Shared:
 
     def kernel_gram(self, kernel: Kernel, pts: list) -> HermitianMatrix:
         if self.k is None:
-            self.k = k = self._once(lambda: gram(kernel, pts))
+            self.k = k = self._once(lambda: gram(kernel, pts, True))
             self.note = (f"assembly warning: kernel Gram asymmetry {k.asymmetry:.3e} exceeds "
                          f"tolerance at scale {k.scale:.3e}") if k.asym_warning else None
+            if not k.finite:   # no asymmetry warning then, at a scale that is not finite
+                i, j = divmod(int(np.argmin(np.isfinite(k.entries))), k.n)
+                self.note = f"NON_FINITE: K(z, w) is not finite at position [{i}, {j}]"
             self.cs_note = _cs_note(k)
         return self.k
 
@@ -226,17 +230,17 @@ class Reciprocal(NamedTuple):
 
 
 def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
-    """R of ``kernel_gram``, a finite Gram, formed in its array by an
-    in-place divide a row block at a time, once the Gram's min_modulus (taken
-    by hermitian_in_place) is at least DEFECT_EPS (else VanishingKernel,
-    naming the K(z, w) positions): R owns the array, and only the Gram's n,
-    scale and asymmetry still describe K. Each block adds its share of
-    ||R||_F^2 while it is in cache, the range finder's first residual.
-    From RITZ_MIN_N samples on, the range finder aims at resid <=
-    RITZ_RESIDUAL / max K(z, z), enough for every base of a positive kernel
-    (|u|^2 <= K(z, z)); a stalled finder is kept up to RITZ_RESIDUAL *
-    max(1, 1 / min|K|), as each base checks its own Weyl bound. Below
-    RITZ_MIN_N samples, or above that bound, R is not factored.
+    """R of ``kernel_gram``, a finite Gram with R formed in its array as K
+    was symmetrized (gram(..., True)), unless some |K(z, w)| is below
+    DEFECT_EPS: VanishingKernel then names the K(z, w) positions, from the
+    square where the Gram kept K. Only the Gram's n, scale, asymmetry and
+    min_modulus still describe K, and its r_norm = ||R||_F is the range
+    finder's first residual. From RITZ_MIN_N samples on, the range finder
+    aims at resid <= RITZ_RESIDUAL / max K(z, z) = RITZ_RESIDUAL min R(z, z),
+    enough for every base of a positive kernel (|u|^2 <= K(z, z)); a stalled
+    finder is kept up to RITZ_RESIDUAL * max(1, 1 / min|K|), as each base
+    checks its own Weyl bound. Below RITZ_MIN_N samples, or above that
+    bound, R is not factored.
 
     The finder stops before a block's residual pass, resid None, once the
     second eigenvalue of that block's m passes n^2 eps max|R|. By interlacing
@@ -245,21 +249,18 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
     each length-n sum in m, and n max|R| bounds ||R||_2. Then every base's
     defect has a negative eigenvalue (Agler-McCarthy), which each base
     certifies by a Rayleigh quotient (see _rayleigh_quotient)."""
-    k, n, kmin = kernel_gram.entries, kernel_gram.n, kernel_gram.min_modulus
+    r, n, kmin, i = kernel_gram.entries, kernel_gram.n, kernel_gram.min_modulus, kernel_gram.r_rows
     if kmin < DEFECT_EPS:   # a full-size temporary, on this path alone
-        _guard_min_modulus(k, DEFECT_EPS, VanishingKernel, "K(z, w)")
-    target = RITZ_RESIDUAL / float(np.max(np.abs(np.diagonal(k))))
-    norm2 = 0.0
-    k.setflags(write=True)
-    for rows in row_blocks(n, k[:1].nbytes):   # in place: no temporary
-        block = k[rows]
-        np.divide(1.0, block, out=block)
-        norm2 += np.vdot(block, block).real
-    k.setflags(write=False)
-    rec = Reciprocal(k, None, None, None, 1.0 / kmin)
+        mods = np.abs(r)
+        mods[:i] = mods[:, :i] = np.inf   # R, formed where no K(z, w) vanished
+        _guard_min_modulus(mods, DEFECT_EPS, VanishingKernel, "K(z, w)")
+    if i < n:
+        raise ValueError("R = 1/K is not formed in this Gram")
+    rec = Reciprocal(r, None, None, None, 1.0 / kmin)
     if n < RITZ_MIN_N:
         return rec
-    for q, m, resid in range_steps(k, target, math.sqrt(norm2)):
+    target = RITZ_RESIDUAL * float(np.min(np.abs(np.diagonal(r))))
+    for q, m, resid in range_steps(r, target, kernel_gram.r_norm):
         if resid is None and np.linalg.eigvalsh(m)[-2] > n * n * _EPS * rec.rmax:
             break
     if resid is None or resid <= RITZ_RESIDUAL * max(1.0, rec.rmax):

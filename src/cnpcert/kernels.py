@@ -148,13 +148,13 @@ class DruryArveson(Kernel):
     def evaluate(self, z, w):
         zz = np.asarray(z, complex)
         ww = np.conj(np.asarray(w, complex))
-        # <z, w> one coordinate at a time: no (..., dim) product array
-        inner = zz[..., 0] * ww[..., 0]
+        # 1 - <z, w> one coordinate at a time, in place: no (..., dim) product array
+        den = np.asarray(zz[..., 0] * ww[..., 0])
         for k in range(1, max(zz.shape[-1], ww.shape[-1])):
-            inner += zz[..., k] * ww[..., k]
-        den = 1.0 - inner
+            den += zz[..., k] * ww[..., k]
+        np.subtract(1.0, den, out=den)
         _guard_denominator(den, zz, ww, "Drury-Arveson denominator", self.dim)
-        return 1.0 / den
+        return np.divide(1.0, den, out=den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,13 +208,15 @@ class DeBrangesRovnyak(Kernel):
 
     def against(self, w):
         ww = np.asarray(w, complex)
-        bw = np.conj(self.symbol(ww))   # a Gram's row blocks share one b(w)
+        cw, bw = np.conj(ww), np.conj(self.symbol(ww))   # a Gram's row blocks share them
 
-        def at(z):
+        def at(z):   # in place: a block makes one array besides its result
             zz = np.asarray(z, complex)
-            den = 1.0 - np.conj(ww) * zz
+            den = np.asarray(cw * zz)
+            np.subtract(1.0, den, out=den)
             _guard_denominator(den, zz, ww, "de Branges-Rovnyak denominator")
-            return (1.0 - bw * self.symbol(zz)) / den
+            num = np.asarray(bw * self.symbol(zz))
+            return np.divide(np.subtract(1.0, num, out=num), den, out=num)
         return at
 
 

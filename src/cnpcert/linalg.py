@@ -7,8 +7,8 @@ three-valued verdict quantized around a tolerance, so "positive
 semi-definite" stays honest under floating point.
 
 The smallest eigenvalue is one dense eigvalsh. The randomized range finder
-factors the base-free, numerically low-rank 1/K of a sample set, through
-which cnp certifies large defects without forming them.
+factors the base-free, numerically low-rank R = 1/K of a sample set, formed
+as K is symmetrized, through which cnp certifies large defects without forming them.
 
 Every n x n array is a plain numpy array from empty_matrix. Work over one
 that would otherwise make a full-size temporary runs in row blocks (see
@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CnpcertError, DomainViolation, LengthMismatch, NoConvergence
-from .kernels import Kernel, row_blocks
+from .kernels import DEFECT_EPS, Kernel, row_blocks
 
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
 
@@ -77,6 +77,8 @@ class HermitianMatrix:
     # Cauchy-Schwarz, so m is not PSD ((-1, 0, 0) below two rows, -inf not taken)
     cs_excess: tuple = (-math.inf, 0, 0)
     min_modulus: float = math.nan   # min abs entry, from scale's pass (NaN: not taken)
+    r_rows: int = 0            # entries are R = 1/K but on [r_rows:, r_rows:] (hermitian_in_place)
+    r_norm: float = math.nan   # ||R||_F, once r_rows = n
 
     @property
     def n(self) -> int:
@@ -111,7 +113,7 @@ def hermitian_from_raw(raw) -> HermitianMatrix:
     return hermitian_in_place(herm)
 
 
-def hermitian_in_place(raw: np.ndarray) -> HermitianMatrix:
+def hermitian_in_place(raw: np.ndarray, reciprocal: bool = False) -> HermitianMatrix:
     """hermitian_from_raw over ``raw``, a writable square complex array,
     which becomes the read-only entries. Entry (i, j) is
     (conj(raw[j, i]) + raw[i, j]) * 0.5, formed a row block at a time: the
@@ -121,8 +123,14 @@ def hermitian_in_place(raw: np.ndarray) -> HermitianMatrix:
     moduli are symmetric, with np.max and np.min, so a NaN entry anywhere
     makes all three NaN. The scale's moduli, times 1 / sqrt|m_ii m_jj| off the diagonal (which
     symmetrizing leaves at raw's real parts), give cs_excess.
+
+    With ``reciprocal``, each halved upper block, its maxima taken, becomes
+    R = 1/K in place, adds its share of ||R||_F^2 and is mirrored as R, so K's
+    lower triangle is never written, until a block has an entry not finite or
+    below DEFECT_EPS in modulus: from its first row, r_rows, on, K is kept.
     """
     asym, scale, least, excess = [], [], [], []
+    r_rows, norm2 = (raw.shape[0] if reciprocal else 0), 0.0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):   # non-finite: scale says so
         root = 1.0 / np.sqrt(np.abs(raw.diagonal().real))
         for blk in row_blocks(raw.shape[0], raw[:1].nbytes):
@@ -132,12 +140,20 @@ def hermitian_in_place(raw: np.ndarray) -> HermitianMatrix:
             asym.append(np.max(np.abs(upper - rows)))
             np.add(rows, upper, out=upper)
             lower = raw[j:, i:j]
-            np.conjugate(upper[:, j - i:].T, out=lower)   # the mirrored sum, bit for bit
-            lower *= 0.5
+            if not reciprocal:
+                np.conjugate(upper[:, j - i:].T, out=lower)   # the mirrored sum, bit for bit
+                lower *= 0.5
             upper *= 0.5
             mods = np.abs(upper)
             scale.append(np.max(mods))
             least.append(np.min(mods))
+            if i < r_rows and least[-1] >= DEFECT_EPS and scale[-1] < math.inf:
+                np.divide(1.0, upper, out=upper)   # rows i:j are all R: left of the block, R's mirror
+                norm2 += np.vdot(raw[blk], raw[blk]).real
+            else:
+                r_rows = min(r_rows, i)
+            if reciprocal:   # the mirror of R, or of K from r_rows on
+                np.conjugate(upper[:, j - i:].T, out=lower)
             mods *= root[i:j, None]
             mods *= root[i:]
             mods.ravel()[::mods.shape[1] + 1] = 0.0   # the diagonal
@@ -145,7 +161,7 @@ def hermitian_in_place(raw: np.ndarray) -> HermitianMatrix:
             excess.append((float(mods[at]) ** 2 - 1.0, i + min(at), i + max(at)))
     raw.setflags(write=False)
     return HermitianMatrix(raw, float(np.max(scale)), float(np.max(asym)), max(excess),
-                           float(np.min(least)))
+                           float(np.min(least)), r_rows, math.sqrt(norm2))
 
 
 def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:
@@ -162,23 +178,27 @@ def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     return raw
 
 
-def gram(kernel: Kernel, pts) -> HermitianMatrix:
-    """Gram matrix K(p_i, p_j), symmetrized; guard errors from the kernel
-    evaluation propagate with the offending broadcast positions attached."""
+def gram(kernel: Kernel, pts, reciprocal: bool = False) -> HermitianMatrix:
+    """Gram matrix K(p_i, p_j), symmetrized, or R = 1/K with ``reciprocal``
+    (see hermitian_in_place); guard errors from the kernel evaluation
+    propagate with the offending broadcast positions attached."""
     points = kernel.points(pts)
     if points.shape[0] < 1:
         raise ValueError("at least one sample point is required")
-    return hermitian_in_place(_kernel_matrix(kernel, points))
+    return hermitian_in_place(_kernel_matrix(kernel, points), reciprocal)
 
 
 def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of the Hermitian a - q b q^H, formed a row block at a
-    time from the diagonal on, each off-diagonal entry counted twice."""
+    time from the diagonal on, in one block buffer, each off-diagonal entry
+    counted twice."""
     qb, qh = q @ b, q.conj().T
-    total = 0.0
-    for rows in row_blocks(a.shape[0], a[:1].nbytes):
+    blocks = row_blocks(a.shape[0], a[:1].nbytes)
+    total, buf = 0.0, np.empty(a[blocks[0]].size, dtype=complex)
+    for rows in blocks:
         i = rows.start
-        t = a[rows, i:] - qb[rows] @ qh[:, i:]
+        t = buf[:a[rows, i:].size].reshape(a[rows, i:].shape)
+        np.subtract(a[rows, i:], np.matmul(qb[rows], qh[:, i:], out=t), out=t)
         diag = t[:, :rows.stop - i]
         total += 2.0 * np.vdot(t, t).real - np.vdot(diag, diag).real
     return math.sqrt(total)

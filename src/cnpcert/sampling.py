@@ -127,14 +127,15 @@ class SampleSet:
 
 
 def ball_points(count: int, dim: int, r_max: float = DEFAULT_RMAX, seed: int = DEFAULT_SEED):
-    """Uniform-ish random points in the radius-``r_max`` ball of C^dim."""
+    """Uniform-ish random points in the radius-``r_max`` ball of C^dim: per point,
+    2 dim normals (real, then imaginary parts) normed as by np.linalg.norm, then a uniform."""
     if count < 0:
         raise ValueError(f"a random sample count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        v = v / np.linalg.norm(v)
-        r = r_max * rng.uniform() ** (1.0 / (2 * dim))
-        out.append(tuple(r * v))
-    return out
+    g, radii = np.empty((count, 2 * dim)), np.empty((count, 1))
+    for k in range(count):
+        g[k] = rng.standard_normal(2 * dim)
+        radii[k] = r_max * rng.random() ** (1.0 / (2 * dim))
+    v = g[:, :dim] + 1j * g[:, dim:]
+    norms = np.sqrt([p.real.dot(p.real) + p.imag.dot(p.imag) for p in v])
+    return [tuple(p) for p in radii * (v / norms[:, None])]

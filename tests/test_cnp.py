@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from cnpcert import cnp, linalg
 from cnpcert.cnp import EVIDENCE_NOTE, SWEEP_ANOMALY_NOTE, cnp_basepoint_sweep, cnp_certify
 from cnpcert.dbr import dbr_kernel
-from cnpcert.errors import DomainMismatch, DomainViolation
+from cnpcert.errors import DomainMismatch, DomainViolation, VanishingKernel
 from cnpcert.families import family_symbol
 from cnpcert.kernels import (
     Congruence,
@@ -178,9 +179,9 @@ def test_a_vanishing_kernel_gram_is_evaluated_once_per_sweep(monkeypatch):
     pts = SampleSet.default(grid=(12, 24)).extended([0.5])
     calls = []
 
-    def counted(kernel, points):
+    def counted(kernel, points, *form):
         calls.append(len(points))
-        return gram(kernel, points)
+        return gram(kernel, points, *form)
 
     monkeypatch.setattr(cnp, "gram", counted)
     bases = [0j, 0.2 + 0j, -0.3j]
@@ -321,7 +322,7 @@ def test_defect_is_the_reciprocal_gram_rescaled_by_the_base_column(kernel, pts, 
     (DruryArveson(2), ball_points(296, 2, seed=5)),
 ])
 def test_reciprocal_of_a_symmetrized_gram_is_bitwise_hermitian(kernel, pts):
-    rec = cnp.factor_reciprocal(gram(kernel, pts))
+    rec = cnp.factor_reciprocal(gram(kernel, pts, True))
     assert rec is not None
     assert np.array_equal(rec.entries, rec.entries.conj().T)
 
@@ -401,9 +402,8 @@ def test_a_stalled_factorization_serves_the_bases_whose_bound_it_meets(monkeypat
     # bases meets its own Weyl bound all the same, so none needs its defect assembled
     kernel = DeBrangesRovnyak(family_symbol("moebius_over", {"A": 1.5, "B": 2.5}))
     pts = SampleSet.default(seed=5, grid=(12, 24), r_max=0.95)
-    kernel_gram = gram(kernel, pts)
-    kmax = np.max(np.abs(np.diagonal(kernel_gram.entries)))   # R then takes K's array
-    rec = cnp.factor_reciprocal(kernel_gram)
+    kmax = np.max(np.abs(np.diagonal(gram(kernel, pts).entries)))
+    rec = cnp.factor_reciprocal(gram(kernel, pts, True))
     assert rec.resid > RITZ_RESIDUAL / kmax
     bases = [0j, 0.3 + 0j, -0.3 + 0j, pts.points[40]]
     assembled = []
@@ -478,7 +478,7 @@ def test_a_base_whose_verdict_cannot_prove_its_scale_scans_it(monkeypatch):
     # 1; the Weyl bound 9 max|u|^2 resid still holds, but the shift it needs
     # proves no scale, so the base scans, and tol is 1e-9 times D's scale
     pts = disk_296()
-    rec = cnp.factor_reciprocal(gram(DBR_AFFINE, pts))
+    rec = cnp.factor_reciprocal(gram(DBR_AFFINE, pts, True))
     defect = NormalizedDefect(DBR_AFFINE, 0.3)
     u = 3 * defect.base_column(DBR_AFFINE.points(pts))[:, 0] / math.sqrt(defect.kbb)
     keep = np.ones(len(pts), dtype=bool)
@@ -492,8 +492,9 @@ def test_a_base_whose_verdict_cannot_prove_its_scale_scans_it(monkeypatch):
 
 
 @pytest.mark.parametrize("kernel_gram", [
-    lambda: hermitian_from_raw(np.random.default_rng(7).standard_normal((600, 600)) + 2.0),
-    lambda: gram(DBR_AFFINE, SampleSet.default(grid=(24, 48))),
+    lambda: linalg.hermitian_in_place(
+        np.random.default_rng(7).standard_normal((600, 600)) + (2.0 + 0j), True),
+    lambda: gram(DBR_AFFINE, SampleSet.default(grid=(24, 48)), True),
 ])
 def test_the_range_finder_starts_from_r_frobenius_norm_summed_by_row_block(monkeypatch, kernel_gram):
     started = []
@@ -640,6 +641,45 @@ def test_a_vanishing_kernel_gram_entry_is_named_at_its_samples(pts, pair, base_r
         assert rep.to_json_dict() == cnp_certify(VANISHING_PAIR, base, pts).to_json_dict()
 
 
+def test_a_k_that_vanishes_in_a_late_row_block_is_named_at_the_positions_of_the_whole_k():
+    # the Gram forms R on the rows before the last row block and keeps K from
+    # there on; the scan of that square names the pairs the whole K's scan did
+    pts = SampleSet.default(grid=(24, 48)).extended([0.5, -0.5, 0.5j, -0.5j, 0.4, -0.625])
+    pairs = np.argwhere(np.abs(gram(VANISHING_PAIR, pts).entries) < 1e-12)[:4].tolist()
+    assert pairs == [[1160, 1161], [1161, 1160], [1162, 1163], [1163, 1162]]
+    kernel_gram = gram(VANISHING_PAIR, pts, True)
+    assert 0 < kernel_gram.r_rows < 1160
+    message = f"K(z, w) below 1e-12 in modulus at positions {pairs}"
+    with pytest.raises(VanishingKernel, match=re.escape(message)):
+        cnp.factor_reciprocal(kernel_gram)
+    rep = cnp_certify(VANISHING_PAIR, 0j, pts)
+    assert rep.vanish_flag and rep.notes[0] == f"VANISHING_KERNEL: {message}"
+
+
+def test_factor_reciprocal_refuses_a_gram_without_r():
+    with pytest.raises(ValueError, match="not formed"):
+        cnp.factor_reciprocal(gram(DBR_AFFINE, disk_296()))
+
+
+@pytest.mark.parametrize("weight", [1e-308, 1.5e-308])
+@pytest.mark.parametrize("grid, bases", [((6, 12), [0j]), ((12, 24), [0j, 0.1j, -0.2 + 0.4j])])
+def test_a_kernel_gram_that_is_not_finite_is_named_at_its_first_entry(weight, grid, bases):
+    # K = (1 + t + t^2) / weight, t = z conj(w), and the symmetrizing sum
+    # K(z, w) + conj(K(w, z)) overflows: at every pair for weight 1e-308, away
+    # from the first rows for 1.5e-308. 80 samples for a lone certificate,
+    # 296 for a sweep: INCONCLUSIVE, as before, now with a coded note naming
+    # the first K(z, w) that is not finite
+    kernel, pts = WeightedHardy([weight] * 3), SampleSet.default(grid=grid)
+    first = np.argwhere(~np.isfinite(gram(kernel, pts).entries))[0].tolist()
+    note = f"NON_FINITE: K(z, w) is not finite at position {first}"
+    reports = cnp_basepoint_sweep(kernel, bases, pts) if len(bases) > 1 else \
+        [cnp_certify(kernel, bases[0], pts)]
+    for rep in reports:
+        assert rep.verdict.status is Verdict.INCONCLUSIVE and not rep.vanish_flag
+        assert rep.to_json_dict()["min_eig"] is None
+        assert rep.notes[0] == note and rep.notes[-1] == EVIDENCE_NOTE
+
+
 # ------------------------- a second positive eigenvalue of 1/K: early stop
 
 def counted_steps(monkeypatch):
@@ -705,7 +745,7 @@ def test_complete_pick_kernels_never_stop_the_range_finder_early(monkeypatch, ke
     else:
         pts = SampleSet.default(seed=5, grid=grid, r_max=0.95)
     steps = counted_steps(monkeypatch)
-    rec = cnp.factor_reciprocal(gram(kernel, pts))
+    rec = cnp.factor_reciprocal(gram(kernel, pts, True))
     assert rec.resid is not None and steps[-1] is not None   # every residual pass ran
 
 

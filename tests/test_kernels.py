@@ -264,7 +264,7 @@ def test_defect_gram_of_kernel_gram_matches_evaluate():
     k = DeBrangesRovnyak(half_map(16))
     d = NormalizedDefect(k, 0.2 - 0.1j)
     zs = np.asarray(SampleSet.default(seed=4, grid=(4, 8)).points)
-    r = cnp.factor_reciprocal(gram(k, zs)).entries
+    r = cnp.factor_reciprocal(gram(k, zs, True)).entries
     keep = np.ones(zs.size, dtype=bool)
     keep[5] = False   # a dropped sample: the defect on the principal submatrix
     for mask in (np.ones(zs.size, dtype=bool), keep):

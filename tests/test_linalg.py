@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cnpcert.descriptors import kernel_from_json
 from cnpcert.errors import DomainMismatch, LengthMismatch
-from cnpcert.kernels import Congruence, Constant, NormalizedDefect, Szego
+from cnpcert.kernels import Congruence, Constant, NormalizedDefect, Szego, row_blocks
 from cnpcert.linalg import (
     RITZ_MAX_FRAC,
     RITZ_MIN_N,
@@ -344,6 +344,50 @@ def test_min_modulus_is_taken_in_the_symmetrizing_pass(order):
     m = hermitian_from_raw(np.asarray(raw, order=order))
     assert m.min_modulus == np.min(np.abs(m.entries))
     assert m.min_modulus.hex() == float(np.min(np.abs(m.entries))).hex()
+
+
+SWEEP_KERNELS = {   # the base-point sweeps of the benchmark, on the disk or the ball of C^2
+    "dbr-affine": ({"kind": "dbr", "b": {"family": "affine", "A": [0.5, 0], "B": [2, 0]}}, 0),
+    "dbr-blaschke-0-05": ({"kind": "dbr", "b": {"family": "blaschke", "zeros": [[0, 0], [0.5, 0]]}}, 0),
+    "drury-arveson-2": ({"kind": "drury_arveson", "dim": 2}, 2),
+}
+
+
+@pytest.mark.parametrize("grid", [(6, 12), (12, 24), (24, 48)])   # n = 80, 296, 1160
+@pytest.mark.parametrize("name", sorted(SWEEP_KERNELS))
+def test_gram_forms_r_as_the_entrywise_reciprocal_of_the_symmetrized_k(name, grid):
+    # R = 1/K is formed in the symmetrizing pass: the values of 1/K (R's lower
+    # triangle mirrors its upper one, so a zero imaginary part may change
+    # sign), the upper triangle bit for bit, and K's own scale, asymmetry,
+    # Cauchy-Schwarz excess and least modulus
+    spec, dim = SWEEP_KERNELS[name]
+    kernel, n = kernel_from_json(spec), grid[0] * grid[1] + 8
+    pts = ball_points(n, dim) if dim else SampleSet.default(grid=grid)
+    k, r = gram(kernel, pts), gram(kernel, pts, True)
+    ref = 1.0 / k.entries
+    assert (r.n, r.r_rows, k.r_rows) == (n, n, 0) and not r.entries.flags.writeable
+    assert np.array_equal(r.entries, ref)
+    upper = np.triu_indices(n)
+    assert r.entries[upper].tobytes() == ref[upper].tobytes()
+    assert (r.scale, r.asymmetry, r.cs_excess) == (k.scale, k.asymmetry, k.cs_excess)
+    assert r.min_modulus.hex() == k.min_modulus.hex()
+    assert abs(r.r_norm - np.linalg.norm(ref)) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_r_stops_at_the_first_row_block_where_k_vanishes():
+    # 1 + 4 z conj(w) vanishes only at pairs of the six appended samples, in
+    # the last row block: R is formed on the rows before it, and K is kept on
+    # the square from that block's first row on
+    kernel = kernel_from_json({"kind": "weighted_hardy", "weights": [1.0, 0.25]})
+    pts = SampleSet.default(grid=(24, 48)).extended([0.5, -0.5, 0.5j, -0.5j, 0.4, -0.625])
+    k, r = gram(kernel, pts), gram(kernel, pts, True)
+    i, vanishing = r.r_rows, np.argwhere(np.abs(k.entries) < 1e-12)
+    assert i == row_blocks(r.n, r.entries[:1].nbytes)[-1].start < vanishing.min()
+    assert np.array_equal(r.entries[i:, i:], k.entries[i:, i:])
+    assert np.array_equal(r.entries[:i], 1.0 / k.entries[:i])
+    assert np.array_equal(r.entries[:, :i], 1.0 / k.entries[:, :i])
+    assert (r.scale, r.asymmetry, r.cs_excess, r.min_modulus) == \
+        (k.scale, k.asymmetry, k.cs_excess, k.min_modulus)
 
 
 def test_gram_error_positions_index_the_whole_matrix():

@@ -77,3 +77,23 @@ def test_polar_grid_single_ring_is_the_former_circle():
         assert np.array_equal(polar_grid(1, n, r), circle)
     assert sampled_sup(lambda z: z) == float(np.max(np.abs(0.999 * np.exp(
         2j * np.pi * np.arange(512) / 512))))
+
+
+def per_point_ball_points(count, dim, r_max=0.9, seed=20210):
+    """ball_points as a per-point loop: two normal draws, np.linalg.norm, then
+    a uniform, the reference its stream and its rounding are pinned to."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        v = v / np.linalg.norm(v)
+        r = r_max * rng.uniform() ** (1.0 / (2 * dim))
+        out.append(tuple(r * v))
+    return out
+
+
+@pytest.mark.parametrize("args", [(1160, 2), (300, 3, 0.5, 7), (50, 1), (0, 2)])
+def test_ball_points_are_the_per_point_loop_bit_for_bit(args):
+    got, ref = ball_points(*args), per_point_ball_points(*args)
+    assert [len(p) for p in got] == [len(p) for p in ref] and len(got) == args[0]
+    assert np.asarray(got, dtype=complex).tobytes() == np.asarray(ref, dtype=complex).tobytes()
