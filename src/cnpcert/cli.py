@@ -96,7 +96,7 @@ def _sample_args(parser: argparse.ArgumentParser):
     )
     parser.add_argument(
         "--random", type=int, default=DEFAULT_RANDOM,
-        help="number of extra seeded random samples (default: %(default)s)",
+        help="extra seeded random samples; for a ball kernel, all samples, at least 48 (default: %(default)s)",
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,

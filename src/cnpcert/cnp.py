@@ -9,9 +9,9 @@ With R = 1/K entrywise and u = K(z, base) / sqrt(K(base, base)), the defect
 is exactly J - diag(u) R diag(conj u) (J all ones). R is base-free, formed
 in K's array as K is symmetrized, once per sample set. From RITZ_MIN_N samples
 on, where R is numerically low-rank, the defect is not formed: R is factored once,
-R ~ q m q^H to Frobenius residual r, so by Weyl's inequality each base's
-smallest eigenvalue is within max|u|^2 r of that of T C T^H, where
-[1, diag(u) q, 0] = U T (thin QR) and C = diag(1, -m, 0).
+R ~ q m q^H to Frobenius residual r, so by Weyl's inequality each base's smallest
+eigenvalue is within max|u|^2 r of that of T C T^H, C = diag(1, -m, 0), where
+V = [1, diag(u) q, 0] = U T (QR, of which only T is formed).
 
 A base's scale, max|D_ij|, enters only as max(1, scale), in the default tol
 and the Weyl threshold. A base whose bound w is at most RITZ_RESIDUAL takes
@@ -25,13 +25,13 @@ second positive eigenvalue of R beyond rounding: the property then fails on
 the samples at every base (Agler-McCarthy). A base without a Weyl bound, or
 whose bound exceeds RITZ_RESIDUAL * max(1, scale), gets a Rayleigh-Ritz
 certificate from the same T C T^H instead: min_eig is the Rayleigh quotient
-x^H D x / x^H x of x = U y, y its lowest eigenvector, an upper bound on the
-defect's smallest eigenvalue, and the base is NOT_PSD when the quotient plus
-its rounding bound is below -10 tol. A base that neither settles has its
-defect assembled from R and u, as has each base below RITZ_MIN_N samples,
-where R is formed but not factored. K is evaluated, and R formed from it,
-once per sample set, by the first base that gets past its own checks, so a
-lone certificate and each base of a sweep run the same lines.
+x^H D x / x^H x of x = V C T^H y = lambda U y, y its lowest eigenvector and
+lambda < 0 its eigenvalue, an upper bound on D's smallest eigenvalue: the base is
+NOT_PSD when the quotient plus its rounding bound is below -10 tol. A base that
+neither settles has its defect assembled from R and u, as has each base below
+RITZ_MIN_N samples, where R is formed but not factored. K is evaluated, and R
+formed from it, once per sample set, by the first base that gets past its own
+checks, so a lone certificate and each base of a sweep run the same lines.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ class _Shared:
             if not k.finite:   # no asymmetry warning then, at a scale that is not finite
                 i, j = divmod(int(np.argmin(np.isfinite(k.entries))), k.n)
                 self.note = f"NON_FINITE: K(z, w) is not finite at position [{i}, {j}]"
-            self.cs_note = _cs_note(k)
+            self.cs_note = _cs_note(k) if k.finite else None   # an overflow breaks no Cauchy-Schwarz
         return self.k
 
     def reciprocal(self) -> Reciprocal:
@@ -235,12 +235,12 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
     DEFECT_EPS: VanishingKernel then names the K(z, w) positions, from the
     square where the Gram kept K. Only the Gram's n, scale, asymmetry and
     min_modulus still describe K, and its r_norm = ||R||_F is the range
-    finder's first residual. From RITZ_MIN_N samples on, the range finder
+    finder's first residual. From RITZ_MIN_N samples on, the range finder, on
+    RITZ_PROBE columns for Szego's R and DA(d)'s (rank 2 and d + 1; range_steps),
     aims at resid <= RITZ_RESIDUAL / max K(z, z) = RITZ_RESIDUAL min R(z, z),
     enough for every base of a positive kernel (|u|^2 <= K(z, z)); a stalled
     finder is kept up to RITZ_RESIDUAL * max(1, 1 / min|K|), as each base
-    checks its own Weyl bound. Below RITZ_MIN_N samples, or above that
-    bound, R is not factored.
+    checks its own Weyl bound: below RITZ_MIN_N samples, or above it, R is not factored.
 
     The finder stops before a block's residual pass, resid None, once the
     second eigenvalue of that block's m passes n^2 eps max|R|. By interlacing
@@ -277,7 +277,7 @@ def _factored_verdict(rec: Reciprocal, u: np.ndarray, keep: np.ndarray,
     resid is within RITZ_RESIDUAL * max(1, scale), else NOT_PSD from the Rayleigh
     quotient of U y, y the lowest eigenvector of that same T C T^H, else None;
     None at once where R is not factored. V = U T is on the kept rows alone,
-    so a dropped sample needs no correction, and only a quotient base forms U.
+    so a dropped sample needs no correction, and no base forms U.
     A base with w <= RITZ_RESIDUAL takes scale 1, scanning (_defect_scale)
     only if its verdict cannot prove it (_unit_scale)."""
     if rec.q is None:
@@ -289,7 +289,7 @@ def _factored_verdict(rec: Reciprocal, u: np.ndarray, keep: np.ndarray,
     if not (weyl or math.isfinite(scale)):
         return None
     v = np.hstack([np.ones((m, 1)), u[keep, None] * rec.q[keep], np.zeros((m, 1))])
-    basis, t = (None, np.linalg.qr(v, mode="r")) if weyl else np.linalg.qr(v)
+    t = np.linalg.qr(v, mode="r")
     g = np.outer(t[:, 0], t[:, 0].conj()) - t[:, 1:-1] @ rec.m @ t[:, 1:-1].conj().T
     g = HermitianMatrix(0.5 * (g + g.conj().T), scale, 0.0)
     if weyl:
@@ -298,9 +298,11 @@ def _factored_verdict(rec: Reciprocal, u: np.ndarray, keep: np.ndarray,
             return verdict
         return psd_verdict(replace(g, scale=_defect_scale(rec, u)), tol)
     tol = default_tol(scale) if tol is None else tol
+    lam, y = np.linalg.eigh(g.entries)
+    s = t.conj().T @ y[:, 0]   # V C T^H y = U T C T^H y = U g y = lam[0] U y
     x = np.zeros(keep.size, dtype=complex)
-    x[keep] = basis @ np.linalg.eigh(g.entries)[1][:, 0]
-    min_eig, bound = _rayleigh_quotient(rec, u, x)
+    x[keep] = v[:, 0] * s[0] - v[:, 1:-1] @ (rec.m @ s[1:-1])
+    min_eig, bound = _rayleigh_quotient(rec, u, x) if lam[0] < 0.0 else (math.nan, 0.0)   # x = 0 at lam[0] = 0
     return PsdVerdict(Verdict.NOT_PSD, min_eig, tol) if min_eig + bound < -10.0 * tol else None
 
 

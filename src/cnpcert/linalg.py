@@ -32,6 +32,7 @@ HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
 
 # Randomized range finder (see range_steps)
 RITZ_BLOCK = 32          # Gaussian test vectors added per step
+RITZ_PROBE = 8           # of the first block's, multiplied alone first (see range_steps)
 RITZ_SEED = 20110        # fixed, so repeated solves are bitwise identical
 RITZ_RESIDUAL = 1e-10    # accepted Weyl residual, relative to max(1, scale)
 RITZ_MIN_SHRINK = 10.0   # a step must cut the residual by this factor
@@ -214,7 +215,10 @@ def range_steps(a: np.ndarray, target: float, resid: float):
     pass; the last step is (q, b, r), r = ||a - q b q^H||_F, once r <= target,
     a step cuts r by less than RITZ_MIN_SHRINK (NaN from overflow included)
     or q would pass n / RITZ_MAX_FRAC columns (q is empty when ||a|| is not
-    finite). A caller may stop at any step.
+    finite). A caller may stop at any step. The first block's first RITZ_PROBE
+    columns go first: if their product's R factor ends in two diagonal entries
+    <= target, its Q is a step, the last if its residual meets the target; the
+    rest of the block otherwise completes it, bit for bit the single product.
     """
     n = a.shape[0]
     rng = np.random.default_rng(RITZ_SEED)
@@ -223,7 +227,16 @@ def range_steps(a: np.ndarray, target: float, resid: float):
     while target < resid < math.inf and q.shape[1] + RITZ_BLOCK <= n // RITZ_MAX_FRAC:
         k = q.shape[1]
         omega = rng.standard_normal((n, RITZ_BLOCK)) + 1j * rng.standard_normal((n, RITZ_BLOCK))
-        new = np.linalg.qr(np.hstack([q, a @ omega]))[0][:, k:]
+        new = a @ omega[:, :0 if k else RITZ_PROBE]   # the probe's columns, none after the first block
+        if not k and np.all(np.abs(np.linalg.qr(new, mode="r").diagonal()[-2:]) <= target):
+            probe = np.linalg.qr(new)[0]   # a's rank is at most RITZ_PROBE - 2
+            pb = probe.conj().T @ (a @ probe)
+            pb = 0.5 * (pb + pb.conj().T)
+            yield probe, pb, None
+            if (r := _ritz_residual(a, probe, pb)) <= target:
+                yield probe, pb, r
+                return
+        new = np.linalg.qr(np.hstack([q, new, a @ omega[:, new.shape[1]:]]))[0][:, k:]
         q = np.hstack([q, new])
         aq = np.hstack([aq, a @ new])
         b = q.conj().T @ aq

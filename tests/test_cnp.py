@@ -786,3 +786,119 @@ def test_a_cauchy_schwarz_note_keeps_psd_and_withdraws_not_psd(monkeypatch):
             assert rep.verdict.status is status
             assert sum(n.startswith("KERNEL_INCONSISTENT") and "2.000e-08" in n
                        and "i = 3, j = 7" in n for n in rep.notes) == 1
+
+
+@pytest.mark.parametrize("grid", [(6, 12), (12, 24)])   # 80 samples lone, 296 a sweep
+def test_a_kernel_gram_that_is_not_finite_gets_no_cauchy_schwarz_note(grid):
+    # K(z, w) + conj(K(w, z)) overflows away from the first rows, and the
+    # excess of an inf is no measure of inaccurate kernel values
+    kernel, pts = WeightedHardy([1.5e-308] * 3), SampleSet.default(grid=grid)
+    reports = [cnp_certify(kernel, 0j, pts)] if len(pts) < RITZ_MIN_N else \
+        cnp_basepoint_sweep(kernel, [0j, 0.1j, -0.2 + 0.4j], pts)
+    for rep in reports:
+        assert rep.verdict.status is Verdict.INCONCLUSIVE
+        assert [n.split(":")[0] for n in rep.notes] == ["NON_FINITE", EVIDENCE_NOTE.split(":")[0]]
+
+
+# ------------------------------------------- the range finder's probe block
+
+def ball_bases(dim):
+    return [(0j,) * dim, (0.3 + 0j,) + (0j,) * (dim - 1), (-0.2 + 0.1j, 0.4j) + (0j,) * (dim - 2)]
+
+
+@pytest.mark.parametrize("kernel, n", [
+    (Szego(), 296), (DruryArveson(2), 300), (DruryArveson(2), 1160),
+    (DruryArveson(5), 300), (DruryArveson(5), 1160),
+])
+def test_r_of_rank_below_the_probe_is_factored_in_one_step_of_eight_columns(monkeypatch, kernel, n):
+    # 1/K = 1 - <z, w> has rank d + 1 (Szego: 2): the first RITZ_PROBE columns
+    # of the first block span it, and one residual pass meets the target
+    if kernel.dim:
+        pts, bases = ball_points(n, kernel.dim), ball_bases(kernel.dim)
+    else:
+        pts, bases = disk_296(), [0j, 0.3 + 0j, -0.2 + 0.4j]
+    steps = counted_steps(monkeypatch)
+    factored = recorded(monkeypatch, cnp, "factor_reciprocal")
+    assembled = recorded(monkeypatch, cnp, "_defect_gram")
+    reports = cnp_basepoint_sweep(kernel, bases, pts)
+    ((kernel_gram,),) = factored
+    rec = cnp.factor_reciprocal(kernel_gram)
+    target = RITZ_RESIDUAL * float(np.min(np.abs(np.diagonal(rec.entries))))
+    assert len(pts) == n and steps[0] is None and steps[1] == rec.resid <= target
+    assert len(steps) == 4 and rec.q.shape[1] == linalg.RITZ_PROBE   # the sweep's and this one
+    assert [r.verdict.status for r in reports] == [Verdict.PSD] * 3 and not assembled
+
+
+def planted_reciprocal(n):
+    """R = J + e1 e1^H - e2 e2^H - 0.5 e3 e3^H, e1..e3 orthonormal and orthogonal
+    to the ones vector: rank 4, two positive eigenvalues (n and 1) and a
+    diagonal near 1, as a Gram with R formed."""
+    rng = np.random.default_rng(11)
+    v = np.hstack([np.ones((n, 1)), rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))])
+    v = np.linalg.qr(v)[0]
+    r = linalg.hermitian_from_raw((v * [n, 1.0, -1.0, -0.5]) @ v.conj().T)
+    return replace(r, min_modulus=1.0 / r.scale, r_rows=n, r_norm=float(np.linalg.norm(r.entries)))
+
+
+def test_a_planted_r_with_two_positive_eigenvalues_stops_on_the_probe(monkeypatch):
+    # the probe's m shows the second positive eigenvalue, so the finder stops
+    # before any residual pass, on eight columns; each base's Rayleigh quotient
+    # is then within 0.1 % of its defect's smallest eigenvalue
+    n = 300
+    steps = counted_steps(monkeypatch)
+    rec = cnp.factor_reciprocal(planted_reciprocal(n))
+    assert steps == [None] and rec.resid is None and rec.q.shape[1] == linalg.RITZ_PROBE
+    rng = np.random.default_rng(12)
+    keep = np.ones(n, dtype=bool)
+    for _ in range(3):
+        u = 1.0 + 0.2 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        verdict = cnp._factored_verdict(rec, u, keep, None)
+        ref = linalg.psd_verdict(cnp._defect_gram(u, rec.entries, keep))
+        assert verdict.status is ref.status is Verdict.NOT_PSD
+        assert abs(verdict.min_eig - ref.min_eig) <= 1e-3 * abs(ref.min_eig)
+
+
+def test_the_rayleigh_quotient_needs_no_explicit_q():
+    # Blaschke {0, 0.5} at n = 1160: each base's quotient, of x = V C T^H y =
+    # lambda U y with no U formed, is the quotient of U y from an explicit
+    # thin Q to 1e-12 relative
+    pts, bases = SampleSet.default(grid=(24, 48)), [0j, 0.3 + 0j, -0.2 + 0.4j]
+    reports = cnp_basepoint_sweep(DBR_BLASCHKE, bases, pts)
+    rec = cnp.factor_reciprocal(gram(DBR_BLASCHKE, pts, True))
+    keep = np.ones(len(pts), dtype=bool)
+    for base, rep in zip(bases, reports):
+        defect = NormalizedDefect(DBR_BLASCHKE, base)
+        u = defect.base_column(DBR_BLASCHKE.points(pts))[:, 0] / math.sqrt(defect.kbb)
+        v = np.hstack([np.ones((len(pts), 1)), u[:, None] * rec.q, np.zeros((len(pts), 1))])
+        basis, t = np.linalg.qr(v)
+        g = np.outer(t[:, 0], t[:, 0].conj()) - t[:, 1:-1] @ rec.m @ t[:, 1:-1].conj().T
+        x = basis @ np.linalg.eigh(0.5 * (g + g.conj().T))[1][:, 0]
+        explicit = cnp._rayleigh_quotient(rec, u, x)[0]
+        assert rep.verdict.status is Verdict.NOT_PSD
+        assert abs(rep.verdict.min_eig - explicit) <= 1e-12 * abs(explicit)
+
+
+def test_a_singular_or_near_singular_t_gives_a_quotient_without_raising():
+    # V = [1, diag(u) q, 0]: u = 0 on q's rows makes V's first k + 1 columns
+    # dependent, T' (T without its zero last row and column) exactly singular,
+    # and D = J, PSD, so no quotient settles the base; a constant u and q's
+    # first column 1 / sqrt(n) make T' singular to rounding, and the quotient
+    # still finds D's negative eigenvalue. No T' is inverted, so neither raises
+    n = 300
+    keep = np.ones(n, dtype=bool)
+    m = np.diag([3.0, 1.0, -1.0, -0.5, 0, 0, 0, 0]).astype(complex)
+    q = np.eye(n, 8, dtype=complex)
+    u = np.where(np.arange(n) < 8, 0.0, 0.5 + 0j)
+    rec = cnp.Reciprocal((q * m.diagonal()) @ q.conj().T, q, m, None, 3.0)
+    assert cnp._factored_verdict(rec, u, keep, None) is None
+    r = planted_reciprocal(n).entries
+    sketch = r @ (np.random.default_rng(13).normal(size=(n, 7)) + 0j)
+    q = np.linalg.qr(np.hstack([np.ones((n, 1)), sketch]))[0]
+    rec = cnp.Reciprocal(r, q, q.conj().T @ r @ q, None, float(np.max(np.abs(r))))
+    u = np.full(n, 0.5 + 0j)
+    t = np.linalg.qr(np.hstack([np.ones((n, 1)), u[:, None] * q]), mode="r")
+    assert np.min(np.abs(t.diagonal())) < 1e-14 * np.max(np.abs(t.diagonal()))
+    ref = linalg.psd_verdict(cnp._defect_gram(u, r, keep))
+    verdict = cnp._factored_verdict(rec, u, keep, None)
+    assert verdict.status is ref.status is Verdict.NOT_PSD
+    assert abs(verdict.min_eig - ref.min_eig) <= 1e-3 * abs(ref.min_eig)

@@ -7,19 +7,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cnpcert import cnp
 from cnpcert.descriptors import kernel_from_json
 from cnpcert.errors import DomainMismatch, LengthMismatch
 from cnpcert.kernels import Congruence, Constant, NormalizedDefect, Szego, row_blocks
 from cnpcert.linalg import (
+    RITZ_BLOCK,
     RITZ_MAX_FRAC,
     RITZ_MIN_N,
+    RITZ_PROBE,
     RITZ_RESIDUAL,
+    RITZ_SEED,
     HermitianMatrix,
     Verdict,
     gram,
     hermitian_from_raw,
     pick_matrix,
     psd_verdict,
+    _ritz_residual,
     range_steps,
     smallest_eigenvalue,
 )
@@ -260,6 +265,62 @@ def test_ritz_matches_eigvalsh_on_defect_matrices(desc, base):
     ref_status = (Verdict.PSD if ref >= -tol
                   else Verdict.NOT_PSD if ref < -10 * tol else Verdict.INCONCLUSIVE)
     assert psd_verdict(m).status is ref_status
+
+
+def one_block(a):
+    """q, b and the residual of a single RITZ_BLOCK-column block drawn from
+    RITZ_SEED: the range finder's first step, as one product a @ omega."""
+    n = a.shape[0]
+    rng = np.random.default_rng(RITZ_SEED)
+    omega = rng.standard_normal((n, RITZ_BLOCK)) + 1j * rng.standard_normal((n, RITZ_BLOCK))
+    q = np.linalg.qr(a @ omega)[0]
+    b = q.conj().T @ (a @ q)
+    b = 0.5 * (b + b.conj().T)
+    return q, b, _ritz_residual(a, q, b)
+
+
+def test_a_probe_that_misses_a_tail_falls_back_to_the_full_block_bitwise():
+    # rank 4, plus a rank-2 tail of Frobenius norm 2.1 target that the probe's
+    # columns of omega cannot see: the probe's sketch has rank 4, so it passes
+    # the rank test, its residual misses the target, and the full block, which
+    # sees the tail, is the single product's bit for bit
+    n, target = 600, 1e-9
+    m = planted(n, [-1.0, 0.5, 1.0, 2.0], seed=6)
+    rng = np.random.default_rng(RITZ_SEED)
+    probe = (rng.standard_normal((n, RITZ_BLOCK)) + 1j * rng.standard_normal((n, RITZ_BLOCK)))[:, :RITZ_PROBE]
+    p = np.linalg.qr(probe)[0]
+    w = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    w = np.linalg.qr(w - p @ (p.conj().T @ w))[0]
+    a = hermitian_from_raw(m.entries + (w * 1.5 * target) @ w.conj().T).entries
+    steps = list(range_steps(a, target, float(np.linalg.norm(a))))
+    assert [(s[0].shape[1], s[2] is None) for s in steps] == [(RITZ_PROBE, True), (RITZ_BLOCK, True),
+                                                              (RITZ_BLOCK, False)]
+    assert _ritz_residual(a, *steps[0][:2]) > target
+    q, b, resid = one_block(a)
+    for step in steps[1:]:
+        assert np.array_equal(step[0], q) and np.array_equal(step[1], b)
+    assert steps[-1][2] == resid <= target
+
+
+@pytest.mark.parametrize("spec, grid, dim, stops", [
+    ({"kind": "dbr", "b": {"family": "affine", "A": [0.5, 0], "B": [2, 0]}}, (24, 48), 0, False),
+    # its block's m shows a second positive eigenvalue
+    ({"kind": "dbr", "b": {"family": "blaschke", "zeros": [[0, 0], [0.5, 0]]}}, (24, 48), 0, True),
+    ({"kind": "drury_arveson", "dim": 6}, (12, 24), 6, False),   # rank 7: one small entry, not two
+])
+def test_r_above_the_probe_rank_is_factored_as_one_full_block_bitwise(spec, grid, dim, stops):
+    # dBR affine (rank ~18) and Blaschke {0, 0.5} (~80) at n = 1160, and
+    # DA(6) at 296: the probe's rank test fails, no probe step is yielded, and
+    # the block a @ omega completed from it is the single product's bit for bit
+    kernel, n = kernel_from_json(spec), grid[0] * grid[1] + 8
+    r = gram(kernel, ball_points(n, dim) if dim else SampleSet.default(grid=grid), True)
+    target = RITZ_RESIDUAL * float(np.min(np.abs(np.diagonal(r.entries))))
+    first = next(range_steps(r.entries, target, r.r_norm))
+    rec = cnp.factor_reciprocal(r)
+    q, b, resid = one_block(r.entries)
+    assert np.array_equal(first[0], q) and np.array_equal(first[1], b)
+    assert np.array_equal(rec.q, q) and np.array_equal(rec.m, b)
+    assert rec.resid is None if stops else rec.resid == resid
 
 
 # --------------------------------------------------------------- pick forms
