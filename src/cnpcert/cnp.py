@@ -18,7 +18,11 @@ and the Weyl threshold. A base whose bound w is at most RITZ_RESIDUAL takes
 its verdict at scale 1 and proves it in O(n): D + (w - min(lambda, 0)) I is
 PSD for the verdict's eigenvalue lambda, so by Cauchy-Schwarz no |D_ij|
 exceeds 1 once every |u_k|^2 R_kk clears that shift plus a rounding
-allowance (_unit_scale). Any other base scans max|D_ij| over R, O(n^2).
+allowance (_unit_scale). Any other base scans only the rows of D that can
+hold max|D_ij|: from the Gram pass's bound on what the scan reads of each row
+of R, each row of D gets an O(n) bound B_i, and rows whose B_i is below the
+exact max of a few rows are skipped, so the scale is the full O(n^2) scan's
+bit for bit (_defect_scale).
 
 The factorization stops early, before its residual is known, once m shows a
 second positive eigenvalue of R beyond rounding: the property then fails on
@@ -59,6 +63,7 @@ SWEEP_ANOMALY_NOTE = (
 )
 _BASE_EXCLUSION = 1e-8
 _EPS = float(np.finfo(float).eps)
+_SCALE_PROBE = 8   # rows of the largest bounds, scanned first for a lower bound on the scale
 # A kernel Gram whose Cauchy-Schwarz excess e (linalg.HermitianMatrix.cs_excess)
 # passes this cannot support NOT_PSD. Kernel values off by a relative delta
 # move e by up to 4 delta, and the defect 1 - K(z, b) K(b, w) / (K(b, b) K(z, w))
@@ -220,13 +225,15 @@ def _defect_gram(u: np.ndarray, r: np.ndarray, keep: np.ndarray) -> HermitianMat
 class Reciprocal(NamedTuple):
     """R = 1/K in its Gram's array, max|R| = rmax, and ||R - q m q^H||_F =
     resid, or resid None where m shows R's second positive eigenvalue; q, m
-    and resid are all None where R is not factored."""
+    and resid are all None where R is not factored. row_max bounds each row of
+    R (the Gram's r_row_max), or is None."""
 
     entries: np.ndarray
     q: np.ndarray
     m: np.ndarray
     resid: float | None
     rmax: float
+    row_max: np.ndarray | None = None
 
 
 def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
@@ -256,7 +263,7 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
         _guard_min_modulus(mods, DEFECT_EPS, VanishingKernel, "K(z, w)")
     if i < n:
         raise ValueError("R = 1/K is not formed in this Gram")
-    rec = Reciprocal(r, None, None, None, 1.0 / kmin)
+    rec = Reciprocal(r, None, None, None, 1.0 / kmin, kernel_gram.r_row_max)
     if n < RITZ_MIN_N:
         return rec
     target = RITZ_RESIDUAL * float(np.min(np.abs(np.diagonal(r))))
@@ -321,13 +328,50 @@ def _unit_scale(rec: Reciprocal, u: np.ndarray, keep: np.ndarray, delta: float) 
 
 
 def _defect_scale(rec: Reciprocal, u: np.ndarray) -> float:
-    """max|J - diag(u) R diag(conj u)| over all samples, in one row-block pass
-    over the upper triangle of R's array: O(n^2), and NaN if any entry is."""
-    mods, uc = [], u.conj()
-    for rows in row_blocks(u.size, rec.entries[:1].nbytes):
-        i = rows.start
-        mods.append(np.max(np.abs(np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:]))))
-    return float(np.max(mods))
+    """max|J - diag(u) R diag(conj u)| over all samples, as one row-block pass
+    over the upper triangle of R's array computes it, NaN if any entry is. With
+    row bounds B (_row_bounds), only rows that can hold the max are scanned: the
+    rows of the _SCALE_PROBE largest B give a lower bound L on it, and a row
+    whose B_i is below L computes no entry that reaches L. The rows scanned
+    give each entry as the full pass does, so the max is its own bit for bit.
+    Without bounds, or with one not finite, every row is scanned: O(n^2)."""
+    blocks = row_blocks(u.size, rec.entries[:1].nbytes)
+    bound = _row_bounds(rec, u)
+    if bound is None:
+        return _scan_rows(rec, u, [(rows, rows.start) for rows in blocks])
+    step, top, probe = blocks[0].stop, [], bound.copy()
+    for _ in range(min(_SCALE_PROBE, u.size)):   # not np.argsort: paging its code in adds 0.3 MiB of RSS
+        top.append(int(np.argmax(probe)))
+        probe[top[-1]] = -math.inf
+    low = _scan_rows(rec, u, [(slice(a, a + 1), a - a % step) for a in top])
+    take, edge = bound >= low, np.zeros(u.size, dtype=bool)   # runs of rows taken, cut at block edges
+    edge[::step] = True
+    starts = np.flatnonzero(take & (edge | ~np.r_[False, take[:-1]]))
+    stops = np.flatnonzero(take & (np.r_[edge[1:], True] | ~np.r_[take[1:], False])) + 1
+    return _scan_rows(rec, u, [(slice(a, b), a - a % step) for a, b in zip(starts, stops)])
+
+
+def _row_bounds(rec: Reciprocal, u: np.ndarray) -> np.ndarray | None:
+    """B_i = (1 + |u_i| max|u| rho_i)(1 + 32 eps), rho_i >= |R_ij| over the
+    part of row i the scan reads (the Gram's r_row_max), or None without rho or
+    with any B_i not finite. B_i bounds every |1 - u_i R_ij conj(u_j)| the scan
+    computes in row i: the allowance covers the rounding of both complex
+    products, the difference and the modulus there, and of |u|, its max and
+    B's own products."""
+    if rec.row_max is None:
+        return None
+    mods = np.abs(u)
+    with np.errstate(over="ignore", invalid="ignore"):   # not finite: no bound
+        bound = (1.0 + mods * np.max(mods) * rec.row_max) * (1.0 + 32 * _EPS)
+    return bound if math.isfinite(np.max(bound)) else None
+
+
+def _scan_rows(rec: Reciprocal, u: np.ndarray, runs) -> float:
+    """max|1 - u_i R_ij conj(u_j)| over the rows of each (rows, i) of ``runs``,
+    at columns i on, where i starts the row block of ``rows``, NaN if any is."""
+    uc = u.conj()
+    return float(np.max([np.max(np.abs(np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:])))
+                         for rows, i in runs]))
 
 
 def _rayleigh_quotient(rec: Reciprocal, u: np.ndarray, x: np.ndarray):

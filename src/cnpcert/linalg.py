@@ -29,6 +29,7 @@ from .errors import CnpcertError, DomainViolation, LengthMismatch, NoConvergence
 from .kernels import DEFECT_EPS, Kernel, row_blocks
 
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
+_EPS = float(np.finfo(float).eps)
 
 # Randomized range finder (see range_steps)
 RITZ_BLOCK = 32          # Gaussian test vectors added per step
@@ -80,6 +81,10 @@ class HermitianMatrix:
     min_modulus: float = math.nan   # min abs entry, from scale's pass (NaN: not taken)
     r_rows: int = 0            # entries are R = 1/K but on [r_rows:, r_rows:] (hermitian_in_place)
     r_norm: float = math.nan   # ||R||_F, once r_rows = n
+    # once r_rows = n, per row i a bound rho_i >= |R_ij|, as rounded, for j from the
+    # first column of row i's row block on: all of row i that a row-block pass over
+    # the upper triangle reads (from the least |K_ij| there); else None
+    r_row_max: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -129,12 +134,18 @@ def hermitian_in_place(raw: np.ndarray, reciprocal: bool = False) -> HermitianMa
     R = 1/K in place, adds its share of ||R||_F^2 and is mirrored as R, so K's
     lower triangle is never written, until a block has an entry not finite or
     below DEFECT_EPS in modulus: from its first row, r_rows, on, K is kept.
+    The moduli of each block also give each row's least |K| from the block's
+    first column on; once R is formed in every row, their reciprocals, with an
+    allowance for R's rounding, are r_row_max, a bound on what such a pass
+    over R reads of each row.
     """
+    n = raw.shape[0]
     asym, scale, least, excess = [], [], [], []
-    r_rows, norm2 = (raw.shape[0] if reciprocal else 0), 0.0
+    r_rows, norm2 = (n if reciprocal else 0), 0.0
+    low = np.empty(n) if reciprocal else None   # each row's least |K| from its block's first column on
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):   # non-finite: scale says so
         root = 1.0 / np.sqrt(np.abs(raw.diagonal().real))
-        for blk in row_blocks(raw.shape[0], raw[:1].nbytes):
+        for blk in row_blocks(n, raw[:1].nbytes):
             i, j = blk.start, blk.stop
             upper = raw[i:j, i:]
             rows = np.conjugate(raw[i:, i:j].T)   # raw^H on the same entries
@@ -147,7 +158,7 @@ def hermitian_in_place(raw: np.ndarray, reciprocal: bool = False) -> HermitianMa
             upper *= 0.5
             mods = np.abs(upper)
             scale.append(np.max(mods))
-            least.append(np.min(mods))
+            least.append(np.min(mods if low is None else mods.min(axis=1, out=low[i:j])))
             if i < r_rows and least[-1] >= DEFECT_EPS and scale[-1] < math.inf:
                 np.divide(1.0, upper, out=upper)   # rows i:j are all R: left of the block, R's mirror
                 norm2 += np.vdot(raw[blk], raw[blk]).real
@@ -161,8 +172,11 @@ def hermitian_in_place(raw: np.ndarray, reciprocal: bool = False) -> HermitianMa
             at = divmod(int(np.argmax(mods)), mods.shape[1])
             excess.append((float(mods[at]) ** 2 - 1.0, i + min(at), i + max(at)))
     raw.setflags(write=False)
+    # |fl(1/K)| <= (1 + 8 eps) / |K| for the complex reciprocal, and |K| >= (1 - 2 eps) times
+    # its rounded modulus; 2^-1060 covers a reciprocal rounded below the normal range
+    row_max = (1.0 + 16 * _EPS) / low + 2.0 ** -1060 if r_rows == n else None
     return HermitianMatrix(raw, float(np.max(scale)), float(np.max(asym)), max(excess),
-                           float(np.min(least)), r_rows, math.sqrt(norm2))
+                           float(np.min(least)), r_rows, math.sqrt(norm2), row_max)
 
 
 def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from cnpcert.kernels import (
     NormalizedDefect,
     Szego,
     WeightedHardy,
+    row_blocks,
 )
 from cnpcert.linalg import RITZ_MIN_N, RITZ_RESIDUAL, Verdict, gram, hermitian_from_raw
 from cnpcert.sampling import SampleSet, ball_points
@@ -489,6 +490,120 @@ def test_a_base_whose_verdict_cannot_prove_its_scale_scans_it(monkeypatch):
     assert len(scans) == 1 and verdict.status is ref.status is Verdict.NOT_PSD
     assert verdict.tol == pytest.approx(ref.tol, rel=1e-12) and verdict.tol > 2e-9
     assert verdict.min_eig == pytest.approx(ref.min_eig, rel=1e-9)
+
+
+# ------------------- a scanning base reads only the rows that can hold its scale
+
+def full_defect_scale(rec, u):
+    """max|J - diag(u) R diag(conj u)| by one row-block pass over the upper
+    triangle of R's array, every row scanned: the reference of _defect_scale."""
+    mods, uc = [], u.conj()
+    for rows in row_blocks(u.size, rec.entries[:1].nbytes):
+        i = rows.start
+        mods.append(np.max(np.abs(np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:]))))
+    return float(np.max(mods))
+
+
+def base_u(kernel, pts, base):
+    """u = K(z, base) / sqrt(K(base, base)) on all samples, 0 at a dropped one."""
+    defect = NormalizedDefect(kernel, base)
+    column = defect.base_column(kernel.points(pts))[:, 0] / math.sqrt(defect.kbb)
+    return np.where(cnp._exclude_base(pts, base, kernel), column, 0.0)
+
+
+def scanned_defects(monkeypatch, case):
+    """(rec, u) pairs whose defect scale is scanned: those of a sweep's scanning
+    bases, or made up for the case."""
+    if case in ("blaschke-296", "blaschke-1160"):
+        # base 0.3 is a sample, so its dropped row reads 1
+        pts = disk_296() if case == "blaschke-296" else SampleSet.default(grid=(24, 48))
+        bases, kernel, patched = [0j, 0.3 + 0j, -0.2 + 0.4j], DBR_BLASCHKE, {}
+        assert not cnp._exclude_base(pts, 0.3, kernel).all()
+    elif case == "drury-arveson-2":
+        pts = ball_points(296, 2, seed=5)
+        bases, kernel = [(0j, 0j), (-0.2 + 0.1j, 0.4j), tuple(pts[40])], DruryArveson(2)
+        patched = {"_unit_scale": lambda *a: False}   # each PSD base scans its scale
+    elif case == "affine-3u":   # test_a_base_whose_verdict_cannot_prove_its_scale_scans_it
+        pts = disk_296()
+        return [(cnp.factor_reciprocal(gram(DBR_AFFINE, pts, True)), 3 * base_u(DBR_AFFINE, pts, 0.3))]
+    else:   # random Hermitian K over six row blocks, far from 0, and random u, 0 at two samples
+        cases = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            raw = rng.standard_normal((600, 600)) + 1j * rng.standard_normal((600, 600)) + 3.0
+            k = linalg.hermitian_in_place(raw, True)
+            rec = cnp.Reciprocal(k.entries, None, None, None, 1.0 / k.min_modulus, k.r_row_max)
+            u = (rng.standard_normal(600) + 1j * rng.standard_normal(600)) * np.exp(rng.standard_normal(600))
+            u[rng.choice(600, 2)] = 0.0
+            cases.append((rec, u))
+        # equal moduli: K_ij = -c e^(i(t_i - t_j)), u_i = a e^(i t_i), so every D_ij = 1 + a^2 / c
+        # up to rounding, the least room the row bounds get
+        phase = np.exp(1j * rng.uniform(0, 2 * np.pi, 600))
+        k = linalg.hermitian_in_place(-0.7 * np.outer(phase, phase.conj()), True)
+        rec = cnp.Reciprocal(k.entries, None, None, None, 1.0 / k.min_modulus, k.r_row_max)
+        return cases + [(rec, 1.3 * phase)]
+    with monkeypatch.context() as mp:
+        for name, value in patched.items():
+            mp.setattr(cnp, name, value)
+        scans = recorded(mp, cnp, "_defect_scale")
+        cnp_basepoint_sweep(kernel, bases, pts)
+    assert len(scans) == len(bases)
+    return scans
+
+
+SCALE_CASES = ["blaschke-296", "blaschke-1160", "affine-3u", "drury-arveson-2", "random-hermitian"]
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_the_pruned_defect_scale_is_the_full_scan_bit_for_bit(monkeypatch, case):
+    for rec, u in scanned_defects(monkeypatch, case):
+        assert cnp._row_bounds(rec, u) is not None
+        assert cnp._defect_scale(rec, u).hex() == full_defect_scale(rec, u).hex()
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_each_row_bound_dominates_every_defect_entry_the_scan_computes_in_its_row(monkeypatch, case):
+    # the scan computes row i from the first column of its row block on
+    for rec, u in scanned_defects(monkeypatch, case):
+        uc, rows = u.conj(), []
+        for blk in row_blocks(u.size, rec.entries[:1].nbytes):
+            i = blk.start
+            rows.append(np.max(np.abs(np.subtract(1.0, u[blk, None] * rec.entries[blk, i:] * uc[i:])), axis=1))
+        assert np.all(np.concatenate(rows) <= cnp._row_bounds(rec, u))
+
+
+def test_a_not_psd_base_at_1160_samples_scans_under_two_fifths_of_its_rows(monkeypatch):
+    # Blaschke {0, 0.5} at bases 0, 0.3 and -0.2 + 0.4i: 226, 428 and 272 of
+    # 1160 rows, after the probe's single rows
+    for rec, u in scanned_defects(monkeypatch, "blaschke-1160"):
+        scans = recorded(monkeypatch, cnp, "_scan_rows")
+        cnp._defect_scale(rec, u)
+        (_, _, probe), (_, _, runs) = scans
+        assert len(probe) == cnp._SCALE_PROBE and all(r.stop - r.start == 1 for r, _ in probe)
+        assert sum(r.stop - r.start for r, _ in runs) < 0.4 * u.size
+
+
+def test_a_u_not_finite_or_a_gram_without_row_bounds_takes_the_full_scan(monkeypatch):
+    # the full scan returns NaN if any entry is; the planted Gram has no row
+    # bounds, as no Gram from hermitian_from_raw has
+    pts = disk_296()
+    rec = cnp.factor_reciprocal(gram(DBR_BLASCHKE, pts, True))
+    u = base_u(DBR_BLASCHKE, pts, -0.2 + 0.4j)
+    planted = cnp.factor_reciprocal(planted_reciprocal(300))
+    assert planted.row_max is None
+    cases = [(planted, 1.0 + 0.2j * np.arange(300) / 300)]
+    for at, bad in [(0, np.nan), (150, complex(1.0, np.nan)), (295, np.inf), (7, complex(0.0, -np.inf))]:
+        cases.append((rec, u.copy()))
+        cases[-1][1][at] = bad
+    scans = recorded(monkeypatch, cnp, "_scan_rows")
+    for case, (r, v) in enumerate(cases):
+        full = [(rows, rows.start) for rows in row_blocks(v.size, r.entries[:1].nbytes)]
+        scans.clear()
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale, ref = cnp._defect_scale(r, v), full_defect_scale(r, v)
+        assert cnp._row_bounds(r, v) is None and [runs for _, _, runs in scans] == [full]
+        assert scale.hex() == ref.hex()   # 'nan' for any NaN
+        assert math.isnan(scale) is (case > 0)
 
 
 @pytest.mark.parametrize("kernel_gram", [

@@ -22,6 +22,7 @@ from cnpcert.linalg import (
     Verdict,
     gram,
     hermitian_from_raw,
+    hermitian_in_place,
     pick_matrix,
     psd_verdict,
     _ritz_residual,
@@ -435,6 +436,39 @@ def test_gram_forms_r_as_the_entrywise_reciprocal_of_the_symmetrized_k(name, gri
     assert abs(r.r_norm - np.linalg.norm(ref)) <= 1e-13 * np.linalg.norm(ref)
 
 
+def upper_row_max(a):
+    """Each row's max modulus from the first column of its row block on."""
+    blocks = row_blocks(a.shape[0], a[:1].nbytes)
+    return np.concatenate([np.max(np.abs(a[blk, blk.start:]), axis=1) for blk in blocks])
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_KERNELS))
+def test_r_row_bounds_are_each_rows_max_modulus_to_rounding(name):
+    # from the least |K| of each row, from its row block's first column on, as
+    # a row-block pass over R's upper triangle reads it; a Gram that does not
+    # form R has none
+    spec, dim = SWEEP_KERNELS[name]
+    kernel = kernel_from_json(spec)
+    pts = ball_points(1160, dim) if dim else SampleSet.default(grid=(24, 48))
+    r = gram(kernel, pts, True)
+    rows = upper_row_max(r.entries)
+    assert np.all(rows <= r.r_row_max) and np.all(r.r_row_max <= rows * (1 + 64 * np.finfo(float).eps))
+    assert gram(kernel, pts).r_row_max is None and hermitian_from_raw(r.entries).r_row_max is None
+
+
+def test_r_row_bounds_hold_over_every_magnitude_and_phase_of_k():
+    # |K| from 1e-11 to 8e307, where 1/K is subnormal; K is Hermitian, so
+    # symmetrizing keeps it bit for bit, and its diagonal the largest
+    rng = np.random.default_rng(29)
+    n = 600
+    upper = np.triu(10.0 ** rng.uniform(-11, 307.9, (n, n)) * np.exp(2j * np.pi * rng.uniform(size=(n, n))), 1)
+    upper[0, 1:] = np.abs(upper[0, 1:]) * np.array([1, 1j, -1, -1j])[np.arange(n - 1) % 4]   # on the axes
+    raw = upper + upper.conj().T + np.diag(np.full(n, 8e307))
+    r = hermitian_in_place(raw, True)
+    assert r.r_rows == n and np.min(np.abs(r.entries)) < np.finfo(float).tiny
+    assert np.all(upper_row_max(r.entries) <= r.r_row_max)
+
+
 def test_r_stops_at_the_first_row_block_where_k_vanishes():
     # 1 + 4 z conj(w) vanishes only at pairs of the six appended samples, in
     # the last row block: R is formed on the rows before it, and K is kept on
@@ -449,6 +483,13 @@ def test_r_stops_at_the_first_row_block_where_k_vanishes():
     assert np.array_equal(r.entries[:, :i], 1.0 / k.entries[:, :i])
     assert (r.scale, r.asymmetry, r.cs_excess, r.min_modulus) == \
         (k.scale, k.asymmetry, k.cs_excess, k.min_modulus)
+
+
+def test_a_gram_that_keeps_k_on_a_row_block_has_no_r_row_bounds():
+    # as in test_r_stops_at_the_first_row_block_where_k_vanishes
+    kernel = kernel_from_json({"kind": "weighted_hardy", "weights": [1.0, 0.25]})
+    r = gram(kernel, SampleSet.default(grid=(24, 48)).extended([0.5, -0.5, 0.5j, -0.5j, 0.4, -0.625]), True)
+    assert r.r_rows < r.n and r.r_row_max is None
 
 
 def test_gram_error_positions_index_the_whole_matrix():
