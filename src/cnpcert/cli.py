@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     tol.add_argument("--tol", type=float, default=None,
                      help="verdict tolerance (default: 1e-9 * max(1, scale))")
     order = argparse.ArgumentParser(add_help=False)
-    order.add_argument("--order", type=int, default=DEFAULT_ORDER, help="order of the coefficient "
-                       "view reverted for a named map of degree >= 2 (default: %(default)s)")
+    order.add_argument("--order", type=int, default=DEFAULT_ORDER, help="order of the coefficient view "
+                       "reverted for a map of degree >= 2, named or explicit (default: %(default)s)")
 
     p_cnp = sub.add_parser("cnp", parents=[tol, common], help="certify normalized-defect positivity")
     p_cnp.add_argument("--kernel", required=True, help="kernel descriptor JSON (path or inline)")

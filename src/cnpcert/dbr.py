@@ -12,9 +12,9 @@ on b's range) and a sufficient part that needs the caller to supply
 the extension of (z - b(0)) / h as a concrete series witness. The report
 keeps the two apart: PASS_NECESSARY never claims more than consistency,
 PASS_WITH_EXTENSION means the witness checked out at sampled resolution.
-A symbol is a ``series.Rational`` (a named family) or a ``PowerSeries``; its
-``revert()`` is the left inverse: a Moebius map's adjugate, exact, or else the
-Newton reversion of its series, a Rational's through its ``order``.
+A symbol is a ``series.Rational``, named or listed; its ``revert()`` is the
+left inverse: a Moebius map's adjugate, exact, or else the Newton reversion
+of its coefficient view through its ``order``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import NearZeroSample, NonFiniteCoefficients, NonInvertible, NotSch
 from .kernels import SCHUR_SLACK, Congruence, Constant, DeBrangesRovnyak, Pullback, Szego, unit_ball_probe
 from .linalg import PsdVerdict, gram, hermitian_from_raw, psd_verdict
 from .sampling import PROBE_GRID, SampleSet, polar_grid
-from .series import PowerSeries, Rational, Symbol
+from .series import PowerSeries, Rational
 
 COLL_EPS = 1e-7        # collision threshold for the injectivity probe
 SEP_MIN = 1e-4         # minimum argument separation for a genuine collision
@@ -52,9 +52,10 @@ class CriterionVerdict(Enum):
 
 @dataclass(frozen=True)
 class ExtensionWitness:
-    """Caller-supplied series claimed to extend (z - b(0)) / h to the disk."""
+    """Caller-supplied map claimed to extend (z - b(0)) / h to the disk: an
+    explicit series is a Rational, a family's shipped witness a PowerSeries."""
 
-    series: PowerSeries
+    series: Rational | PowerSeries
 
 
 @dataclass(frozen=True)
@@ -86,21 +87,19 @@ class CriterionReport:
         }
 
 
-def _require_symbol(b: Symbol):
-    if b.center != 0:
-        raise ValueError("symbols must be series centered at 0")
+def _require_symbol(b: Rational):
     if b.degree == 0:
         raise ValueError("the symbol must be nonconstant")
 
 
-def dbr_kernel(b: Symbol) -> DeBrangesRovnyak:
+def dbr_kernel(b: Rational) -> DeBrangesRovnyak:
     """Kernel node for a nonconstant symbol; the construction runs the
     sampled unit-ball probe and rejects symbols outside it."""
     _require_symbol(b)
     return DeBrangesRovnyak(b)
 
 
-def injectivity_probe(b: Symbol, pts) -> InjectivityStatus:
+def injectivity_probe(b: Rational, pts) -> InjectivityStatus:
     """Look for pairs mapped to (numerically) the same value.
 
     NOT_INJ needs a genuine collision: values within COLL_EPS relative slack
@@ -120,7 +119,7 @@ def injectivity_probe(b: Symbol, pts) -> InjectivityStatus:
     return InjectivityStatus.NOT_INJ if collided.any() else InjectivityStatus.INJ_EVIDENCE
 
 
-def functional_inverse(b: Symbol) -> Symbol:
+def functional_inverse(b: Rational) -> Rational | PowerSeries:
     """h with h(b(z)) = z, ``b.revert()``: a Moebius map's adjugate, else the
     series reversion. NonInvertible when b'(0) is numerically zero: then no
     holomorphic left inverse exists."""
@@ -128,18 +127,19 @@ def functional_inverse(b: Symbol) -> Symbol:
     return b.revert()
 
 
-def reversion_residual(h: Symbol, b: Symbol) -> float:
+def reversion_residual(h: Rational | PowerSeries, b: Rational) -> float:
     """Max |h(b(z)) - z| over the PROBE_GRID polar grid for an exact (Rational)
-    h, a rounding-level number; for a series h, the max per-coefficient
-    deviation of h(b(z)) from the identity."""
+    h, a rounding-level number; for a Newton reversion h, the max
+    per-coefficient deviation of h composed with ``b.series()`` from the
+    identity."""
     if isinstance(h, Rational):
         zs = polar_grid(*PROBE_GRID)
         return float(np.max(np.abs(h(b(zs)) - zs)))
     comp = h.compose(b.series())
-    return float(np.max(np.abs(comp.coeffs - PowerSeries.identity(comp.order, b.center).coeffs)))
+    return float(np.max(np.abs(comp.coeffs - PowerSeries.identity(comp.order).coeffs)))
 
 
-def schwarz_pick_margin(b: Symbol, pts) -> float:
+def schwarz_pick_margin(b: Rational, pts) -> float:
     """min over samples of |z| |1 - conj(b(0)) b(z)| - |b(z) - b(0)|.
 
     A nonnegative margin is the sampled form of the modulus inequality
@@ -155,7 +155,7 @@ def schwarz_pick_margin(b: Symbol, pts) -> float:
     return float(margins.min())
 
 
-def extension_margin(b: Symbol, witness: ExtensionWitness, pts) -> float:
+def extension_margin(b: Rational, witness: ExtensionWitness, pts) -> float:
     """Check a witness q against b and measure its disk-wide margin.
 
     First the consistency probe: q(b(z)) z must reproduce b(z) - b(0) on the
@@ -179,7 +179,7 @@ def extension_margin(b: Symbol, witness: ExtensionWitness, pts) -> float:
     return float(margins.min())
 
 
-def decomposition_check(b: Symbol, pts, tol: float | None = None) -> PsdVerdict:
+def decomposition_check(b: Rational, pts, tol: float | None = None) -> PsdVerdict:
     """Positivity of the rearranged kernel identity.
 
     With F = 1 - conj(b(0)) b, build K1 = F-congruence of the pulled-back
@@ -192,7 +192,7 @@ def decomposition_check(b: Symbol, pts, tol: float | None = None) -> PsdVerdict:
     _require_symbol(b)
     b0 = complex(b(0))
     k1 = Congruence(Pullback(Szego(), b), lambda z: 1.0 - np.conj(b0) * b(z))
-    k2 = Congruence(k1, PowerSeries.identity(order=1))
+    k2 = Congruence(k1, Rational([0.0, 1.0], [1.0]))
     k0 = Constant(1.0 - abs(b0) ** 2)
     points = list(pts)
     m1 = gram(k1, points)
@@ -201,7 +201,7 @@ def decomposition_check(b: Symbol, pts, tol: float | None = None) -> PsdVerdict:
     return psd_verdict(hermitian_from_raw(m2.entries + m0.entries - m1.entries), tol)
 
 
-def decomposition_identity_residual(b: Symbol, f: PowerSeries, pts) -> float:
+def decomposition_identity_residual(b: Rational, f: PowerSeries, pts) -> float:
     """Residual of the exact algebraic identity behind the decomposition.
 
     For every test series f and sample z, with v = b(z) and c = f(b(0)) (1 -
@@ -229,7 +229,7 @@ def decomposition_identity_residual(b: Symbol, f: PowerSeries, pts) -> float:
 
 
 def cnp_criterion(
-    b: Symbol,
+    b: Rational,
     witness: ExtensionWitness | None = None,
     pts: SampleSet | None = None,
 ) -> CriterionReport:

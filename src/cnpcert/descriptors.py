@@ -1,12 +1,11 @@
 """JSON (de)serialization for complex scalars, series, symbols and kernels.
 
 Complex numbers travel as [re, im] pairs; series literals as coefficient
-arrays of such pairs plus a center; kernels as trees tagged by ``kind``.
+arrays of such pairs, the polynomial they list; kernels as trees tagged by
+``kind``. Every map read here, named or listed, is a ``series.Rational``.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import families
 from .dbr import ExtensionWitness, dbr_kernel
@@ -22,7 +21,7 @@ from .kernels import (
     Szego,
     WeightedHardy,
 )
-from .series import PowerSeries, Symbol
+from .series import DEFAULT_ORDER, Rational
 
 
 def complex_to_json(c: complex):
@@ -30,22 +29,25 @@ def complex_to_json(c: complex):
     return [c.real, c.imag]
 
 
-def series_from_json(obj: dict) -> PowerSeries:
+def series_from_json(obj: dict, order: int = DEFAULT_ORDER) -> Rational:
+    """The polynomial a series literal lists, as a Rational whose coefficient
+    view has ``order``; its optional ``center`` may only be 0."""
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("series literals need a 'coeffs' array of [re, im] pairs")
-    coeffs = np.asarray(complex_list_from_json(obj["coeffs"]), dtype=complex)
-    center = complex_from_json(obj.get("center", 0.0))
-    return PowerSeries(coeffs, center)
+    if complex_from_json(obj.get("center", 0.0)) != 0:
+        raise ValueError("series literals are centered at 0")
+    return Rational(complex_list_from_json(obj["coeffs"]), [1.0], order)
 
 
-def symbol_from_json(spec: dict, order: int = families.DEFAULT_ORDER) -> Symbol:
-    """A symbol from either a named family spec (a Rational) or an explicit series."""
+def symbol_from_json(spec: dict, order: int = DEFAULT_ORDER) -> Rational:
+    """A symbol from either a named family spec or an explicit series; ``order``
+    is its coefficient view's."""
     if not isinstance(spec, dict):
         raise ValueError("symbol spec must be a JSON object")
     if "family" in spec:
         return families.family_symbol(spec["family"], families.params_from_json(spec), order)
     if "series" in spec:
-        return series_from_json(spec["series"])
+        return series_from_json(spec["series"], order)
     raise ValueError("symbol spec needs either 'family' or 'series'")
 
 

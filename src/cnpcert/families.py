@@ -112,8 +112,6 @@ def params_from_json(spec: dict) -> dict:
 def family_symbol(name: str, params: dict, order: int = DEFAULT_ORDER) -> Rational:
     """The family's map; ``order`` truncates only its coefficient view."""
     family = _family(name)
-    if order < 0:
-        raise ValueError(f"truncation order must be >= 0, got {order}")
     return Rational(*family.parts(*(params[p] for p in family.readers)), order)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     VanishingKernel,
 )
 from .sampling import PROBE_GRID, polar_grid
-from .series import PowerSeries, Symbol
+from .series import PowerSeries, Rational
 
 DOM_EPS = 1e-12      # denominators below this modulus count as singular
 DEFECT_EPS = 1e-12   # kernel values below this modulus count as vanishing
@@ -66,7 +66,7 @@ def _guard_denominator(den, z, w, what: str, dim: int = 0):
 
 
 @lru_cache(maxsize=1)   # cnp_criterion, then the DeBrangesRovnyak kernel, probe one (immutable) symbol
-def unit_ball_probe(b: Symbol) -> float:
+def unit_ball_probe(b: Rational) -> float:
     """Sampled sup of |b| over the PROBE_GRID polar grid of the disk.
 
     A cheap necessary check for membership in the closed unit ball of bounded
@@ -191,11 +191,9 @@ class DeBrangesRovnyak(Kernel):
     symbols whose sampled sup modulus exceeds 1 beyond rounding slack.
     """
 
-    symbol: Symbol
+    symbol: Rational
 
     def __post_init__(self):
-        if self.symbol.center != 0:
-            raise ValueError("de Branges-Rovnyak symbols must be centered at 0")
         sup = unit_ball_probe(self.symbol)
         if sup > 1.0 + SCHUR_SLACK:
             raise NotSchurClass(
@@ -261,7 +259,7 @@ class Pullback(Kernel):
     """(z, w) -> K(map(z), map(w)) for an analytic self-map of the disk."""
 
     inner: Kernel
-    map: Symbol
+    map: Rational
 
     def __post_init__(self):
         if self.inner.dim:
@@ -281,7 +279,7 @@ class Congruence(Kernel):
     """(z, w) -> factor(z) conj(factor(w)) K(z, w); preserves positivity."""
 
     inner: Kernel
-    factor: Symbol
+    factor: Rational
 
     def __post_init__(self):
         if self.inner.dim:

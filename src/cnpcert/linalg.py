@@ -170,7 +170,7 @@ def hermitian_in_place(raw: np.ndarray, reciprocal: bool = False) -> HermitianMa
             mods *= root[i:]
             mods.ravel()[::mods.shape[1] + 1] = 0.0   # the diagonal
             at = divmod(int(np.argmax(mods)), mods.shape[1])
-            excess.append((float(mods[at]) ** 2 - 1.0, i + min(at), i + max(at)))
+            excess.append((float(np.square(mods[at]) - 1.0), i + min(at), i + max(at)))   # inf, not OverflowError
     raw.setflags(write=False)
     # |fl(1/K)| <= (1 + 8 eps) / |K| for the complex reciprocal, and |K| >= (1 - 2 eps) times
     # its rounded modulus; 2^-1060 covers a reciprocal rounded below the normal range

@@ -14,8 +14,9 @@ coefficient vector t: from g correct through order m', one composition gives
 g - (t(g) - w) g', correct through 2m' as g' = 1/t'(g) through m' - 1. The
 step orders ceil(n / 2^k) end at the order n (100: 2, 4, 7, 13, 25, 50, 100).
 Overflow there is NonFiniteCoefficients, a ValueError, not a RuntimeWarning.
-A ``Rational`` map num(z) / den(z) is evaluated exactly; its ``series()`` is
-the truncated coefficient view, and a degree-1 map inverts exactly.
+Every map a symbol, pull-back or congruence names is a ``Rational``
+num(z) / den(z), evaluated exactly; its ``series()`` is the truncated
+coefficient view that Newton reverts, and a degree-1 map inverts exactly.
 """
 
 from __future__ import annotations
@@ -125,14 +126,6 @@ class PowerSeries:
     def order(self) -> int:
         return self.coeffs.size - 1
 
-    @property
-    def degree(self) -> int:   # index of the last coefficient past 0 of modulus >= 1e-15, else 0
-        return int(np.flatnonzero(np.abs(self.coeffs[1:]) >= 1e-15).max(initial=-1)) + 1
-
-    def series(self) -> "PowerSeries":
-        """The series itself: a symbol's coefficient view, as for a Rational."""
-        return self
-
     def __repr__(self):
         return f"PowerSeries(order={self.order}, center={self.center!r})"
 
@@ -223,16 +216,17 @@ class PowerSeries:
 @dataclass(frozen=True, eq=False)
 class Rational:
     """Immutable rational map num(z) / den(z): coprime polynomials in ascending
-    powers, trailing zeros trimmed, den(0) != 0. ``order`` is the truncation
-    order of its coefficient view ``series()``."""
+    powers, trailing zeros trimmed, den(0) != 0. ``order`` >= 0 is the
+    truncation order of its coefficient view ``series()``."""
 
     num: np.ndarray
     den: np.ndarray
     order: int = DEFAULT_ORDER
     degree: int = field(init=False)   # max(deg num, deg den); 0 when num / den is constant
-    center = 0j   # not a field: a symbol's center, as for a PowerSeries
 
     def __post_init__(self):
+        if self.order < 0:
+            raise ValueError(f"truncation order must be >= 0, got {self.order}")
         for name in ("num", "den"):
             arr = _coeff_array(getattr(self, name))
             nz = np.flatnonzero(arr)
@@ -259,7 +253,7 @@ class Rational:
         n = self.order
         return PowerSeries(_padded(self.num, n + 1)) * PowerSeries(_reciprocal(_padded(self.den, n + 1), n))
 
-    def revert(self) -> "Symbol":
+    def revert(self) -> "Rational | PowerSeries":
         """h with h(self(z)) = z near 0. A degree-1 map (a z + b) / (c z + d)
         with a != 0 inverts exactly, by its adjugate (d w - b) / (a - c w);
         any other map by the Newton reversion of ``series()``, centered at
@@ -268,9 +262,6 @@ class Rational:
         if self.degree == 1 and a != 0:
             return Rational([-b, d], [a, -c], self.order)
         return self.series().revert()
-
-
-Symbol = PowerSeries | Rational   # what a symbol, pull-back map or congruence factor may be
 
 
 def divide(num: PowerSeries, den: PowerSeries) -> PowerSeries:

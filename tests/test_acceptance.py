@@ -45,7 +45,7 @@ from cnpcert.pickinterp import (
     schur_interpolant,
 )
 from cnpcert.sampling import SampleSet
-from cnpcert.series import PowerSeries
+from cnpcert.series import PowerSeries, Rational
 
 SUITE = load_suite(default_suite_dict())
 ENTRY = {e.name: e for e in SUITE}
@@ -81,7 +81,7 @@ def test_acceptance_02_model_space_dichotomy():
     assert abs(deg1.verdict.min_eig) <= 1e-10
 
     sq = cnp_certify(
-        dbr_kernel(PowerSeries([0, 0, 1] + [0] * 62)), 0j, SampleSet.explicit([0.5, -0.5])
+        dbr_kernel(Rational([0, 0, 1], [1], 64)), 0j, SampleSet.explicit([0.5, -0.5])
     )
     assert sq.verdict.status is Verdict.NOT_PSD
     assert abs(sq.verdict.min_eig - (-0.1333333333)) <= 1e-6
@@ -178,7 +178,7 @@ def test_acceptance_06_series_reversion():
     assert worst < 1e-9
 
     # quadratic closed form: inverse of z + z^2 has signed Catalan coefficients
-    b = PowerSeries([0, 1, 1] + [0] * 62)
+    b = Rational([0, 1, 1], [1], 64)
     h = functional_inverse(b)
     catalan = np.array(
         [0] + [(-1) ** (n + 1) * comb(2 * (n - 1), n - 1) // n for n in range(1, 65)],

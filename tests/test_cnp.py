@@ -24,7 +24,7 @@ from cnpcert.kernels import (
 )
 from cnpcert.linalg import RITZ_MIN_N, RITZ_RESIDUAL, Verdict, gram, hermitian_from_raw
 from cnpcert.sampling import SampleSet, ball_points
-from cnpcert.series import PowerSeries
+from cnpcert.series import PowerSeries, Rational
 
 
 def test_szego_certifies_psd():
@@ -84,7 +84,7 @@ def test_sweep_squared_symbol_two_bases():
 def test_a_sweep_whose_bases_disagree_notes_the_anomaly():
     # dropping the sample 0.5 at base 0.5 leaves one sample, too few to see
     # the NOT_PSD that base 0 finds on two
-    k, pts = dbr_kernel(PowerSeries([0.0, 0.0, 1.0])), SampleSet.explicit([0.5, -0.5])
+    k, pts = dbr_kernel(Rational([0.0, 0.0, 1.0], [1.0])), SampleSet.explicit([0.5, -0.5])
     sweep = cnp_basepoint_sweep(k, [0j, 0.5], pts)
     assert [(r.verdict.status, r.n_samples) for r in sweep] == [(Verdict.NOT_PSD, 2), (Verdict.PSD, 1)]
     assert all(SWEEP_ANOMALY_NOTE in r.notes for r in sweep)

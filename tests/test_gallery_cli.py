@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from cnpcert.cli import main
 from cnpcert.errors import SuiteFormat
 from cnpcert.gallery import default_suite_dict, load_suite, run_suite
+from cnpcert.linalg import Verdict
+from cnpcert.series import Rational
 
 
 def run_cli(capsys, argv):
@@ -234,6 +237,35 @@ def test_hbcheck_explicit_series_symbol(capsys):
     assert code == 2
 
 
+def _series_spec(coeffs, **extra):
+    return json.dumps({"series": {"coeffs": [[c, 0] for c in coeffs], **extra}})
+
+
+@pytest.mark.parametrize("order", [16, 64, 256])
+def test_an_explicit_series_is_the_polynomial_it_lists(capsys, order):
+    # z/2 + z^2/4 is reverted through --order like a named map of degree 2,
+    # so trailing zeros change nothing; its round trip fails from order 64 on
+    reports = [run_cli(capsys, ["hbcheck", "--b", _series_spec(c), "--order", str(order)])
+               for c in ([0, 0.5, 0.25], [0, 0.5, 0.25, 0, 0])]
+    assert reports[0] == reports[1]
+    code, out, _ = reports[0]
+    assert (code == 1) == (json.loads(out)["overall"] == "FAIL") == (order >= 64)
+
+
+@pytest.mark.parametrize("order", [16, 64, 256])
+def test_an_explicit_cnp_polynomial_never_fails(capsys, order):
+    # z/2 + z^2/20 has CNP: its round trip stays clean at every order
+    code, out, _ = run_cli(capsys, ["hbcheck", "--b", _series_spec([0, 0.5, 0.05]), "--order", str(order)])
+    assert code == 2 and json.loads(out)["overall"] == "PASS_NECESSARY"
+
+
+def test_a_series_literal_centered_off_0_exits_3_naming_the_center(capsys):
+    spec = _series_spec([0, 0.5, 0.25], center=[0.5, 0])
+    code, _, err = run_cli(capsys, ["hbcheck", "--b", spec])
+    assert code == 3
+    assert "series literals are centered at 0" in err
+
+
 def test_hbcheck_non_unit_ball_symbol_exit_3(capsys):
     spec = json.dumps({"series": {"coeffs": [[0, 0], [1.5, 0]]}})
     code, _, err = run_cli(capsys, ["hbcheck", "--b", spec])
@@ -250,6 +282,8 @@ def test_hbcheck_witness_without_family_exit_3(capsys):
 @pytest.mark.parametrize("args", [
     ["gallery", "--order", "-1"],
     ["hbcheck", "--b", '{"family":"affine","A":[0.5,0],"B":[2,0]}', "--order", "-1"],
+    ["hbcheck", "--b", '{"series":{"coeffs":[[0.25,0],[0.5,0]]}}', "--order", "-1"],
+    ["hbcheck", "--b", '{"series":{"coeffs":[[0,0],[0.5,0],[0.25,0]]}}', "--order", "-1"],
 ])
 def test_a_negative_order_exits_3_naming_it(capsys, args):
     # exit 3 naming the order, not an IndexError traceback: exit 1, "mismatches" for gallery
@@ -473,3 +507,17 @@ def test_negative_random_in_a_samples_block_is_a_suite_format_error():
     doc["entries"][2]["samples"] = {"random": -1}
     with pytest.raises(SuiteFormat, match=f"{doc['entries'][2]['name']}: malformed 'samples'"):
         load_suite(doc)
+
+
+# -------------------------------------------------------------------- README
+
+def test_the_readme_library_quickstart_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(block, ns)
+    assert ns["report"].verdict.status is Verdict.PSD
+    h, g = ns["h"], ns["g"]
+    assert isinstance(h, Rational) and isinstance(g, Rational) and h.degree == g.degree == 1
+    assert abs(h(ns["b"](0.3)) - 0.3) <= 1e-15
+    assert ns["coeffs"].size == 65

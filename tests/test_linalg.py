@@ -155,6 +155,13 @@ def test_cs_excess_is_the_largest_relative_2x2_minor_across_row_blocks():
     assert hermitian_from_raw(np.eye(1)).cs_excess == (-1.0, 0, 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_cauchy_schwarz_excess_past_the_float_range_is_inf():
+    # |m_01| / sqrt(m_00 m_11) = 1e300: its square overflows, and used to
+    # raise OverflowError
+    assert hermitian_from_raw([[1e-300, 1], [1, 1e-300]]).cs_excess == (math.inf, 0, 1)
+
+
 def test_asym_warning_measures_asymmetry_against_max_1_scale():
     # the defect of a degree-one Blaschke symbol vanishes identically but keeps
     # the rounding of its O(1) terms: warned "asymmetry 2.338e-16 exceeds
