@@ -33,7 +33,10 @@ x^H D x / x^H x of x = V C T^H y = lambda U y, y its lowest eigenvector and
 lambda < 0 its eigenvalue, an upper bound on D's smallest eigenvalue: the base is
 NOT_PSD when the quotient plus its rounding bound is below -10 tol. A base that
 neither settles has its defect assembled from R and u, as has each base below
-RITZ_MIN_N samples, where R is formed but not factored. K is evaluated, and R
+RITZ_MIN_N samples, where R is formed but not factored. Since R is Hermitian
+bit for bit, the defect is formed on its upper triangle alone and mirrored:
+it is Hermitian bit for bit too, with no symmetrizing pass and no asymmetry
+to measure (_defect_gram). K is evaluated, and R
 formed from it, once per sample set, by the first base that gets past its own
 checks, so a lone certificate and each base of a sweep run the same lines.
 """
@@ -50,7 +53,7 @@ from .errors import VanishingKernel
 from .kernels import DEFECT_EPS, Kernel, NormalizedDefect, _guard_min_modulus, row_blocks
 from .linalg import (
     RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, checked_tol, default_tol,
-    empty_matrix, gram, hermitian_in_place, psd_verdict, range_steps,
+    empty_matrix, gram, psd_verdict, range_steps,
 )
 
 EVIDENCE_NOTE = (
@@ -209,17 +212,27 @@ class _Shared:
 
 
 def _defect_gram(u: np.ndarray, r: np.ndarray, keep: np.ndarray) -> HermitianMatrix:
-    """J - diag(u) R diag(conj u), symmetrized, on the ``keep`` rows and
-    columns of R's array ``r``, formed a row block at a time in a new array."""
+    """J - diag(u) R diag(conj u) on the ``keep`` rows and columns of R's
+    array ``r``, in a new array, Hermitian bit for bit with no symmetrizing
+    pass: each row block is formed from its diagonal on, its diagonal square
+    made Hermitian (the conjugate of its upper triangle below, its diagonal
+    real), its max modulus taken, and its conjugate written below it. R's
+    rows are read by slice where no sample is dropped."""
     idx = np.flatnonzero(keep)
-    raw, uk = empty_matrix(idx.size), u[idx]
-    ukc = uk.conj()
-    for rows in row_blocks(idx.size, raw[:1].nbytes):
-        block = raw[rows]
-        np.multiply(uk[rows, None], r[np.ix_(idx[rows], idx)], out=block)
-        block *= ukc
+    n, uk = idx.size, u[idx]
+    d, ukc, scale = empty_matrix(n), uk.conj(), []
+    for rows in row_blocks(n, d[:1].nbytes):
+        i, j = rows.start, min(rows.stop, n)
+        block, square = d[i:j, i:], d[i:j, i:j]
+        np.multiply(uk[i:j, None], r[i:j, i:] if n == keep.size else r[np.ix_(idx[i:j], idx[i:])], out=block)
+        block *= ukc[i:]
         np.subtract(1.0, block, out=block)
-    return hermitian_in_place(raw)
+        np.copyto(square, square.T.conj(), where=np.tri(j - i, k=-1, dtype=bool))
+        np.fill_diagonal(square.imag, 0.0)
+        scale.append(np.max(np.abs(block)))
+        np.conjugate(block[:, j - i:].T, out=d[j:, i:j])
+    d.setflags(write=False)
+    return HermitianMatrix(d, float(np.max(scale)), 0.0)
 
 
 class Reciprocal(NamedTuple):

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import NearZeroSample, NonFiniteCoefficients, NonInvertible, NotSchurClass, WitnessInconsistent
 from .kernels import SCHUR_SLACK, Congruence, Constant, DeBrangesRovnyak, Pullback, Szego, unit_ball_probe
 from .linalg import PsdVerdict, gram, hermitian_from_raw, psd_verdict
-from .sampling import PROBE_GRID, SampleSet, polar_grid
+from .sampling import PROBE_POINTS, SampleSet
 from .series import PowerSeries, Rational
 
 COLL_EPS = 1e-7        # collision threshold for the injectivity probe
@@ -128,13 +128,12 @@ def functional_inverse(b: Rational) -> Rational | PowerSeries:
 
 
 def reversion_residual(h: Rational | PowerSeries, b: Rational) -> float:
-    """Max |h(b(z)) - z| over the PROBE_GRID polar grid for an exact (Rational)
+    """Max |h(b(z)) - z| over the PROBE_POINTS polar grid for an exact (Rational)
     h, a rounding-level number; for a Newton reversion h, the max
     per-coefficient deviation of h composed with ``b.series()`` from the
     identity."""
     if isinstance(h, Rational):
-        zs = polar_grid(*PROBE_GRID)
-        return float(np.max(np.abs(h(b(zs)) - zs)))
+        return float(np.max(np.abs(h(b(PROBE_POINTS)) - PROBE_POINTS)))
     comp = h.compose(b.series())
     return float(np.max(np.abs(comp.coeffs - PowerSeries.identity(comp.order).coeffs)))
 
@@ -174,7 +173,7 @@ def extension_margin(b: Rational, witness: ExtensionWitness, pts) -> float:
             f"witness disagrees with (z - b(0))/h on the sampled range "
             f"(residual {resid:.3e}, tolerance {CONSISTENCY_TOL:g})"
         )
-    zs = np.concatenate(([0.0 + 0.0j], polar_grid(*PROBE_GRID)))
+    zs = np.concatenate(([0.0 + 0.0j], PROBE_POINTS))
     margins = np.abs(1.0 - np.conj(b0) * zs) - np.abs(np.asarray(q(zs), complex))
     return float(margins.min())
 

@@ -28,7 +28,7 @@ from .errors import (
     RangeViolation,
     VanishingKernel,
 )
-from .sampling import PROBE_GRID, polar_grid
+from .sampling import PROBE_POINTS
 from .series import PowerSeries, Rational
 
 DOM_EPS = 1e-12      # denominators below this modulus count as singular
@@ -67,12 +67,12 @@ def _guard_denominator(den, z, w, what: str, dim: int = 0):
 
 @lru_cache(maxsize=1)   # cnp_criterion, then the DeBrangesRovnyak kernel, probe one (immutable) symbol
 def unit_ball_probe(b: Rational) -> float:
-    """Sampled sup of |b| over the PROBE_GRID polar grid of the disk.
+    """Sampled sup of |b| over the PROBE_POINTS polar grid of the disk.
 
     A cheap necessary check for membership in the closed unit ball of bounded
     analytic functions; returns inf when an evaluation overflows.
     """
-    vals = np.abs(b(polar_grid(*PROBE_GRID)))
+    vals = np.abs(b(PROBE_POINTS))
     if not np.all(np.isfinite(vals)):
         return float("inf")
     return float(vals.max())

@@ -2,7 +2,9 @@
 
 Raw kernel matrices are Hermitian-symmetrized unconditionally before any
 eigenvalue computation; the measured asymmetry is kept on the matrix so
-reports can distinguish kernel bugs from rounding. Certification is a
+reports can distinguish kernel bugs from rounding. (cnp's defect, formed
+from the Hermitian R, is Hermitian by construction and skips this pass, at
+asymmetry 0.) Certification is a
 three-valued verdict quantized around a tolerance, so "positive
 semi-definite" stays honest under floating point.
 

@@ -11,7 +11,7 @@ DEFAULT_GRID = (6, 12)
 DEFAULT_RMAX = 0.9
 DEFAULT_RANDOM = 8
 MIN_SEPARATION = 1e-8
-PROBE_GRID = (32, 64, 0.99)   # polar_grid arguments of the sup |b| and witness-margin probes
+PROBE_GRID = (32, 64, 0.99)   # polar_grid arguments of PROBE_POINTS
 
 
 def polar_grid(n_r: int, n_theta: int, r_max: float) -> np.ndarray:
@@ -20,6 +20,12 @@ def polar_grid(n_r: int, n_theta: int, r_max: float) -> np.ndarray:
     radii = r_max * (np.arange(1, n_r + 1) / n_r)
     angles = 2.0 * np.pi * np.arange(n_theta) / n_theta
     return np.outer(radii, np.exp(1j * angles)).ravel()
+
+
+# the PROBE_GRID points, built once and read-only: the sup |b| probe, the
+# round trip of an exact left inverse and the witness margin all read them
+PROBE_POINTS = polar_grid(*PROBE_GRID)
+PROBE_POINTS.setflags(write=False)
 
 
 def _close_pairs(arr: np.ndarray):
@@ -132,10 +138,10 @@ def ball_points(count: int, dim: int, r_max: float = DEFAULT_RMAX, seed: int = D
     if count < 0:
         raise ValueError(f"a random sample count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
-    g, radii = np.empty((count, 2 * dim)), np.empty((count, 1))
-    for k in range(count):
-        g[k] = rng.standard_normal(2 * dim)
-        radii[k] = r_max * rng.random() ** (1.0 / (2 * dim))
+    g, radii, power = np.empty((count, 2 * dim)), [], 1.0 / (2 * dim)
+    for row in g:   # the normals drawn into their row
+        rng.standard_normal(out=row)
+        radii.append(r_max * rng.random() ** power)
     v = g[:, :dim] + 1j * g[:, dim:]
     norms = np.sqrt([p.real.dot(p.real) + p.imag.dot(p.imag) for p in v])
-    return [tuple(p) for p in radii * (v / norms[:, None])]
+    return list(map(tuple, (np.asarray(radii)[:, None] * (v / norms[:, None])).tolist()))

@@ -216,8 +216,9 @@ class PowerSeries:
 @dataclass(frozen=True, eq=False)
 class Rational:
     """Immutable rational map num(z) / den(z): coprime polynomials in ascending
-    powers, trailing zeros trimmed, den(0) != 0. ``order`` >= 0 is the
-    truncation order of its coefficient view ``series()``."""
+    powers, trailing zeros trimmed, den(0) != 0. ``order`` >= 1 is the
+    truncation order of its coefficient view ``series()``, which needs its
+    linear term to be reverted."""
 
     num: np.ndarray
     den: np.ndarray
@@ -225,8 +226,8 @@ class Rational:
     degree: int = field(init=False)   # max(deg num, deg den); 0 when num / den is constant
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"truncation order must be >= 0, got {self.order}")
+        if self.order < 1:
+            raise ValueError(f"truncation order must be >= 1, got {self.order}")
         for name in ("num", "den"):
             arr = _coeff_array(getattr(self, name))
             nz = np.flatnonzero(arr)

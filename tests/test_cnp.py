@@ -432,6 +432,38 @@ def test_a_lone_certificate_is_the_sweeps_report_for_a_base_on_a_sample(kernel, 
     assert json.dumps(one.to_json_dict()) == json.dumps(swept.to_json_dict())
 
 
+# ------------------------------------------ the assembled defect, Hermitian as formed
+
+GALLERY_80 = SampleSet.default()   # a gallery entry's 80 samples
+
+
+@pytest.mark.parametrize("kernel, pts, base, status", [
+    (dbr_kernel(family_symbol("affine", {"A": 0.5, "B": 2.0})), GALLERY_80, 0j, Verdict.PSD),
+    (dbr_kernel(family_symbol("power", {"k": 2})), GALLERY_80, 0j, Verdict.NOT_PSD),
+    (DBR_BLASCHKE, GALLERY_80.extended([0.4, 0.125]), 0j, Verdict.NOT_PSD),
+    (DBR_AFFINE, GALLERY_80, GALLERY_80.points[40], Verdict.PSD),
+    # the range finder stalls at 296 samples, so each base assembles its defect
+    (DIRICHLET, disk_296(), -0.2 + 0.4j, Verdict.PSD),
+    (DIRICHLET, disk_296(), disk_296().points[250], Verdict.PSD),
+], ids=["affine-80", "power_2-80", "blaschke_deg2_0_05-82", "base-on-a-sample-80",
+        "dirichlet-296", "dirichlet-296-base-on-a-sample"])
+def test_an_assembled_defect_is_hermitian_bit_for_bit_at_its_own_scale(
+        monkeypatch, kernel, pts, base, status):
+    calls = recorded(monkeypatch, cnp, "psd_verdict")
+    rep = cnp_certify(kernel, base, pts)
+    (d, _), = calls   # the one eigensolve, of the assembled defect
+    assert d.n == rep.n_samples == len(pts) - (base in pts.points)
+    assert d.asymmetry == 0.0 and np.array_equal(d.entries, d.entries.conj().T)
+    assert d.scale == np.max(np.abs(d.entries))
+    kept = kernel.points(pts)[cnp._exclude_base(pts, base, kernel)]
+    direct = NormalizedDefect(kernel, base).evaluate(kept[:, None], kept[None])
+    assert np.max(np.abs(d.entries - direct)) <= 1e-12 * max(1.0, d.scale)
+    min_eig, scale = eigvalsh_reference(kernel, base, pts)
+    assert rep.verdict.status is status
+    assert rep.verdict.tol == pytest.approx(1e-9 * max(1.0, scale), rel=1e-12)
+    assert abs(rep.verdict.min_eig - min_eig) <= 2 * RITZ_RESIDUAL * max(1.0, scale)
+
+
 # ------------------------- a PSD base's scale from its own Weyl bound, not a scan
 
 @pytest.mark.parametrize("kernel, pts, bases", [

@@ -69,16 +69,16 @@ def test_suite_missing_fields_exit_3_lists_entries(tmp_path, capsys):
     assert "broken1" in err and "broken2" in err
 
 
-def test_each_gallery_entry_probes_its_symbol_once(monkeypatch):
-    # cnp_criterion and the DeBrangesRovnyak kernel both check sup |b| <= 1
-    from cnpcert import kernels
+def test_each_gallery_entry_probes_its_symbol_once():
+    # cnp_criterion and the DeBrangesRovnyak kernel both check sup |b| <= 1;
+    # only the first check evaluates the symbol on the probe grid
     from cnpcert.gallery import run_entry
+    from cnpcert.kernels import unit_ball_probe
 
-    grids, polar_grid = [], kernels.polar_grid
-    monkeypatch.setattr(kernels, "polar_grid", lambda *a: grids.append(a) or polar_grid(*a))
+    misses = unit_ball_probe.cache_info().misses
     for entry in load_suite(default_suite_dict())[:3]:
         assert run_entry(entry)["match"]
-    assert len(grids) == 3
+    assert unit_ball_probe.cache_info().misses - misses == 3
 
 
 @pytest.mark.parametrize("order", [32, 64, 128, 256])
@@ -289,7 +289,19 @@ def test_a_negative_order_exits_3_naming_it(capsys, args):
     # exit 3 naming the order, not an IndexError traceback: exit 1, "mismatches" for gallery
     code, _, err = run_cli(capsys, args)
     assert code == 3
-    assert "truncation order must be >= 0, got -1" in err
+    assert "truncation order must be >= 1, got -1" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["gallery", "--order", "0"],
+    ["hbcheck", "--b", '{"series":{"coeffs":[[0,0],[0.5,0],[0.05,0]]}}', "--order", "0"],
+])
+def test_order_zero_exits_3_naming_it(capsys, args):
+    # an order-0 coefficient view has no linear term: the hbcheck map, whose
+    # b'(0) is 0.5, reported FAIL as if b'(0) were numerically zero
+    code, _, err = run_cli(capsys, args)
+    assert code == 3
+    assert "truncation order must be >= 1, got 0" in err
 
 
 # --------------------------------------------------------------------- pick

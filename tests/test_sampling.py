@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cnpcert.pickinterp import sampled_sup
-from cnpcert.sampling import SampleSet, ball_points, polar_grid
+from cnpcert.sampling import PROBE_GRID, PROBE_POINTS, SampleSet, ball_points, polar_grid
 
 # SampleSet.default()'s seeded random points (seed 20210, r_max 0.9)
 DEFAULT_RANDOM_POINTS = (
@@ -97,3 +97,30 @@ def test_ball_points_are_the_per_point_loop_bit_for_bit(args):
     got, ref = ball_points(*args), per_point_ball_points(*args)
     assert [len(p) for p in got] == [len(p) for p in ref] and len(got) == args[0]
     assert np.asarray(got, dtype=complex).tobytes() == np.asarray(ref, dtype=complex).tobytes()
+
+
+def row_loop_ball_points(count, dim, r_max=0.9, seed=20210):
+    """ball_points as a loop that assigns each point's normals to its row of
+    an array and its radius to a (count, 1) array, then scales the normed
+    rows: the reference for drawing the normals in place."""
+    rng = np.random.default_rng(seed)
+    g, radii = np.empty((count, 2 * dim)), np.empty((count, 1))
+    for k in range(count):
+        g[k] = rng.standard_normal(2 * dim)
+        radii[k] = r_max * rng.random() ** (1.0 / (2 * dim))
+    v = g[:, :dim] + 1j * g[:, dim:]
+    norms = np.sqrt([p.real.dot(p.real) + p.imag.dot(p.imag) for p in v])
+    return [tuple(p) for p in radii * (v / norms[:, None])]
+
+
+@pytest.mark.parametrize("count, dim, seed", [(1160, 2, 20210), (300, 5, 31), (0, 2, 1), (1, 3, 101)])
+def test_ball_points_are_the_row_loop_byte_for_byte(count, dim, seed):
+    got, ref = ball_points(count, dim, seed=seed), row_loop_ball_points(count, dim, seed=seed)
+    assert len(got) == count and all(len(p) == dim for p in got)
+    assert np.asarray(got, dtype=complex).tobytes() == np.asarray(ref, dtype=complex).tobytes()
+
+
+def test_the_probe_points_are_the_probe_grid_read_only():
+    assert np.array_equal(PROBE_POINTS, polar_grid(*PROBE_GRID))
+    with pytest.raises(ValueError, match="read-only"):
+        PROBE_POINTS[0] = 0.0
