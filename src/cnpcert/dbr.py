@@ -24,10 +24,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NearZeroSample, NonFiniteCoefficients, NonInvertible, NotSchurClass, WitnessInconsistent
-from .kernels import SCHUR_SLACK, Congruence, Constant, DeBrangesRovnyak, Pullback, Szego, unit_ball_probe
+from .errors import NearZeroSample, NonFiniteCoefficients, NonInvertible, WitnessInconsistent
+from .kernels import Congruence, Constant, DeBrangesRovnyak, Pullback, Szego
 from .linalg import PsdVerdict, gram, hermitian_from_raw, psd_verdict
-from .sampling import PROBE_POINTS, SampleSet
+from .sampling import PROBE_POINTS, SampleSet, close_pairs
 from .series import PowerSeries, Rational
 
 COLL_EPS = 1e-7        # collision threshold for the injectivity probe
@@ -103,8 +103,11 @@ def injectivity_probe(b: Rational, pts) -> InjectivityStatus:
     """Look for pairs mapped to (numerically) the same value.
 
     NOT_INJ needs a genuine collision: values within COLL_EPS relative slack
-    while the arguments are separated by more than SEP_MIN. Any failed
-    evaluation, or fewer than two points, is INCONCLUSIVE.
+    (relative to the larger of the two, or to 1) while the arguments are
+    separated by more than SEP_MIN. The candidate pairs come from a
+    sort-and-sweep over the values: only pairs whose real parts lie within
+    the largest threshold are formed. Any failed evaluation, or fewer than
+    two points, is INCONCLUSIVE.
     """
     arr = np.asarray(list(pts), dtype=complex)
     if arr.size < 2:
@@ -112,10 +115,10 @@ def injectivity_probe(b: Rational, pts) -> InjectivityStatus:
     vals = np.asarray(b(arr), dtype=complex)
     if not np.all(np.isfinite(vals)):
         return InjectivityStatus.INCONCLUSIVE
-    dv = np.abs(vals[:, None] - vals[None, :])
-    dp = np.abs(arr[:, None] - arr[None, :])
-    thresh = COLL_EPS * np.maximum(1.0, np.abs(vals))[:, None]
-    collided = (dv < thresh) & (dp > SEP_MIN)
+    mods = np.abs(vals)
+    i, j = close_pairs(vals, COLL_EPS * max(1.0, mods.max()))   # every pair that can collide
+    scale = np.maximum(1.0, np.maximum(mods[i], mods[j]))
+    collided = (np.abs(vals[i] - vals[j]) < COLL_EPS * scale) & (np.abs(arr[i] - arr[j]) > SEP_MIN)
     return InjectivityStatus.NOT_INJ if collided.any() else InjectivityStatus.INJ_EVIDENCE
 
 
@@ -240,10 +243,7 @@ def cnp_criterion(
     margin, else PASS_NECESSARY. Symbols outside the sampled unit ball raise
     NotSchurClass; an inconsistent witness raises WitnessInconsistent.
     """
-    _require_symbol(b)
-    sup = unit_ball_probe(b)
-    if sup > 1.0 + SCHUR_SLACK:
-        raise NotSchurClass(f"sampled sup |b| = {sup:.6g} exceeds 1")
+    dbr_kernel(b)   # the nonconstant and Schur-class checks
     pts = SampleSet.default() if pts is None else pts
     notes = []
     inj = injectivity_probe(b, pts)

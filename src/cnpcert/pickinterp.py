@@ -19,7 +19,7 @@ import numpy as np
 from .errors import LengthMismatch, NotStrictlySolvable
 from .kernels import Kernel, Szego
 from .linalg import PsdVerdict, pick_matrix, psd_verdict
-from .sampling import _close_pairs, polar_grid
+from .sampling import SampleSet, polar_grid
 
 STRICT_EPS = 1e-8   # smallest Pick eigenvalue the construction will accept
 
@@ -32,18 +32,12 @@ class InterpolationProblem:
     targets: tuple
 
     def __post_init__(self):
-        nodes = tuple(complex(x) for x in self.nodes)
         targets = tuple(complex(t) for t in self.targets)
-        if len(nodes) != len(targets):
-            raise LengthMismatch(f"{len(nodes)} nodes but {len(targets)} targets")
-        if len(nodes) == 0:
+        if len(self.nodes) != len(targets):
+            raise LengthMismatch(f"{len(self.nodes)} nodes but {len(targets)} targets")
+        if len(targets) == 0:
             raise ValueError("at least one interpolation node is required")
-        arr = np.asarray(nodes, dtype=complex)
-        if np.max(np.abs(arr)) >= 1.0:
-            raise ValueError("nodes must lie strictly inside the unit disk")
-        if _close_pairs(arr)[0]:
-            raise ValueError("interpolation nodes must be pairwise distinct")
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", SampleSet(self.nodes).points)   # finite, in the disk, distinct
         object.__setattr__(self, "targets", targets)
 
 

@@ -28,23 +28,23 @@ PROBE_POINTS = polar_grid(*PROBE_GRID)
 PROBE_POINTS.setflags(write=False)
 
 
-def _close_pairs(arr: np.ndarray):
-    """Index pairs (i, j), i < j, of points closer than MIN_SEPARATION, sorted
-    by j then i.
+def close_pairs(arr: np.ndarray, eps: float = MIN_SEPARATION):
+    """Index pairs (i, j), i < j, of points closer than ``eps``, sorted by j
+    then i.
 
-    Sort-and-sweep: only points whose real parts differ by less than the
-    separation can be that close, so the distances formed are those of the
-    candidate pairs within that strip of the sorted real parts (all pairs
-    only for points piled up on one vertical line).
+    Sort-and-sweep: only points whose real parts differ by less than eps can
+    be that close, so the distances formed are those of the candidate pairs
+    within that strip of the sorted real parts (all pairs only for points
+    piled up on one vertical line).
     """
     order = np.argsort(arr.real, kind="stable")
     re = arr.real[order]
-    stop = np.searchsorted(re, re + 2.0 * MIN_SEPARATION, side="left")
+    stop = np.searchsorted(re, re + 2.0 * eps, side="left")
     width = np.maximum(stop - np.arange(arr.size) - 1, 0)
     first = np.repeat(np.arange(arr.size), width)
     offset = np.arange(first.size) - np.repeat(np.cumsum(width) - width, width)
     a, b = order[first], order[first + 1 + offset]
-    close = np.abs(arr[a] - arr[b]) < MIN_SEPARATION
+    close = np.abs(arr[a] - arr[b]) < eps
     i, j = np.minimum(a, b)[close], np.maximum(a, b)[close]
     by_j = np.lexsort((i, j))
     return i[by_j].tolist(), j[by_j].tolist()
@@ -63,7 +63,7 @@ class SampleSet:
             raise ValueError("sample points must be finite")
         if arr.size and np.max(np.abs(arr)) >= 1.0:
             raise ValueError("sample points must lie strictly inside the unit disk")
-        if _close_pairs(arr)[0]:
+        if close_pairs(arr)[0]:
             raise ValueError(
                 f"sample points closer than {MIN_SEPARATION:g} are not allowed"
             )
@@ -80,7 +80,7 @@ class SampleSet:
         and of extra points appended before them."""
         pts = self.points + tuple(complex(p) for p in extra)
         keep = [True] * len(pts)
-        for i, j in zip(*_close_pairs(np.asarray(pts, dtype=complex))):
+        for i, j in zip(*close_pairs(np.asarray(pts, dtype=complex))):
             if keep[i]:      # pairs come ordered by j, so keep[i] is settled
                 keep[j] = False
         kept = tuple(p for p, k in zip(pts, keep) if k)
@@ -99,16 +99,12 @@ class SampleSet:
         if count < 0:
             raise ValueError(f"a random sample count must be >= 0, got {count}")
         rng = np.random.default_rng(seed)
-        pts: list = []
-        while len(pts) < count:
-            r = r_max * np.sqrt(rng.uniform())
-            p = r * np.exp(2j * np.pi * rng.uniform())
-            if abs(p) < 1e-3:   # kept off the origin
-                continue
-            if any(abs(p - q) < MIN_SEPARATION for q in pts):
-                continue
-            pts.append(complex(p))
-        return cls(tuple(pts))
+        pts = cls(())
+        while len(pts) < count:   # per point a radius draw, then an angle draw
+            u = rng.uniform(size=(count - len(pts), 2))
+            p = r_max * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+            pts = pts.extended(p[np.abs(p) >= 1e-3])   # kept off the origin
+        return pts
 
     @classmethod
     def default(

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cnpcert import cnp, linalg
 from cnpcert.cnp import EVIDENCE_NOTE, SWEEP_ANOMALY_NOTE, cnp_basepoint_sweep, cnp_certify
@@ -292,7 +294,8 @@ DBR_AFFINE = DeBrangesRovnyak(PowerSeries([0.25, 0.5]))   # (z + 0.5) / 2: PSD
 DBR_BLASCHKE = DeBrangesRovnyak(family_symbol("blaschke", {"zeros": [0.0, 0.5]}))   # NOT_PSD
 DBR_POWER_2 = DeBrangesRovnyak(PowerSeries([0.0, 0.0, 1.0]))   # b = z^2: NOT_PSD
 # the Dirichlet kernel sum (z conj w)^n / (n + 1), truncated at 200 terms: a
-# complete Pick kernel whose 1/K has numerical rank above 296 / 8 at r_max 0.9
+# truncation of the complete Pick Dirichlet kernel, not itself complete Pick,
+# whose 1/K has numerical rank above 296 / 8 at r_max 0.9
 DIRICHLET = WeightedHardy(np.arange(1.0, 201.0))
 
 
@@ -1049,3 +1052,43 @@ def test_a_singular_or_near_singular_t_gives_a_quotient_without_raising():
     verdict = cnp._factored_verdict(rec, u, keep, None)
     assert verdict.status is ref.status is Verdict.NOT_PSD
     assert abs(verdict.min_eig - ref.min_eig) <= 1e-3 * abs(ref.min_eig)
+
+
+# ---------------------------- psi o b: the defect of a congruent dBR kernel
+
+def after_automorphism(b: Rational, a: complex) -> Rational:
+    """psi o b for psi(w) = (w - a) / (1 - conj(a) w): the rational map
+    (num - a den) / (den - conj(a) num)."""
+    n = max(b.num.size, b.den.size)
+    num, den = (np.pad(c, (0, n - c.size)) for c in (b.num, b.den))
+    return Rational(num - a * den, den - np.conj(a) * num)
+
+
+_phase = st.floats(0.0, 2 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+
+
+@st.composite
+def schur_symbols(draw):
+    """c phi_alpha + d with |c| + |d| <= 0.98 (phi_alpha the Blaschke factor
+    at alpha), or z/2 + c z^2 with c in (0, 1/4]."""
+    if draw(st.booleans()):
+        alpha = draw(st.floats(0.0, 0.9)) * draw(_phase)
+        c_mod = draw(st.floats(0.05, 0.98))
+        c, d = c_mod * draw(_phase), draw(st.floats(0.0, 0.98 - c_mod)) * draw(_phase)
+        return Rational([d - c * alpha, c - d * np.conj(alpha)], [1.0, -np.conj(alpha)])
+    return Rational([0.0, 0.5, draw(st.floats(0.0, 0.25, exclude_min=True))], [1.0])
+
+
+@seed(20210)
+@settings(database=None)
+@given(schur_symbols(), st.floats(0.0, 0.5), _phase)
+def test_cnp_is_invariant_under_an_automorphism_after_the_symbol(b, a_mod, a_phase):
+    # the dBR kernel of psi o b is that of b under the congruence by
+    # sqrt(1 - |a|^2) / (1 - conj(a) b(z)), so the normalized defect is the same
+    pts, bases = SampleSet.default(), [0j, 0.2 - 0.1j]
+    reports = cnp_basepoint_sweep(DeBrangesRovnyak(b), bases, pts)
+    moved = cnp_basepoint_sweep(DeBrangesRovnyak(after_automorphism(b, a_mod * a_phase)), bases, pts)
+    for rep, mov in zip(reports, moved):
+        assert mov.verdict.status is rep.verdict.status
+        tol = min(rep.verdict.tol, mov.verdict.tol)
+        assert abs(mov.verdict.min_eig - rep.verdict.min_eig) <= 0.1 * tol

@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cnpcert.cnp import cnp_certify
 from cnpcert.dbr import (
+    COLL_EPS,
+    SEP_MIN,
     CriterionVerdict,
     ExtensionWitness,
     InjectivityStatus,
@@ -82,6 +86,36 @@ def test_injectivity_blaschke2_needs_collision_samples():
     assert (
         injectivity_probe(b, PTS.extended(COLLISION_PAIR)) is InjectivityStatus.NOT_INJ
     )
+
+
+def dense_collision(args, vals) -> bool:
+    """The n x n rule: some ordered pair (i, j) has |b(z_i) - b(z_j)| below
+    COLL_EPS max(1, |b(z_i)|) while |z_i - z_j| > SEP_MIN."""
+    dv = np.abs(vals[:, None] - vals[None, :])
+    dp = np.abs(args[:, None] - args[None, :])
+    thresh = COLL_EPS * np.maximum(1.0, np.abs(vals))[:, None]
+    return bool(((dv < thresh) & (dp > SEP_MIN)).any())
+
+
+@seed(20210)
+@settings(database=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_injectivity_probe_is_the_dense_pair_rule_on_planted_values(draw_seed):
+    # values up to 1.5 in modulus; each planted pair sits 1e-3 inside or outside
+    # its collision threshold, or on it exactly, with arguments 2x inside or
+    # outside SEP_MIN
+    rng = np.random.default_rng(draw_seed)
+    n = int(rng.integers(2, 40))
+    unit = lambda k: np.exp(2j * np.pi * rng.uniform(size=k))
+    vals = 1.5 * np.sqrt(rng.uniform(size=n)) * unit(n)
+    args = 0.9 * np.sqrt(rng.uniform(size=n)) * unit(n)
+    for _ in range(int(rng.integers(0, 6))):
+        i, j = rng.choice(n, 2, replace=False)
+        slack = rng.choice([0.0, 1.0 - 1e-3, 1.0 + 1e-3])
+        vals[j] = vals[i] + slack * COLL_EPS * max(1.0, abs(vals[i])) * unit(1)[0]
+        args[j] = args[i] + rng.choice([0.5, 2.0]) * SEP_MIN * unit(1)[0]
+    expected = InjectivityStatus.NOT_INJ if dense_collision(args, vals) else InjectivityStatus.INJ_EVIDENCE
+    assert injectivity_probe(lambda z: vals, args) is expected
 
 
 # ----------------------------------------------------------------- inversion

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cnpcert.pickinterp import sampled_sup
-from cnpcert.sampling import PROBE_GRID, PROBE_POINTS, SampleSet, ball_points, polar_grid
+from cnpcert.sampling import MIN_SEPARATION, PROBE_GRID, PROBE_POINTS, SampleSet, ball_points, polar_grid
 
 # SampleSet.default()'s seeded random points (seed 20210, r_max 0.9)
 DEFAULT_RANDOM_POINTS = (
@@ -124,3 +124,56 @@ def test_the_probe_points_are_the_probe_grid_read_only():
     assert np.array_equal(PROBE_POINTS, polar_grid(*PROBE_GRID))
     with pytest.raises(ValueError, match="read-only"):
         PROBE_POINTS[0] = 0.0
+
+
+def random_disk_by_loop(count, rng, r_max=0.9):
+    """The per-point rule: draw a radius, then an angle; redraw a point within
+    1e-3 of the origin or within MIN_SEPARATION of a kept point."""
+    pts = []
+    while len(pts) < count:
+        r = r_max * np.sqrt(rng.uniform())
+        p = r * np.exp(2j * np.pi * rng.uniform())
+        if abs(p) < 1e-3:
+            continue
+        if any(abs(p - q) < MIN_SEPARATION for q in pts):
+            continue
+        pts.append(complex(p))
+    return tuple(pts)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("count", [0, 1, 8, 37, 600])
+@pytest.mark.parametrize("seed", [0, 1, 31, 101, 20210])
+def test_random_disk_is_the_per_point_loop_bit_for_bit(count, seed):
+    pts = SampleSet.random_disk(count, seed=seed).points
+    assert same_bits(pts, random_disk_by_loop(count, np.random.default_rng(seed)))
+
+
+class ScriptedUniforms:
+    """A generator whose uniforms are a scripted head, then a seeded stream."""
+
+    def __init__(self, head, rng):
+        self.head, self.rng = list(head), rng
+
+    def uniform(self, size=None):
+        k = int(np.prod(size or 1))
+        out = np.concatenate([self.head[:k], self.rng.uniform(size=k - len(self.head[:k]))])
+        del self.head[:k]
+        return out[0] if size is None else out.reshape(size)
+
+
+@pytest.mark.parametrize("count", [0, 1, 8, 37, 600])
+def test_random_disk_redraws_a_planted_origin_point_and_duplicate_like_the_loop(monkeypatch, count):
+    # (radius, angle) draws: a point, one within 1e-3 of the origin, a
+    # near-duplicate of the first (6e-12 away), then another point
+    head = [0.3, 0.6, 1e-8, 0.2, 0.3, 0.6 + 1e-12, 0.7, 0.1]
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: ScriptedUniforms(head, default_rng(s)))
+    pts = SampleSet.random_disk(count, seed=7).points
+    assert same_bits(pts, random_disk_by_loop(count, ScriptedUniforms(head, default_rng(7))))
+    assert len(pts) == count
+    if count >= 2:
+        assert pts[1] == 0.9 * np.sqrt(0.7) * np.exp(2j * np.pi * 0.1)
