@@ -102,12 +102,11 @@ def dbr_kernel(b: Rational) -> DeBrangesRovnyak:
 def injectivity_probe(b: Rational, pts) -> InjectivityStatus:
     """Look for pairs mapped to (numerically) the same value.
 
-    NOT_INJ needs a genuine collision: values within COLL_EPS relative slack
-    (relative to the larger of the two, or to 1) while the arguments are
-    separated by more than SEP_MIN. The candidate pairs come from a
-    sort-and-sweep over the values: only pairs whose real parts lie within
-    the largest threshold are formed. Any failed evaluation, or fewer than
-    two points, is INCONCLUSIVE.
+    NOT_INJ needs a genuine collision: values closer than COLL_EPS times
+    the largest |b(z)| over the samples (so b and c b agree for any c != 0)
+    while the arguments are separated by more than SEP_MIN. The candidate
+    pairs come from a sort-and-sweep over the values (``close_pairs``). Any
+    failed evaluation, or fewer than two points, is INCONCLUSIVE.
     """
     arr = np.asarray(list(pts), dtype=complex)
     if arr.size < 2:
@@ -115,10 +114,9 @@ def injectivity_probe(b: Rational, pts) -> InjectivityStatus:
     vals = np.asarray(b(arr), dtype=complex)
     if not np.all(np.isfinite(vals)):
         return InjectivityStatus.INCONCLUSIVE
-    mods = np.abs(vals)
-    i, j = close_pairs(vals, COLL_EPS * max(1.0, mods.max()))   # every pair that can collide
-    scale = np.maximum(1.0, np.maximum(mods[i], mods[j]))
-    collided = (np.abs(vals[i] - vals[j]) < COLL_EPS * scale) & (np.abs(arr[i] - arr[j]) > SEP_MIN)
+    # floored at the least normal float, so values that are all 0 collide
+    i, j = close_pairs(vals, max(COLL_EPS * np.abs(vals).max(), np.finfo(float).tiny))
+    collided = np.abs(arr[i] - arr[j]) > SEP_MIN
     return InjectivityStatus.NOT_INJ if collided.any() else InjectivityStatus.INJ_EVIDENCE
 
 

@@ -1,8 +1,15 @@
-"""Reproducible finite sample sets in the unit disk and unit ball."""
+"""Reproducible finite sample sets in the unit disk and unit ball.
+
+A ``SampleSet`` is frozen and holds a tuple, so one set can be shared by
+every caller: ``radial_grid`` and a ``random_disk`` drawn from an integer
+seed are built once per process for each argument tuple (a small LRU memo
+behind their argument checks) and returned as the same object after that.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,7 +97,7 @@ class SampleSet:
     def radial_grid(cls, n_r: int, n_theta: int, r_max: float = DEFAULT_RMAX) -> "SampleSet":
         if n_r < 1 or n_theta < 1 or not (0.0 < r_max < 1.0):
             raise ValueError("radial grid needs n_r, n_theta >= 1 and 0 < r_max < 1")
-        return cls(tuple(polar_grid(n_r, n_theta, r_max)))
+        return _grid_memo(cls, n_r, n_theta, r_max)
 
     @classmethod
     def random_disk(
@@ -98,13 +105,10 @@ class SampleSet:
     ) -> "SampleSet":
         if count < 0:
             raise ValueError(f"a random sample count must be >= 0, got {count}")
-        rng = np.random.default_rng(seed)
-        pts = cls(())
-        while len(pts) < count:   # per point a radius draw, then an angle draw
-            u = rng.uniform(size=(count - len(pts), 2))
-            p = r_max * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-            pts = pts.extended(p[np.abs(p) >= 1e-3])   # kept off the origin
-        return pts
+        # only an integer seed fixes the draw: a Generator advances on each
+        # call and None draws fresh entropy, so those are not memoized
+        fixed = isinstance(seed, int) and not isinstance(seed, bool)
+        return (_disk_memo if fixed else _draw_disk)(cls, count, r_max, seed)
 
     @classmethod
     def default(
@@ -126,6 +130,24 @@ class SampleSet:
     @classmethod
     def explicit(cls, points) -> "SampleSet":
         return cls(tuple(points))
+
+
+@lru_cache(maxsize=32, typed=True)
+def _grid_memo(cls, n_r, n_theta, r_max):
+    return cls(tuple(polar_grid(n_r, n_theta, r_max)))
+
+
+def _draw_disk(cls, count, r_max, seed):
+    rng = np.random.default_rng(seed)
+    pts = cls(())
+    while len(pts) < count:   # per point a radius draw, then an angle draw
+        u = rng.uniform(size=(count - len(pts), 2))
+        p = r_max * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+        pts = pts.extended(p[np.abs(p) >= 1e-3])   # kept off the origin
+    return pts
+
+
+_disk_memo = lru_cache(maxsize=32, typed=True)(_draw_disk)
 
 
 def ball_points(count: int, dim: int, r_max: float = DEFAULT_RMAX, seed: int = DEFAULT_SEED):

@@ -28,6 +28,8 @@ from cnpcert.linalg import RITZ_MIN_N, RITZ_RESIDUAL, Verdict, gram, hermitian_f
 from cnpcert.sampling import SampleSet, ball_points
 from cnpcert.series import PowerSeries, Rational
 
+from strategies import phases, schur_symbols
+
 
 def test_szego_certifies_psd():
     pts = SampleSet.default(seed=1, grid=(4, 8))
@@ -1064,30 +1066,55 @@ def after_automorphism(b: Rational, a: complex) -> Rational:
     return Rational(num - a * den, den - np.conj(a) * num)
 
 
-_phase = st.floats(0.0, 2 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
-
-
-@st.composite
-def schur_symbols(draw):
-    """c phi_alpha + d with |c| + |d| <= 0.98 (phi_alpha the Blaschke factor
-    at alpha), or z/2 + c z^2 with c in (0, 1/4]."""
-    if draw(st.booleans()):
-        alpha = draw(st.floats(0.0, 0.9)) * draw(_phase)
-        c_mod = draw(st.floats(0.05, 0.98))
-        c, d = c_mod * draw(_phase), draw(st.floats(0.0, 0.98 - c_mod)) * draw(_phase)
-        return Rational([d - c * alpha, c - d * np.conj(alpha)], [1.0, -np.conj(alpha)])
-    return Rational([0.0, 0.5, draw(st.floats(0.0, 0.25, exclude_min=True))], [1.0])
-
-
 @seed(20210)
 @settings(database=None)
-@given(schur_symbols(), st.floats(0.0, 0.5), _phase)
+@given(schur_symbols(), st.floats(0.0, 0.5), phases)
 def test_cnp_is_invariant_under_an_automorphism_after_the_symbol(b, a_mod, a_phase):
     # the dBR kernel of psi o b is that of b under the congruence by
     # sqrt(1 - |a|^2) / (1 - conj(a) b(z)), so the normalized defect is the same
     pts, bases = SampleSet.default(), [0j, 0.2 - 0.1j]
     reports = cnp_basepoint_sweep(DeBrangesRovnyak(b), bases, pts)
     moved = cnp_basepoint_sweep(DeBrangesRovnyak(after_automorphism(b, a_mod * a_phase)), bases, pts)
+    for rep, mov in zip(reports, moved):
+        assert mov.verdict.status is rep.verdict.status
+        tol = min(rep.verdict.tol, mov.verdict.tol)
+        assert abs(mov.verdict.min_eig - rep.verdict.min_eig) <= 0.1 * tol
+
+
+# ------------------------------ b o phi: the defect of a pulled-back dBR kernel
+
+def before_automorphism(b: Rational, a: complex) -> Rational:
+    """b o phi for phi(z) = (z + a) / (1 + conj(a) z), by homogenized
+    substitution: p(phi(z)) (1 + conj(a) z)^n for p = num and den, n the
+    larger of their degrees, so the factor cancels in the quotient."""
+    P = np.polynomial.polynomial
+    n = max(b.num.size, b.den.size) - 1
+    up, down = [a, 1.0], [1.0, np.conj(a)]
+    def homogenized(p):
+        out = np.zeros(n + 1, dtype=complex)
+        for k, c in enumerate(p):
+            term = P.polymul(P.polypow(up, k), P.polypow(down, n - k))   # trimmed
+            out[: term.size] += c * term
+        return out
+    return Rational(homogenized(b.num), homogenized(b.den))
+
+
+@seed(20210)
+@settings(database=None)
+@given(schur_symbols(), st.floats(0.0, 0.5), phases)
+def test_cnp_is_invariant_under_an_automorphism_before_the_symbol(b, a_mod, a_phase):
+    # the dBR kernel of b o phi is the pull-back of b's kernel by phi under the
+    # congruence by sqrt(1 - |a|^2) / (1 + conj(a) z), so the normalized defect
+    # of b o phi on phi^-1(X) at phi^-1(beta) is that of b on X at beta
+    a = a_mod * a_phase
+    inverse = lambda w: (w - a) / (1 - np.conj(a) * w)
+    pts, bases = SampleSet.default(), [0j, 0.2 - 0.1j]
+    reports = cnp_basepoint_sweep(DeBrangesRovnyak(b), bases, pts)
+    moved = cnp_basepoint_sweep(
+        DeBrangesRovnyak(before_automorphism(b, a)),
+        [inverse(beta) for beta in bases],
+        SampleSet.explicit(inverse(np.asarray(pts.points))),
+    )
     for rep, mov in zip(reports, moved):
         assert mov.verdict.status is rep.verdict.status
         tol = min(rep.verdict.tol, mov.verdict.tol)

@@ -34,6 +34,8 @@ from cnpcert.linalg import Verdict
 from cnpcert.sampling import SampleSet
 from cnpcert.series import PowerSeries, Rational, divide
 
+from strategies import schur_symbols
+
 PTS = SampleSet.default()
 COLLISION_PAIR = [0.4, 0.125]  # b(z1) = b(z2) for the Blaschke zeros {0, 1/2}
 
@@ -89,33 +91,53 @@ def test_injectivity_blaschke2_needs_collision_samples():
 
 
 def dense_collision(args, vals) -> bool:
-    """The n x n rule: some ordered pair (i, j) has |b(z_i) - b(z_j)| below
-    COLL_EPS max(1, |b(z_i)|) while |z_i - z_j| > SEP_MIN."""
+    """The n x n rule: some pair (i, j) has |b(z_i) - b(z_j)| below COLL_EPS
+    max |b| over the samples while |z_i - z_j| > SEP_MIN."""
     dv = np.abs(vals[:, None] - vals[None, :])
     dp = np.abs(args[:, None] - args[None, :])
-    thresh = COLL_EPS * np.maximum(1.0, np.abs(vals))[:, None]
-    return bool(((dv < thresh) & (dp > SEP_MIN)).any())
+    return bool(((dv < COLL_EPS * np.abs(vals).max()) & (dp > SEP_MIN)).any())
 
 
 @seed(20210)
 @settings(database=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_injectivity_probe_is_the_dense_pair_rule_on_planted_values(draw_seed):
-    # values up to 1.5 in modulus; each planted pair sits 1e-3 inside or outside
-    # its collision threshold, or on it exactly, with arguments 2x inside or
-    # outside SEP_MIN
+    # values up to 1.5 times a scale in [1e-9, 1] in modulus; each planted pair
+    # sits 1e-3 inside or outside its collision threshold, or on the same
+    # value, with arguments 2x inside or outside SEP_MIN
     rng = np.random.default_rng(draw_seed)
     n = int(rng.integers(2, 40))
     unit = lambda k: np.exp(2j * np.pi * rng.uniform(size=k))
-    vals = 1.5 * np.sqrt(rng.uniform(size=n)) * unit(n)
+    vals = 10 ** rng.uniform(-9, 0) * 1.5 * np.sqrt(rng.uniform(size=n)) * unit(n)
     args = 0.9 * np.sqrt(rng.uniform(size=n)) * unit(n)
+    thresh = COLL_EPS * np.abs(vals).max()
     for _ in range(int(rng.integers(0, 6))):
         i, j = rng.choice(n, 2, replace=False)
         slack = rng.choice([0.0, 1.0 - 1e-3, 1.0 + 1e-3])
-        vals[j] = vals[i] + slack * COLL_EPS * max(1.0, abs(vals[i])) * unit(1)[0]
+        vals[j] = vals[i] + slack * thresh * unit(1)[0]
         args[j] = args[i] + rng.choice([0.5, 2.0]) * SEP_MIN * unit(1)[0]
     expected = InjectivityStatus.NOT_INJ if dense_collision(args, vals) else InjectivityStatus.INJ_EVIDENCE
     assert injectivity_probe(lambda z: vals, args) is expected
+
+
+@seed(20210)
+@settings(database=None)
+@given(schur_symbols())
+def test_injectivity_probe_is_invariant_under_scaling_the_symbol(b):
+    # the threshold is relative to max |b| over the samples, so c b collides
+    # exactly where b does, however small c is
+    pts = PTS.extended(COLLISION_PAIR)
+    maps = [b, family_symbol("power", {"k": 2}), family_symbol("blaschke", {"zeros": [0.0, 0.5]})]
+    for m in maps:
+        status = injectivity_probe(m, pts)
+        for c in (1e-3, 1e-6, 1e-8):
+            assert injectivity_probe(Rational(c * m.num, m.den), pts) is status
+    assert injectivity_probe(maps[1], pts) is injectivity_probe(maps[2], pts) is InjectivityStatus.NOT_INJ
+
+
+def test_injectivity_values_that_are_all_zero_collide():
+    b = family_symbol("blaschke", {"zeros": [0.0, 0.5]})
+    assert injectivity_probe(b, [0.0, 0.5]) is InjectivityStatus.NOT_INJ
 
 
 # ----------------------------------------------------------------- inversion

@@ -3,10 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from cnpcert import dbr, sampling
 from cnpcert.cli import main
 from cnpcert.errors import SuiteFormat
 from cnpcert.gallery import default_suite_dict, load_suite, run_suite
@@ -210,6 +212,33 @@ def test_hbcheck_squared_symbol_exit_1(capsys):
     code, out, _ = run_cli(capsys, ["hbcheck", "--b", '{"family":"power","k":2}'])
     assert code == 1
     assert json.loads(out)["injectivity"] == "NOT_INJ"
+
+
+@pytest.mark.parametrize("R", ["1e6", "1e8"])
+def test_hbcheck_a_small_scaled_identity_is_injective_exit_0(capsys, R):
+    # z / R: the collision threshold scales with max |b| over the samples,
+    # so values all within 1e-7 of each other need not collide
+    code, out, _ = run_cli(
+        capsys, ["hbcheck", "--b", f'{{"family":"scaled_identity","R":{R}}}', "--witness", "shipped"]
+    )
+    assert code == 0
+    assert json.loads(out)["injectivity"] == "INJ_EVIDENCE"
+
+
+def test_hbcheck_a_small_scaled_identity_at_6000_samples_forms_few_pairs(capsys, monkeypatch):
+    # all 6000 values of z / 1e8 once lay in one strip of the close-pair
+    # search, whose candidate pairs grew with n^2 (317 MiB at 2000 samples)
+    def counted(arr, eps):   # the pairs whose real parts lie within the strip, checked first
+        re = np.sort(arr.real)
+        assert np.sum(np.searchsorted(re, re + 2 * eps) - np.arange(re.size) - 1) < 2 * re.size
+        return sampling.close_pairs(arr, eps)
+    monkeypatch.setattr(dbr, "close_pairs", counted)
+    code, out, _ = run_cli(
+        capsys, ["hbcheck", "--b", '{"family":"scaled_identity","R":1e8}', "--witness", "shipped",
+                 "--random", "6000"]
+    )
+    assert code == 0
+    assert json.loads(out)["injectivity"] == "INJ_EVIDENCE"
 
 
 def test_hbcheck_half_plane_case_exit_0(capsys):

@@ -1,6 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from cnpcert import sampling
 from cnpcert.pickinterp import sampled_sup
 from cnpcert.sampling import MIN_SEPARATION, PROBE_GRID, PROBE_POINTS, SampleSet, ball_points, polar_grid
 
@@ -172,8 +175,34 @@ def test_random_disk_redraws_a_planted_origin_point_and_duplicate_like_the_loop(
     head = [0.3, 0.6, 1e-8, 0.2, 0.3, 0.6 + 1e-12, 0.7, 0.1]
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda s: ScriptedUniforms(head, default_rng(s)))
+    # an empty memo for this draw, so a seed-7 set memoized earlier is not
+    # returned, and the scripted set is not left behind for later tests
+    monkeypatch.setattr(sampling, "_disk_memo", lru_cache()(sampling._draw_disk))
     pts = SampleSet.random_disk(count, seed=7).points
     assert same_bits(pts, random_disk_by_loop(count, ScriptedUniforms(head, default_rng(7))))
     assert len(pts) == count
     if count >= 2:
         assert pts[1] == 0.9 * np.sqrt(0.7) * np.exp(2j * np.pi * 0.1)
+
+
+def test_grids_and_seeded_draws_are_built_once_and_shared():
+    assert SampleSet.radial_grid(6, 12) is SampleSet.radial_grid(6, 12, 0.9)
+    assert SampleSet.random_disk(8, 0.9, 20210) is SampleSet.random_disk(8, seed=20210)
+    others = [SampleSet.radial_grid(6, 13), SampleSet.radial_grid(7, 12), SampleSet.radial_grid(6, 12, 0.8)]
+    assert len({SampleSet.radial_grid(6, 12).points, *(s.points for s in others)}) == 4
+    draws = [SampleSet.random_disk(*args) for args in [(8, 0.9, 20210), (9, 0.9, 20210), (8, 0.8, 20210), (8, 0.9, 31)]]
+    assert len({d.points for d in draws}) == 4
+    # a bool seed is not memoized under the int it equals
+    assert SampleSet.random_disk(8, seed=True) is not SampleSet.random_disk(8, seed=True)
+
+
+def test_an_unseeded_or_generator_draw_is_fresh_on_each_call():
+    assert SampleSet.random_disk(8, seed=None).points != SampleSet.random_disk(8, seed=None).points
+    rng = np.random.default_rng(5)
+    first, second = SampleSet.random_disk(8, seed=rng), SampleSet.random_disk(8, seed=rng)
+    assert first.points != second.points
+    assert same_bits(first.points + second.points, random_disk_by_loop(16, np.random.default_rng(5)))
+    seq = np.random.SeedSequence(5)
+    again = SampleSet.random_disk(8, seed=seq)
+    assert again is not SampleSet.random_disk(8, seed=seq)
+    assert again.points == SampleSet.random_disk(8, seed=seq).points
