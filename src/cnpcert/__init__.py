@@ -13,7 +13,6 @@ from .cnp import CertReport, cnp_basepoint_sweep, cnp_certify
 from .dbr import (
     CriterionReport,
     CriterionVerdict,
-    ExtensionWitness,
     InjectivityStatus,
     cnp_criterion,
     dbr_kernel,

@@ -9,12 +9,12 @@ disk with modulus at most |1 - conj(b(0)) z|.
 Numerically that splits into a necessary part that is checkable from b alone
 (injectivity probe, left-inverse round trip, the modulus inequality sampled
 on b's range) and a sufficient part that needs the caller to supply
-the extension of (z - b(0)) / h as a concrete series witness. The report
+the extension of (z - b(0)) / h as a concrete map, the witness. The report
 keeps the two apart: PASS_NECESSARY never claims more than consistency,
 PASS_WITH_EXTENSION means the witness checked out at sampled resolution.
-A symbol is a ``series.Rational``, named or listed; its ``revert()`` is the
-left inverse: a Moebius map's adjugate, exact, or else the Newton reversion
-of its coefficient view through its ``order``.
+A symbol or witness is a ``series.Rational``, named, shipped or listed; a
+symbol's ``revert()`` is the left inverse: a Moebius map's adjugate, exact,
+or else the Newton reversion of its coefficient view through its ``order``.
 """
 
 from __future__ import annotations
@@ -48,14 +48,6 @@ class CriterionVerdict(Enum):
     PASS_NECESSARY = "PASS_NECESSARY"
     PASS_WITH_EXTENSION = "PASS_WITH_EXTENSION"
     FAIL = "FAIL"
-
-
-@dataclass(frozen=True)
-class ExtensionWitness:
-    """Caller-supplied map claimed to extend (z - b(0)) / h to the disk: an
-    explicit series is a Rational, a family's shipped witness a PowerSeries."""
-
-    series: Rational | PowerSeries
 
 
 @dataclass(frozen=True)
@@ -155,7 +147,7 @@ def schwarz_pick_margin(b: Rational, pts) -> float:
     return float(margins.min())
 
 
-def extension_margin(b: Rational, witness: ExtensionWitness, pts) -> float:
+def extension_margin(b: Rational, q: Rational, pts) -> float:
     """Check a witness q against b and measure its disk-wide margin.
 
     First the consistency probe: q(b(z)) z must reproduce b(z) - b(0) on the
@@ -166,7 +158,6 @@ def extension_margin(b: Rational, witness: ExtensionWitness, pts) -> float:
     """
     arr = np.asarray(list(pts), dtype=complex)
     b0 = complex(b(0))
-    q = witness.series
     vals = np.asarray(b(arr), dtype=complex)
     resid = np.max(np.abs(np.asarray(q(vals), complex) * arr - (vals - b0)))
     if not np.isfinite(resid) or resid > CONSISTENCY_TOL:
@@ -230,7 +221,7 @@ def decomposition_identity_residual(b: Rational, f: PowerSeries, pts) -> float:
 
 def cnp_criterion(
     b: Rational,
-    witness: ExtensionWitness | None = None,
+    witness: Rational | None = None,
     pts: SampleSet | None = None,
 ) -> CriterionReport:
     """Run the full criterion and produce a tri-state report.

@@ -8,7 +8,7 @@ arrays of such pairs, the polynomial they list; kernels as trees tagged by
 from __future__ import annotations
 
 from . import families
-from .dbr import ExtensionWitness, dbr_kernel
+from .dbr import dbr_kernel
 from .families import complex_from_json, complex_list_from_json, integer_from_json, real_from_json
 from .kernels import (
     Congruence,
@@ -51,8 +51,8 @@ def symbol_from_json(spec: dict, order: int = DEFAULT_ORDER) -> Rational:
     raise ValueError("symbol spec needs either 'family' or 'series'")
 
 
-def witness_from_json(spec, b_spec: dict) -> ExtensionWitness | None:
-    """Witness from a spec: None, 'shipped' (family closed form), or a series."""
+def witness_from_json(spec, b_spec: dict) -> Rational | None:
+    """The witness map of a spec: None, 'shipped' (the family's closed form), or a series."""
     if spec is None:
         return None
     if spec == "shipped":
@@ -63,9 +63,9 @@ def witness_from_json(spec, b_spec: dict) -> ExtensionWitness | None:
             raise ValueError(
                 f"family {b_spec['family']!r} with these parameters has no shipped witness"
             )
-        return ExtensionWitness(q)
+        return q
     if isinstance(spec, dict) and "series" in spec:
-        return ExtensionWitness(series_from_json(spec["series"]))
+        return series_from_json(spec["series"])
     raise ValueError("witness spec must be null, 'shipped', or {'series': ...}")
 
 

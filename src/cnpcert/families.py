@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .series import DEFAULT_ORDER, PowerSeries, Rational
+from .series import DEFAULT_ORDER, Rational
 
 
 def complex_from_json(v) -> complex:
@@ -115,10 +115,10 @@ def family_symbol(name: str, params: dict, order: int = DEFAULT_ORDER) -> Ration
     return Rational(*family.parts(*(params[p] for p in family.readers)), order)
 
 
-def family_witness(name: str, params: dict) -> PowerSeries | None:
-    """The closed-form witness series (z - b(0)) / h of a degree-1 family map
-    (a z + b) / (c z + d): (a - c z) / d, the denominator of its adjugate h
-    over d. None for a map of any other degree."""
+def family_witness(name: str, params: dict) -> Rational | None:
+    """The closed-form witness (z - b(0)) / h of a degree-1 family map
+    (a z + b) / (c z + d), a Rational like every map: (a - c z) / d, the
+    denominator of its adjugate h over d. None for a map of any other degree."""
     b = family_symbol(name, params)
     (_, a), (d, c) = np.append(b.num, 0)[:2], np.append(b.den, 0)[:2]
-    return PowerSeries(np.trim_zeros(np.array([a, -c]) / d, "b")) if b.degree == 1 else None
+    return Rational(np.array([a, -c]) / d, [1.0]) if b.degree == 1 else None

@@ -326,5 +326,6 @@ def pick_matrix(kernel: Kernel, nodes, targets) -> HermitianMatrix:
     if not np.all(np.isfinite(lam)):
         raise ValueError("interpolation targets must be finite")
     raw = _kernel_matrix(kernel, points)
-    pick = (1.0 - lam[:, None] * np.conj(lam)[None, :]) * raw
-    return hermitian_from_raw(pick)
+    for rows in row_blocks(lam.size, raw[:1].nbytes):   # scaled in place, the one n x n array
+        np.multiply(1.0 - lam[rows, None] * np.conj(lam)[None, :], raw[rows], out=raw[rows])
+    return hermitian_in_place(raw)

@@ -19,6 +19,8 @@ DEFAULT_RMAX = 0.9
 DEFAULT_RANDOM = 8
 MIN_SEPARATION = 1e-8
 PROBE_GRID = (32, 64, 0.99)   # polar_grid arguments of PROBE_POINTS
+# close_pairs sorts along this unit vector of slope (sqrt 5 - 1) / 2
+_SWEEP = np.array([2.0, np.sqrt(5.0) - 1.0]) / np.sqrt(10.0 - 2.0 * np.sqrt(5.0))
 
 
 def polar_grid(n_r: int, n_theta: int, r_max: float) -> np.ndarray:
@@ -39,14 +41,15 @@ def close_pairs(arr: np.ndarray, eps: float = MIN_SEPARATION):
     """Index pairs (i, j), i < j, of points closer than ``eps``, sorted by j
     then i.
 
-    Sort-and-sweep: only points whose real parts differ by less than eps can
-    be that close, so the distances formed are those of the candidate pairs
-    within that strip of the sorted real parts (all pairs only for points
-    piled up on one vertical line).
+    Sort-and-sweep by the projection on _SWEEP, off both axes: keys differ by
+    at most the points' distance, so the distances formed are those of the
+    candidate pairs within 2 eps in key order (all pairs only for points piled
+    up on one line at right angles to _SWEEP, not a horizontal or vertical one).
     """
-    order = np.argsort(arr.real, kind="stable")
-    re = arr.real[order]
-    stop = np.searchsorted(re, re + 2.0 * eps, side="left")
+    key = arr.real * _SWEEP[0] + arr.imag * _SWEEP[1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    stop = np.searchsorted(key, key + 2.0 * eps, side="left")
     width = np.maximum(stop - np.arange(arr.size) - 1, 0)
     first = np.repeat(np.arange(arr.size), width)
     offset = np.arange(first.size) - np.repeat(np.cumsum(width) - width, width)

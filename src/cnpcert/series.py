@@ -6,14 +6,15 @@ Coefficients are numpy complex128, every operation is pure and returns a new
 series, and nothing here tracks radii of convergence; callers are expected to
 evaluate well inside the region where their coefficients decay.
 
-Truncation rules are fixed: binary arithmetic requires equal centers and
-truncates to the shorter operand; composition truncates to the shorter of the
-two orders; reversion and division keep the input order (division loses the
-cancelled leading order). Reversion is Newton iteration on the shifted
-coefficient vector t: from g correct through order m', one composition gives
-g - (t(g) - w) g', correct through 2m' as g' = 1/t'(g) through m' - 1. The
-step orders ceil(n / 2^k) end at the order n (100: 2, 4, 7, 13, 25, 50, 100).
-Overflow there is NonFiniteCoefficients, a ValueError, not a RuntimeWarning.
+Truncation rules are fixed: multiplication, the one arithmetic operation,
+requires equal centers and truncates to the shorter operand; composition
+truncates to the shorter of the two orders; reversion and division keep the
+input order (division loses the cancelled leading order). Reversion is
+Newton iteration on the shifted coefficient vector t: from g correct through
+order m', one composition gives g - (t(g) - w) g', correct through 2m' as
+g' = 1/t'(g) through m' - 1. The step orders ceil(n / 2^k) end at the order
+n (100: 2, 4, 7, 13, 25, 50, 100). Overflow there is NonFiniteCoefficients,
+a ValueError, not a RuntimeWarning.
 Every map a symbol, pull-back or congruence names is a ``Rational``
 num(z) / den(z), evaluated exactly; its ``series()`` is the truncated
 coefficient view that Newton reverts, and a degree-1 map inverts exactly.
@@ -106,12 +107,6 @@ class PowerSeries:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def constant(cls, value, order: int = 0, center: complex = 0j) -> "PowerSeries":
-        coeffs = np.zeros(order + 1, dtype=complex)
-        coeffs[0] = value
-        return cls(coeffs, center)
-
-    @classmethod
     def identity(cls, order: int = 1, center: complex = 0j) -> "PowerSeries":
         """The series of f(z) = z about ``center``."""
         coeffs = np.zeros(order + 1, dtype=complex)
@@ -144,20 +139,6 @@ class PowerSeries:
             raise CenterMismatch(
                 f"series centers differ: {self.center!r} vs {other.center!r}"
             )
-
-    def __add__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._check_center(other)
-        n = min(self.order, other.order)
-        return PowerSeries(self.coeffs[: n + 1] + other.coeffs[: n + 1], self.center)
-
-    def __sub__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._check_center(other)
-        n = min(self.order, other.order)
-        return PowerSeries(self.coeffs[: n + 1] - other.coeffs[: n + 1], self.center)
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):

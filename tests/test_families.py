@@ -1,7 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from cnpcert.cli import main
 from cnpcert.descriptors import kernel_from_json, symbol_from_json, witness_from_json
@@ -13,6 +16,9 @@ from cnpcert.families import (
     params_from_json,
 )
 from cnpcert.kernels import DruryArveson
+from cnpcert.series import Rational
+
+from strategies import phases
 
 
 def run_cli(capsys, argv):
@@ -46,7 +52,31 @@ def test_json_spec_goes_through_the_registry(name):
     witness = family_witness(name, params_from_json(spec))
     assert (witness is not None) is has_witness
     if has_witness:
-        assert (witness_from_json("shipped", spec).series.coeffs == witness.coeffs).all()
+        assert (witness_from_json("shipped", spec).num == witness.num).all()
+
+
+@st.composite
+def degree_one_families(draw):
+    """An affine or moebius_over map at A and B = s (|A| + 1), s >= 1, with |A|
+    >= 1 for moebius_over, or a one-zero Blaschke factor."""
+    name = draw(st.sampled_from(["affine", "moebius_over", "blaschke"]))
+    if name == "blaschke":
+        return name, {"zeros": [draw(st.floats(0.0, 0.95)) * draw(phases)]}
+    A = draw(st.floats(1.0 if name == "moebius_over" else 0.0, 3.0)) * draw(phases)
+    return name, {"A": A, "B": draw(st.floats(1.0, 3.0)) * (abs(A) + 1.0) * draw(phases)}
+
+
+@seed(20210)
+@settings(database=None)
+@given(degree_one_families(), st.floats(0.0, 0.9), phases)
+def test_a_shipped_witness_is_the_rational_quotient_by_the_left_inverse(family, r, phase):
+    # q(z) = (z - b(0)) / h(z), h = b.revert(), away from b(0), where both vanish
+    name, params = family
+    b, q = family_symbol(name, params), family_witness(name, params)
+    z, b0 = r * phase, complex(b(0))
+    assume(abs(z - b0) > 1e-3)
+    assert isinstance(q, Rational) and q.degree <= 1
+    assert abs(q(z) - (z - b0) / b.revert()(z)) <= 1e-12
 
 
 def test_python_params_ignore_extra_keys():

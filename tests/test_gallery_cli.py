@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cnpcert import dbr, sampling
 from cnpcert.cli import main
+from cnpcert.descriptors import witness_from_json
 from cnpcert.errors import SuiteFormat
 from cnpcert.gallery import default_suite_dict, load_suite, run_suite
 from cnpcert.linalg import Verdict
@@ -250,6 +251,20 @@ def test_hbcheck_half_plane_case_exit_0(capsys):
     )
     assert code == 0
     assert json.loads(out)["overall"] == "PASS_WITH_EXTENSION"
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in default_suite_dict()["entries"] if e.get("witness") == "shipped"],
+    ids=lambda e: e["name"],
+)
+def test_hbcheck_a_shipped_witness_is_its_series_literal(capsys, entry):
+    # a shipped witness is a Rational, like the series literal of its coefficients
+    b = json.dumps(entry["b"])
+    q = witness_from_json("shipped", entry["b"])
+    literal = json.dumps({"series": {"coeffs": [[c.real, c.imag] for c in q.num.tolist()]}})
+    shipped = run_cli(capsys, ["hbcheck", "--b", b, "--witness", "shipped"])
+    assert shipped[0] == 0
+    assert run_cli(capsys, ["hbcheck", "--b", b, "--witness", literal]) == shipped
 
 
 def test_hbcheck_no_witness_exit_2(capsys):

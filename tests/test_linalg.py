@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cnpcert import cnp
+from cnpcert import cnp, linalg
 from cnpcert.descriptors import kernel_from_json
 from cnpcert.errors import DomainMismatch, LengthMismatch
-from cnpcert.kernels import Congruence, Constant, NormalizedDefect, Szego, row_blocks
+from cnpcert.kernels import Congruence, Constant, DruryArveson, NormalizedDefect, Szego, row_blocks
 from cnpcert.linalg import (
     RITZ_BLOCK,
     RITZ_MAX_FRAC,
@@ -347,6 +348,27 @@ def test_pick_matrix_examples():
     m = pick_matrix(Szego(), [0.0], [2.0])
     assert np.allclose(m.entries, [[-3.0]])
     assert psd_verdict(m).status is Verdict.NOT_PSD
+
+
+@pytest.mark.parametrize("kernel", [Szego(), DruryArveson(2)], ids=repr)
+def test_pick_matrix_scales_the_kernel_gram_in_place(kernel):
+    # hermitian_from_raw((1 - t t^H) * K) bit for bit, holding K's array and
+    # row blocks only
+    n = 600
+    rng = np.random.default_rng(3)
+    nodes = ball_points(n, 2) if kernel.dim else list(SampleSet.random_disk(n, seed=3))
+    targets = 0.9 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    tracemalloc.start()
+    try:
+        m = pick_matrix(kernel, nodes, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    raw = linalg._kernel_matrix(kernel, kernel.points(nodes))
+    ref = hermitian_from_raw((1.0 - targets[:, None] * np.conj(targets)[None, :]) * raw)
+    assert m.entries.tobytes() == ref.entries.tobytes()
+    assert (m.scale, m.asymmetry, m.cs_excess) == (ref.scale, ref.asymmetry, ref.cs_excess)
+    assert peak < 2 * 16 * n**2
 
 
 def test_pick_matrix_length_mismatch():

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -206,3 +207,40 @@ def test_an_unseeded_or_generator_draw_is_fresh_on_each_call():
     again = SampleSet.random_disk(8, seed=seq)
     assert again is not SampleSet.random_disk(8, seed=seq)
     assert again.points == SampleSet.random_disk(8, seed=seq).points
+
+
+# ------------------------------------------------------------- close pairs
+
+def brute_force_pairs(arr, eps):
+    """Every (i, j), i < j, with |arr[i] - arr[j]| < eps, sorted by j then i."""
+    pairs = [(i, j) for j in range(arr.size) for i in range(j) if abs(arr[i] - arr[j]) < eps]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+@pytest.mark.parametrize("shape", ["disk", "real", "imaginary", "two vertical lines"])
+def test_close_pairs_is_the_brute_force_rule(shape):
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n = int(rng.integers(0, 120))
+        z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+        z = {"disk": z, "real": z.real + 0j, "imaginary": 1j * z.imag,
+             "two vertical lines": np.round(z.real) * 0.5 + 1j * z.imag}[shape]
+        z = np.round(z * 40) / 40   # duplicates, and pairs at every grid spacing
+        for eps in (1e-8, 1e-3, 0.03, 0.1):
+            assert sampling.close_pairs(z, eps) == brute_force_pairs(z, eps)
+
+
+@pytest.mark.parametrize("lines", [1, 2])
+def test_close_pairs_on_vertical_lines_forms_few_candidates(lines):
+    # 2000 values on one or two vertical lines: a sweep along either axis would
+    # form about n^2 / 2 or n^2 / 4 candidate pairs (122 or 61 MiB)
+    x = 0.5j * np.linspace(-0.9, 0.9, 2000)
+    vals = x + (np.arange(x.size) % lines) * 0.1
+    tracemalloc.start()
+    try:
+        pairs = sampling.close_pairs(vals, 1e-7 * np.abs(vals).max())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs == ([], [])
+    assert peak < 2**20

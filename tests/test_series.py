@@ -52,21 +52,6 @@ def test_eval_broadcasts_over_arrays():
 
 # ---------------------------------------------------------------- arithmetic
 
-def test_add_truncates_to_shorter():
-    a = PowerSeries([1.0, 1.0])
-    b = PowerSeries([1.0, -1.0])
-    out = a + b
-    assert np.allclose(out.coeffs, [2.0, 0.0])
-
-
-def test_sub_coefficientwise():
-    a = PowerSeries([1.0, 1.0, 3.0])
-    b = PowerSeries([1.0, -1.0])
-    out = a - b
-    assert out.order == 1
-    assert np.allclose(out.coeffs, [0.0, 2.0])
-
-
 def test_mul_cauchy_product():
     a = PowerSeries([1.0, 1.0, 0.0])
     b = PowerSeries([1.0, -1.0, 0.0])
@@ -81,7 +66,7 @@ def test_mul_constants():
 
 def test_center_mismatch_raises():
     with pytest.raises(CenterMismatch):
-        PowerSeries([1.0], center=0.0) + PowerSeries([1.0], center=0.5)
+        PowerSeries([1.0], center=0.0) * PowerSeries([1.0], center=0.5)
 
 
 @given(
