@@ -14,12 +14,12 @@ from .dbr import (
     CriterionReport,
     CriterionVerdict,
     InjectivityStatus,
+    closed_form_witness,
     cnp_criterion,
     dbr_kernel,
     decomposition_check,
     decomposition_identity_residual,
     extension_margin,
-    functional_inverse,
     injectivity_probe,
     reversion_residual,
     schwarz_pick_margin,

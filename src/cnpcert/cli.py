@@ -28,7 +28,7 @@ from .cnp import cnp_certify
 from .dbr import CriterionVerdict, cnp_criterion
 from .descriptors import complex_to_json, kernel_from_json, symbol_from_json, witness_from_json
 from .errors import CnpcertError, NotStrictlySolvable, SuiteFormat
-from .families import DEFAULT_ORDER, complex_list_from_json
+from .families import complex_list_from_json
 from .gallery import default_suite_dict, run_suite
 from .kernels import Szego
 from .linalg import Verdict
@@ -46,6 +46,7 @@ from .sampling import (
     SampleSet,
     ball_points,
 )
+from .series import DEFAULT_ORDER
 
 _VERDICT_EXIT = {Verdict.PSD: 0, Verdict.NOT_PSD: 1, Verdict.INCONCLUSIVE: 2}
 _CRITERION_EXIT = {
@@ -127,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", dest="json_path", default=None, help="also write report here")
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, default=None,
-                     help="verdict tolerance (default: 1e-9 * max(1, scale))")
+                     help="verdict tolerance (default: 1e-9 * max(1, scale)); one below the "
+                     "default tightens only PSD, never NOT_PSD")
     order = argparse.ArgumentParser(add_help=False)
     order.add_argument("--order", type=int, default=DEFAULT_ORDER, help="order of the coefficient view "
                        "reverted for a map of degree >= 2, named or explicit (default: %(default)s)")
@@ -178,12 +180,11 @@ def cmd_cnp(args) -> int:
 
 
 def cmd_hbcheck(args) -> int:
-    b_spec = _load_json_arg(args.b)
-    b = symbol_from_json(b_spec, args.order)
+    b = symbol_from_json(_load_json_arg(args.b), args.order)
     w_spec = args.witness
     if w_spec is not None:
         w_spec = "shipped" if w_spec.strip() == "shipped" else _load_json_arg(w_spec)
-    witness = witness_from_json(w_spec, b_spec)
+    witness = witness_from_json(w_spec, b)
     pts = _samples_from_args(args)
     report = cnp_criterion(b, witness, pts)
     _emit(report.to_json_dict(), args.json_path)

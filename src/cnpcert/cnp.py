@@ -31,9 +31,9 @@ whose bound exceeds RITZ_RESIDUAL * max(1, scale), gets a Rayleigh-Ritz
 certificate from the same T C T^H instead: min_eig is the Rayleigh quotient
 x^H D x / x^H x of x = V C T^H y = lambda U y, y its lowest eigenvector and
 lambda < 0 its eigenvalue, an upper bound on D's smallest eigenvalue: the base is
-NOT_PSD when the quotient plus its rounding bound is below -10 tol. A base that
-neither settles has its defect assembled from R and u, as has each base below
-RITZ_MIN_N samples, where R is formed but not factored. Since R is Hermitian
+NOT_PSD when the quotient plus rounding bound is below -10 max(tol, default_tol).
+A base that neither settles has its defect assembled from R and u, as has each
+base below RITZ_MIN_N samples, where R is formed but not factored. Since R is Hermitian
 bit for bit, the defect is formed on its upper triangle alone and mirrored:
 it is Hermitian bit for bit too, with no symmetrizing pass and no asymmetry
 to measure (_defect_gram). K is evaluated, and R
@@ -323,7 +323,8 @@ def _factored_verdict(rec: Reciprocal, u: np.ndarray, keep: np.ndarray,
     x = np.zeros(keep.size, dtype=complex)
     x[keep] = v[:, 0] * s[0] - v[:, 1:-1] @ (rec.m @ s[1:-1])
     min_eig, bound = _rayleigh_quotient(rec, u, x) if lam[0] < 0.0 else (math.nan, 0.0)   # x = 0 at lam[0] = 0
-    return PsdVerdict(Verdict.NOT_PSD, min_eig, tol) if min_eig + bound < -10.0 * tol else None
+    disproof = min_eig + bound < -10.0 * max(tol, default_tol(scale))
+    return PsdVerdict(Verdict.NOT_PSD, min_eig, tol) if disproof else None
 
 
 def _unit_scale(rec: Reciprocal, u: np.ndarray, keep: np.ndarray, delta: float) -> bool:

@@ -12,9 +12,9 @@ on b's range) and a sufficient part that needs the caller to supply
 the extension of (z - b(0)) / h as a concrete map, the witness. The report
 keeps the two apart: PASS_NECESSARY never claims more than consistency,
 PASS_WITH_EXTENSION means the witness checked out at sampled resolution.
-A symbol or witness is a ``series.Rational``, named, shipped or listed; a
-symbol's ``revert()`` is the left inverse: a Moebius map's adjugate, exact,
-or else the Newton reversion of its coefficient view through its ``order``.
+A symbol or witness is a ``series.Rational``; a symbol's ``revert()`` is the
+left inverse, a Moebius map's adjugate or else the Newton reversion of its
+coefficient view, and every degree-1 symbol's witness is closed form.
 """
 
 from __future__ import annotations
@@ -112,12 +112,12 @@ def injectivity_probe(b: Rational, pts) -> InjectivityStatus:
     return InjectivityStatus.NOT_INJ if collided.any() else InjectivityStatus.INJ_EVIDENCE
 
 
-def functional_inverse(b: Rational) -> Rational | PowerSeries:
-    """h with h(b(z)) = z, ``b.revert()``: a Moebius map's adjugate, else the
-    series reversion. NonInvertible when b'(0) is numerically zero: then no
-    holomorphic left inverse exists."""
-    _require_symbol(b)
-    return b.revert()
+def closed_form_witness(b: Rational) -> Rational | None:
+    """The closed-form witness (z - b(0)) / h of a degree-1 map
+    (a z + b) / (c z + d), a Rational like every map: (a - c z) / d, the
+    denominator of its adjugate h over d. None for a map of any other degree."""
+    (_, a), (d, c) = np.append(b.num, 0)[:2], np.append(b.den, 0)[:2]
+    return Rational(np.array([a, -c]) / d, [1.0]) if b.degree == 1 else None
 
 
 def reversion_residual(h: Rational | PowerSeries, b: Rational) -> float:
@@ -135,12 +135,14 @@ def schwarz_pick_margin(b: Rational, pts) -> float:
     """min over samples of |z| |1 - conj(b(0)) b(z)| - |b(z) - b(0)|.
 
     A nonnegative margin is the sampled form of the modulus inequality
-    restricted to b's range; it is necessary but never sufficient. Samples at
-    the origin are rejected (the limit there is a separate, removable case).
+    restricted to b's range; it is necessary but never sufficient. Samples
+    within _ORIGIN_EPS of the origin are dropped: there the margin is 0 - 0,
+    a separate, removable case. ValueError when no sample is left.
     """
     arr = np.asarray(list(pts), dtype=complex)
-    if np.any(np.abs(arr) < _ORIGIN_EPS):
-        raise ValueError("samples for the margin check must exclude the origin")
+    arr = arr[np.abs(arr) >= _ORIGIN_EPS]
+    if arr.size == 0:
+        raise ValueError("the margin check needs a sample away from the origin")
     b0 = complex(b(0))
     vals = np.asarray(b(arr), dtype=complex)
     margins = np.abs(arr) * np.abs(1.0 - np.conj(b0) * vals) - np.abs(vals - b0)
@@ -203,7 +205,8 @@ def decomposition_identity_residual(b: Rational, f: PowerSeries, pts) -> float:
     is about the left inverse's argument) and samples away from the origin.
     Kept, with no CLI caller, as the tests' reference check of that identity.
     """
-    functional_inverse(b)  # precondition: the inverse exists
+    _require_symbol(b)
+    b.revert()   # precondition: the inverse exists
     arr = np.asarray(list(pts), dtype=complex)
     if np.any(np.abs(arr) < _ORIGIN_EPS):
         raise NearZeroSample(
@@ -240,7 +243,7 @@ def cnp_criterion(
         notes.append("injectivity probe found a collision; no left inverse can exist")
     meaningless = "the truncated inverse is numerically meaningless"
     try:
-        resid = reversion_residual(functional_inverse(b), b)
+        resid = reversion_residual(b.revert(), b)
         note = f"reversion round-trip residual {resid:.3e} exceeds {REV_RESID_TOL:g}; {meaningless}"
     except NonInvertible:
         resid, note = float("inf"), "linear coefficient at 0 is numerically zero; reversion undefined"

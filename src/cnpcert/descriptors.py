@@ -8,7 +8,7 @@ arrays of such pairs, the polynomial they list; kernels as trees tagged by
 from __future__ import annotations
 
 from . import families
-from .dbr import dbr_kernel
+from .dbr import closed_form_witness, dbr_kernel
 from .families import complex_from_json, complex_list_from_json, integer_from_json, real_from_json
 from .kernels import (
     Congruence,
@@ -51,18 +51,15 @@ def symbol_from_json(spec: dict, order: int = DEFAULT_ORDER) -> Rational:
     raise ValueError("symbol spec needs either 'family' or 'series'")
 
 
-def witness_from_json(spec, b_spec: dict) -> Rational | None:
-    """The witness map of a spec: None, 'shipped' (the family's closed form), or a series."""
+def witness_from_json(spec, b: Rational) -> Rational | None:
+    """The witness map of a spec for the symbol b: None, 'shipped' (b's closed
+    form, for every degree-1 b), or a series."""
     if spec is None:
         return None
     if spec == "shipped":
-        if "family" not in b_spec:
-            raise ValueError("'shipped' witnesses exist only for named families")
-        q = families.family_witness(b_spec["family"], families.params_from_json(b_spec))
+        q = closed_form_witness(b)
         if q is None:
-            raise ValueError(
-                f"family {b_spec['family']!r} with these parameters has no shipped witness"
-            )
+            raise ValueError(f"a map of degree {b.degree} has no shipped witness; degree 1 does")
         return q
     if isinstance(spec, dict) and "series" in spec:
         return series_from_json(spec["series"])

@@ -3,19 +3,14 @@
 Each family is a rational self-map of the disk given by one or two
 constants, built as a ``series.Rational`` and so evaluated exactly:
 
-  affine           (z + A) / B, inside the unit ball iff |A| + 1 <= |B|;
-                   inverse B z - A, witness the constant 1 / B.
-  moebius_over     A z / (z + B), |A| >= 1 keeps the inverse holomorphic;
-                   inverse B z / (A - z), witness (A - z) / B.
-  scaled_identity  z / R; inverse R z, witness the constant 1 / R.
-  power            z^k; invertible only for k = 1 (witness 1).
-  blaschke         finite Blaschke product with the given zeros; only the
-                   degree-1 case has a witness, 1 + conj(z0) z, and there the
-                   modulus inequality holds with equality.
+  affine           (z + A) / B, inside the unit ball iff |A| + 1 <= |B|.
+  moebius_over     A z / (z + B); |A| >= 1 keeps the inverse holomorphic.
+  scaled_identity  z / R.
+  power            z^k; invertible only for k = 1.
+  blaschke         finite Blaschke product with the given zeros.
 
-A degree-1 map is a Moebius map: its inverse is its adjugate, whence the
-witness (z - b(0)) / h for the criterion's extension check. The truncation
-order reaches only maps of degree >= 2, through their coefficient view.
+The truncation order reaches only maps of degree >= 2, through their
+coefficient view.
 
 ``FAMILIES`` declares each family once: how its parameters are read from
 JSON, and its map. Everything else looks it up.
@@ -114,11 +109,3 @@ def family_symbol(name: str, params: dict, order: int = DEFAULT_ORDER) -> Ration
     family = _family(name)
     return Rational(*family.parts(*(params[p] for p in family.readers)), order)
 
-
-def family_witness(name: str, params: dict) -> Rational | None:
-    """The closed-form witness (z - b(0)) / h of a degree-1 family map
-    (a z + b) / (c z + d), a Rational like every map: (a - c z) / d, the
-    denominator of its adjugate h over d. None for a map of any other degree."""
-    b = family_symbol(name, params)
-    (_, a), (d, c) = np.append(b.num, 0)[:2], np.append(b.den, 0)[:2]
-    return Rational(np.array([a, -c]) / d, [1.0]) if b.degree == 1 else None

@@ -21,8 +21,9 @@ from .cnp import cnp_certify
 from .dbr import cnp_criterion, dbr_kernel
 from .descriptors import symbol_from_json, witness_from_json
 from .errors import SuiteFormat
-from .families import DEFAULT_ORDER, complex_list_from_json, integer_from_json
+from .families import complex_list_from_json, integer_from_json
 from .sampling import DEFAULT_GRID, DEFAULT_RANDOM, DEFAULT_RMAX, DEFAULT_SEED, SampleSet
+from .series import DEFAULT_ORDER
 
 _EXPECTED_CNP = {"PSD", "NOT_PSD", "INCONCLUSIVE"}
 _EXPECTED_CRITERION = {"PASS_NECESSARY", "PASS_WITH_EXTENSION", "FAIL"}
@@ -128,7 +129,7 @@ def sample_set_from_config(cfg: dict) -> SampleSet:
 
 def run_entry(entry: GalleryEntry, order: int = DEFAULT_ORDER, tol: float | None = None) -> dict:
     b = symbol_from_json(entry.b_spec, order)
-    witness = witness_from_json(entry.witness_spec, entry.b_spec)
+    witness = witness_from_json(entry.witness_spec, b)
     pts = sample_set_from_config(entry.samples_cfg)
     criterion = cnp_criterion(b, witness, pts)
     cert = cnp_certify(dbr_kernel(b), 0j, pts, tol)

@@ -53,8 +53,9 @@ class Verdict(Enum):
 class PsdVerdict:
     """Quantized positivity verdict.
 
-    PSD means min_eig >= -tol, NOT_PSD means min_eig < -10 tol, and the band
-    in between is INCONCLUSIVE.
+    PSD means min_eig >= -tol, NOT_PSD means min_eig < -10 max(tol,
+    default_tol(scale)), and the band in between is INCONCLUSIVE: a tol below
+    the default tightens only PSD, so rounding never reads as a disproof.
     """
 
     status: Verdict
@@ -287,7 +288,7 @@ def checked_tol(tol: float) -> float:
 
 
 def psd_verdict(m: HermitianMatrix, tol: float | None = None) -> PsdVerdict:
-    """Three-valued positivity verdict with bands (-tol, -10 tol).
+    """Three-valued positivity verdict with bands (-tol, -10 max(tol, default)).
 
     A matrix with a non-finite entry is INCONCLUSIVE with min_eig NaN and no
     eigensolve; its default tolerance ignores the meaningless scale.
@@ -301,7 +302,7 @@ def psd_verdict(m: HermitianMatrix, tol: float | None = None) -> PsdVerdict:
         return PsdVerdict(Verdict.INCONCLUSIVE, float("nan"), tol)
     if me >= -tol:
         status = Verdict.PSD
-    elif me < -10.0 * tol:
+    elif me < -10.0 * max(tol, default_tol(m.scale)):
         status = Verdict.NOT_PSD
     else:
         status = Verdict.INCONCLUSIVE

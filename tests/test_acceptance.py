@@ -24,7 +24,6 @@ from cnpcert.dbr import (
     dbr_kernel,
     decomposition_check,
     decomposition_identity_residual,
-    functional_inverse,
     reversion_residual,
 )
 from cnpcert.descriptors import symbol_from_json
@@ -173,13 +172,13 @@ def test_acceptance_06_series_reversion():
     worst = 0.0
     for e in passing_entries():
         b = entry_symbol(e.name, order=64)
-        resid = reversion_residual(functional_inverse(b), b)
+        resid = reversion_residual(b.revert(), b)
         worst = max(worst, resid)
     assert worst < 1e-9
 
     # quadratic closed form: inverse of z + z^2 has signed Catalan coefficients
     b = Rational([0, 1, 1], [1], 64)
-    h = functional_inverse(b)
+    h = b.revert()
     catalan = np.array(
         [0] + [(-1) ** (n + 1) * comb(2 * (n - 1), n - 1) // n for n in range(1, 65)],
         dtype=float,

@@ -1056,6 +1056,38 @@ def test_a_singular_or_near_singular_t_gives_a_quotient_without_raising():
     assert abs(verdict.min_eig - ref.min_eig) <= 1e-3 * abs(ref.min_eig)
 
 
+# ------------------- a tol below the default tightens PSD alone, never NOT_PSD
+
+@pytest.mark.parametrize("pts", [SampleSet.default(), disk_296()], ids=["assembled-80", "weyl-296"])
+def test_a_tiny_tol_turns_no_rounding_into_a_disproof(monkeypatch, pts):
+    # Szego's defect is PSD; at tol 1e-17 its rounding-level min_eig (-8.8e-15
+    # at 80 samples) once read NOT_PSD, on the assembled and the factored route
+    assembled = recorded(monkeypatch, cnp, "_defect_gram")
+    rep = cnp_certify(Szego(), 0j, pts, 1e-17)
+    assert bool(assembled) is (len(pts) < RITZ_MIN_N)
+    assert rep.verdict.status is Verdict.INCONCLUSIVE
+    assert rep.verdict.min_eig < -10 * 1e-17 and rep.verdict.tol == 1e-17
+    assert cnp_certify(DBR_BLASCHKE, 0j, pts, 1e-17).verdict.status is Verdict.NOT_PSD
+
+
+def test_a_rayleigh_quotient_in_the_default_band_is_no_disproof_at_a_tiny_tol():
+    # D = J - R = -delta v v^H on 296 samples (u = 1), with no Weyl bound: the
+    # Rayleigh quotient -delta disproves only below -10 times the default tol
+    # 1e-9, whatever smaller tol is given; the assembled defect agrees
+    n, rng = 296, np.random.default_rng(14)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v = (v - v.mean()) / np.linalg.norm(v - v.mean())
+    keep, u = np.ones(n, dtype=bool), np.ones(n, dtype=complex)
+    q = np.linalg.qr(np.column_stack([np.ones(n), v, rng.normal(size=(n, 6))]))[0]
+    for delta, status in [(1e-9, Verdict.INCONCLUSIVE), (1e-6, Verdict.NOT_PSD)]:
+        r = hermitian_from_raw(1.0 + delta * np.outer(v, v.conj())).entries
+        rec = cnp.Reciprocal(r, q, q.conj().T @ r @ q, None, float(np.max(np.abs(r))))
+        verdict = cnp._factored_verdict(rec, u, keep, 1e-17)   # None: no disproof, so assemble
+        assert (verdict.status if verdict else Verdict.INCONCLUSIVE) is status
+        ref = linalg.psd_verdict(cnp._defect_gram(u, r, keep), 1e-17)
+        assert ref.status is status and ref.min_eig == pytest.approx(-delta, rel=1e-3)
+
+
 # ---------------------------- psi o b: the defect of a congruent dBR kernel
 
 def after_automorphism(b: Rational, a: complex) -> Rational:

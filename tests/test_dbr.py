@@ -11,12 +11,12 @@ from cnpcert.dbr import (
     SEP_MIN,
     CriterionVerdict,
     InjectivityStatus,
+    closed_form_witness,
     cnp_criterion,
     dbr_kernel,
     decomposition_check,
     decomposition_identity_residual,
     extension_margin,
-    functional_inverse,
     injectivity_probe,
     reversion_residual,
     schwarz_pick_margin,
@@ -28,7 +28,7 @@ from cnpcert.errors import (
     NotSchurClass,
     WitnessInconsistent,
 )
-from cnpcert.families import family_symbol, family_witness
+from cnpcert.families import family_symbol
 from cnpcert.linalg import Verdict
 from cnpcert.sampling import SampleSet
 from cnpcert.series import PowerSeries, Rational, divide
@@ -143,7 +143,7 @@ def test_injectivity_values_that_are_all_zero_collide():
 
 def test_inverse_of_affine_is_exact():
     A, B = 0.5, 2.0
-    h = functional_inverse(family_symbol("affine", {"A": A, "B": B}))
+    h = family_symbol("affine", {"A": A, "B": B}).revert()
     # the adjugate of (z + A) / B: the closed form B w - A
     assert (h.num == [-A, B]).all() and (h.den == [1.0]).all()
     for w in [0.3, -0.2 + 0.1j, 0.6]:
@@ -153,7 +153,7 @@ def test_inverse_of_affine_is_exact():
 @pytest.mark.parametrize("A,B,tol", [(-1.0, -2.0, 1e-10), (2.0, 4.0, 1e-10), (1.2, 2.4, 2e-10)])
 def test_inverse_of_moebius_matches_closed_form(A, B, tol):
     # the adjugate B w / (A - w), through its coefficient view
-    h = functional_inverse(family_symbol("moebius_over", {"A": A, "B": B})).series()
+    h = family_symbol("moebius_over", {"A": A, "B": B}).revert().series()
     n = np.arange(1, 33)
     expect = B / A ** n
     assert np.max(np.abs(h.coeffs[1:33] - expect)) < tol
@@ -161,20 +161,20 @@ def test_inverse_of_moebius_matches_closed_form(A, B, tol):
 
 
 def test_inverse_of_quadratic_head():
-    h = functional_inverse(Rational([0, 1, 1], [1], 64))
+    h = Rational([0, 1, 1], [1], 64).revert()
     assert np.allclose(h.coeffs[:6], [0, 1, -1, 2, -5, 14])
 
 
 def test_noninvertible_symbol():
     with pytest.raises(NonInvertible):
-        functional_inverse(family_symbol("power", {"k": 2}))
+        family_symbol("power", {"k": 2}).revert()
 
 
 def test_reversion_residual_small_for_gallery_symbols():
     for b in [family_symbol("affine", {"A": 0.5, "B": 2}),
               family_symbol("moebius_over", {"A": -1, "B": -2}),
               family_symbol("blaschke", {"zeros": [0.3]})]:
-        assert reversion_residual(functional_inverse(b), b) < 1e-11
+        assert reversion_residual(b.revert(), b) < 1e-11
 
 
 # ----------------------------------------------------------------- margins
@@ -200,8 +200,12 @@ def test_schwarz_pick_margin_squared_symbol_passes_while_cnp_fails():
 
 
 def test_schwarz_pick_margin_rejects_origin():
+    # a sample at the origin is dropped, the removable case 0 - 0; with no
+    # other sample left there is no margin to take
+    b = family_symbol("scaled_identity", {"R": 2})
+    assert schwarz_pick_margin(b, [1e-8, 0.5]) == schwarz_pick_margin(b, [0.5]) == 0.25
     with pytest.raises(ValueError):
-        schwarz_pick_margin(family_symbol("scaled_identity", {"R": 2}), [1e-8, 0.5])
+        schwarz_pick_margin(b, [1e-8])
 
 
 def test_blaschke2_margin_reported_but_overall_fail():
@@ -240,7 +244,8 @@ def test_local_quotient_agrees_with_witness_near_center():
         ("blaschke", {"zeros": [0.3]}),
     ]
     for name, params in cases:
-        b, q = family_symbol(name, params).series(), family_witness(name, params)
+        b = family_symbol(name, params)
+        b, q = b.series(), closed_form_witness(b)
         # the local quotient of the series reversion
         h = b.revert()
         a = complex(b.coeffs[0])
@@ -261,7 +266,7 @@ def test_family_sweep_margins():
             for s in scales:
                 B = s * (abs(A) + 1.0)
                 b = family_symbol(fam, {"A": A, "B": B})
-                w = family_witness(fam, {"A": A, "B": B})
+                w = closed_form_witness(b)
                 rep = cnp_criterion(b, w, PTS)
                 assert rep.schwarz_pick_margin >= 0.0, (fam, A, B)
                 assert rep.extension_margin >= -1e-9, (fam, A, B)
@@ -411,7 +416,7 @@ def test_the_panel_of_cnp_symbols_is_right_at_every_order(spec, order):
     # truncation made 9 cnp and 22 criterion cells of this panel wrong, some
     # by an exception: NotSchurClass, WitnessInconsistent, or an overflow
     b = symbol_from_json(spec, order)
-    rep = cnp_criterion(b, witness_from_json("shipped", spec), PTS)
+    rep = cnp_criterion(b, witness_from_json("shipped", b), PTS)
     assert rep.overall is CriterionVerdict.PASS_WITH_EXTENSION, rep.notes
     assert cnp_certify(dbr_kernel(b), 0j, PTS).verdict.status is Verdict.PSD
 

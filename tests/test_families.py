@@ -7,11 +7,11 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from cnpcert.cli import main
+from cnpcert.dbr import closed_form_witness
 from cnpcert.descriptors import kernel_from_json, symbol_from_json, witness_from_json
 from cnpcert.families import (
     FAMILIES,
     family_symbol,
-    family_witness,
     integer_from_json,
     params_from_json,
 )
@@ -49,10 +49,10 @@ def test_json_spec_goes_through_the_registry(name):
     direct = family_symbol(name, params_from_json(spec), order=16)
     assert b.order == 16
     assert (b.num == direct.num).all() and (b.den == direct.den).all()
-    witness = family_witness(name, params_from_json(spec))
+    witness = closed_form_witness(direct)
     assert (witness is not None) is has_witness
     if has_witness:
-        assert (witness_from_json("shipped", spec).num == witness.num).all()
+        assert (witness_from_json("shipped", b).num == witness.num).all()
 
 
 @st.composite
@@ -66,13 +66,21 @@ def degree_one_families(draw):
     return name, {"A": A, "B": draw(st.floats(1.0, 3.0)) * (abs(A) + 1.0) * draw(phases)}
 
 
+@st.composite
+def degree_one_literals(draw):
+    """A series literal alpha + beta z with beta != 0 and |alpha| + |beta| <= 1."""
+    beta = draw(st.floats(0.01, 1.0))
+    return Rational([draw(st.floats(0.0, 1.0 - beta)) * draw(phases), beta * draw(phases)], [1.0])
+
+
 @seed(20210)
 @settings(database=None)
-@given(degree_one_families(), st.floats(0.0, 0.9), phases)
-def test_a_shipped_witness_is_the_rational_quotient_by_the_left_inverse(family, r, phase):
-    # q(z) = (z - b(0)) / h(z), h = b.revert(), away from b(0), where both vanish
-    name, params = family
-    b, q = family_symbol(name, params), family_witness(name, params)
+@given(st.one_of(degree_one_families().map(lambda f: family_symbol(*f)), degree_one_literals()),
+       st.floats(0.0, 0.9), phases)
+def test_a_shipped_witness_is_the_rational_quotient_by_the_left_inverse(b, r, phase):
+    # q(z) = (z - b(0)) / h(z), h = b.revert(), away from b(0), where both vanish;
+    # named or listed, every degree-1 map has one
+    q = closed_form_witness(b)
     z, b0 = r * phase, complex(b(0))
     assume(abs(z - b0) > 1e-3)
     assert isinstance(q, Rational) and q.degree <= 1
@@ -93,13 +101,13 @@ def test_python_params_ignore_extra_keys():
         ({"family": "affine", "A": [0, 0]}, False, "input error [KeyError]: 'B'"),
         (
             {"family": "power", "k": 2}, True,
-            "input error [ValueError]: family 'power' with these parameters "
-            "has no shipped witness",
+            "input error [ValueError]: a map of degree 2 has no shipped witness; "
+            "degree 1 does",
         ),
         (
             {"family": "blaschke", "zeros": [[0, 0], [0.5, 0]]}, True,
-            "input error [ValueError]: family 'blaschke' with these parameters "
-            "has no shipped witness",
+            "input error [ValueError]: a map of degree 2 has no shipped witness; "
+            "degree 1 does",
         ),
     ],
 )

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cnpcert import dbr, sampling
 from cnpcert.cli import main
-from cnpcert.descriptors import witness_from_json
+from cnpcert.descriptors import symbol_from_json, witness_from_json
 from cnpcert.errors import SuiteFormat
 from cnpcert.gallery import default_suite_dict, load_suite, run_suite
 from cnpcert.linalg import Verdict
@@ -260,11 +260,26 @@ def test_hbcheck_half_plane_case_exit_0(capsys):
 def test_hbcheck_a_shipped_witness_is_its_series_literal(capsys, entry):
     # a shipped witness is a Rational, like the series literal of its coefficients
     b = json.dumps(entry["b"])
-    q = witness_from_json("shipped", entry["b"])
+    q = witness_from_json("shipped", symbol_from_json(entry["b"]))
     literal = json.dumps({"series": {"coeffs": [[c.real, c.imag] for c in q.num.tolist()]}})
     shipped = run_cli(capsys, ["hbcheck", "--b", b, "--witness", "shipped"])
     assert shipped[0] == 0
     assert run_cli(capsys, ["hbcheck", "--b", b, "--witness", literal]) == shipped
+
+
+def test_hbcheck_an_origin_sample_is_dropped_from_the_margin(capsys):
+    # the margin at 0 is the removable 0 - 0: a sample there once exited 3
+    argv = ["hbcheck", "--b", '{"family":"affine","A":[0.5,0],"B":[2,0]}', "--witness", "shipped"]
+    with_origin = run_cli(capsys, argv + ["--points", "0,0.5,-0.3j"])
+    assert with_origin[0] == 0
+    assert with_origin == run_cli(capsys, argv + ["--points", "0.5,-0.3j"])
+
+
+def test_a_suite_entry_with_an_origin_sample_gets_its_verdicts():
+    doc = default_suite_dict()
+    doc["entries"] = [dict(doc["entries"][0], samples={"extra": [[0, 0]]})]
+    report = run_suite(doc)
+    assert report["all_match"], report["mismatches"]
 
 
 def test_hbcheck_no_witness_exit_2(capsys):
@@ -317,10 +332,15 @@ def test_hbcheck_non_unit_ball_symbol_exit_3(capsys):
     assert "NOT_SCHUR_CLASS" in err
 
 
-def test_hbcheck_witness_without_family_exit_3(capsys):
-    spec = json.dumps({"series": {"coeffs": [[0, 0], [0.5, 0]]}})
-    code, _, err = run_cli(capsys, ["hbcheck", "--b", spec, "--witness", "shipped"])
-    assert code == 3
+def test_hbcheck_a_degree_one_literal_has_a_shipped_witness(capsys):
+    # 0.5z and 0.25 + 0.5z = (z + 0.5) / 2 are degree-1 maps like any named
+    # family: the shipped witness is read off the map, the constant 0.5 for both
+    literal = json.dumps({"series": {"coeffs": [[0.5, 0]]}})
+    for coeffs in ([[0, 0], [0.5, 0]], [[0.25, 0], [0.5, 0]]):
+        spec = json.dumps({"series": {"coeffs": coeffs}})
+        shipped = run_cli(capsys, ["hbcheck", "--b", spec, "--witness", "shipped"])
+        assert shipped[0] == 0
+        assert run_cli(capsys, ["hbcheck", "--b", spec, "--witness", literal]) == shipped
 
 
 @pytest.mark.parametrize("args", [
@@ -349,6 +369,22 @@ def test_order_zero_exits_3_naming_it(capsys, args):
 
 
 # --------------------------------------------------------------------- pick
+
+def test_a_tol_below_the_default_disproves_no_complete_pick_kernel(capsys):
+    # at --tol 1e-17 rounding once read NOT_PSD: Szego's defect exited 1, the
+    # gallery's nine complete Pick entries were NOT_PSD, and so was a Pick
+    # matrix of all ones (targets = nodes, min_eig -6.5e-16); PSD still takes
+    # the given tol, and a disproof at least 10 default tols
+    code, out, _ = run_cli(capsys, ["cnp", "--kernel", '{"kind":"szego"}', "--tol", "1e-17"])
+    assert code == 2 and json.loads(out)["tol"] == 1e-17
+    for e in run_suite(default_suite_dict(), tol=1e-17)["entries"]:
+        cnp = "NOT_PSD" if e["expected"]["cnp"] == "NOT_PSD" else "INCONCLUSIVE"
+        assert e["observed"]["cnp"] == cnp, e["name"]
+    nodes = [[0, 0], [0.5, 0], [-0.3, 0.2], [0.1, 0.6]]
+    problem = json.dumps({"nodes": nodes, "targets": nodes})
+    code, out, _ = run_cli(capsys, ["pick", "--problem", problem, "--tol", "1e-17"])
+    assert code == 2 and json.loads(out)["verdict"]["tol"] == 1e-17
+
 
 def test_pick_constant_construct(capsys):
     code, out, _ = run_cli(
