@@ -25,8 +25,9 @@ exact max of a few rows are skipped, so the scale is the full O(n^2) scan's
 bit for bit (_defect_scale).
 
 The factorization stops early, before its residual is known, once m shows a
-second positive eigenvalue of R beyond rounding: the property then fails on
-the samples at every base (Agler-McCarthy). A base without a Weyl bound, or
+second positive eigenvalue of R beyond rounding (range_steps' 16-column Krylov
+step shows it where its probe does): the property then fails on the samples
+at every base (Agler-McCarthy). A base without a Weyl bound, or
 whose bound exceeds RITZ_RESIDUAL * max(1, scale), gets a Rayleigh-Ritz
 certificate from the same T C T^H instead: min_eig is the Rayleigh quotient
 x^H D x / x^H x of x = V C T^H y = lambda U y, y its lowest eigenvector and
@@ -136,8 +137,8 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
     """
     if tol is not None:   # before any Gram is built, on every path
         tol = checked_tol(tol)
-    pts = list(pts)
-    keep = _exclude_base(pts, base, kernel)
+    (at,), pts = kernel.points([base]), kernel.points(pts)   # DomainMismatch: the base first
+    keep = _exclude_base(pts, at, kernel)
     notes = []
     if not keep.all():
         notes.append("dropped sample point(s) coinciding with the base")
@@ -147,7 +148,7 @@ def cnp_certify(kernel: Kernel, base, pts, tol: float | None = None, *, _shared=
         if not keep.any():
             raise ValueError("at least one sample point away from the base is required")
         k = shared.kernel_gram(kernel, pts)
-        u = np.where(keep, defect.base_column(kernel.points(pts))[:, 0], 0.0) / math.sqrt(defect.kbb)
+        u = np.where(keep, defect.base_column(pts)[:, 0], 0.0) / math.sqrt(defect.kbb)
         if not k.finite:
             verdict = psd_verdict(k, tol)
         else:
@@ -194,7 +195,7 @@ class _Shared:
                 self.failure = exc
         raise self.failure
 
-    def kernel_gram(self, kernel: Kernel, pts: list) -> HermitianMatrix:
+    def kernel_gram(self, kernel: Kernel, pts: np.ndarray) -> HermitianMatrix:
         if self.k is None:
             self.k = k = self._once(lambda: gram(kernel, pts, True))
             self.note = (f"assembly warning: kernel Gram asymmetry {k.asymmetry:.3e} exceeds "
@@ -262,8 +263,9 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
     finder is kept up to RITZ_RESIDUAL * max(1, 1 / min|K|), as each base
     checks its own Weyl bound: below RITZ_MIN_N samples, or above it, R is not factored.
 
-    The finder stops before a block's residual pass, resid None, once the
-    second eigenvalue of that block's m passes n^2 eps max|R|. By interlacing
+    The finder stops before a step's residual pass, resid None, once the
+    second eigenvalue of that step's m, first the Krylov step that range_steps
+    takes when its probe shows one, passes n^2 eps max|R|. By interlacing
     it is at most R's own, which rounding leaves below that band on a complete
     Pick kernel: n eps bounds the relative rounding of R's entries and of
     each length-n sum in m, and n max|R| bounds ||R||_2. Then every base's

@@ -106,7 +106,7 @@ class Kernel:
     def points(self, pts) -> np.ndarray:
         """``pts`` as a complex array of shape (n,) on the disk or (n, d) on
         the ball of C^d; any other shape raises ``DomainMismatch``."""
-        arr = np.asarray(list(pts), dtype=complex)
+        arr = np.asarray(pts if isinstance(pts, np.ndarray) else list(pts), dtype=complex)
         shape = (self.dim,) if self.dim else ()
         if arr.shape[0] == 0:
             arr = arr.reshape((0,) + shape)

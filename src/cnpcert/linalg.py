@@ -222,6 +222,14 @@ def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(total)
 
 
+def _probe_second_eigenvalue(omega: np.ndarray, y: np.ndarray) -> float:
+    """The second largest eigenvalue of C = Q^H a Q, omega = Q T (QR), from
+    y = a @ omega alone: a Q = y T^-1, so C = T^-H (omega^H y) T^-1."""
+    t_inv = np.linalg.inv(np.linalg.qr(omega, mode="r"))
+    c = t_inv.conj().T @ (omega.conj().T @ y) @ t_inv
+    return float(np.linalg.eigvalsh(0.5 * (c + c.conj().T))[-2])
+
+
 def range_steps(a: np.ndarray, target: float, resid: float):
     """The steps of a randomized range finder on Hermitian ``a`` (Halko,
     Martinsson & Tropp 2011), given ``resid`` = ||a||_F, the residual of the
@@ -234,8 +242,11 @@ def range_steps(a: np.ndarray, target: float, resid: float):
     or q would pass n / RITZ_MAX_FRAC columns (q is empty when ||a|| is not
     finite). A caller may stop at any step. The first block's first RITZ_PROBE
     columns go first: if their product's R factor ends in two diagonal entries
-    <= target, its Q is a step, the last if its residual meets the target; the
-    rest of the block otherwise completes it, bit for bit the single product.
+    <= target, its Q is a step, the last if its residual meets the target. Else,
+    if a compressed onto their span (no further product) has a second eigenvalue
+    above n^2 eps ||a||_F, one power step (HMT section 4.5) makes a step, with no
+    residual pass, of the Krylov basis [q1, orth(a q1 - q1 m11)], q1 the probe's
+    Q. The rest of the block then completes the probe, bit for bit the single product.
     """
     n = a.shape[0]
     rng = np.random.default_rng(RITZ_SEED)
@@ -245,12 +256,17 @@ def range_steps(a: np.ndarray, target: float, resid: float):
         k = q.shape[1]
         omega = rng.standard_normal((n, RITZ_BLOCK)) + 1j * rng.standard_normal((n, RITZ_BLOCK))
         new = a @ omega[:, :0 if k else RITZ_PROBE]   # the probe's columns, none after the first block
-        if not k and np.all(np.abs(np.linalg.qr(new, mode="r").diagonal()[-2:]) <= target):
-            probe = np.linalg.qr(new)[0]   # a's rank is at most RITZ_PROBE - 2
-            pb = probe.conj().T @ (a @ probe)
+        low = not k and np.all(np.abs(np.linalg.qr(new, mode="r").diagonal()[-2:]) <= target)
+        if low or not k and _probe_second_eigenvalue(omega[:, :RITZ_PROBE], new) > n * n * _EPS * resid:
+            probe = np.linalg.qr(new)[0]   # low: a's rank is at most RITZ_PROBE - 2
+            ap = a @ probe
+            if not low:   # the Krylov block orth(a q1 - q1 m11), from a joint QR
+                krylov = np.linalg.qr(np.hstack([probe, ap]))[0][:, RITZ_PROBE:]
+                probe, ap = np.hstack([probe, krylov]), np.hstack([ap, a @ krylov])
+            pb = probe.conj().T @ ap
             pb = 0.5 * (pb + pb.conj().T)
             yield probe, pb, None
-            if (r := _ritz_residual(a, probe, pb)) <= target:
+            if low and (r := _ritz_residual(a, probe, pb)) <= target:
                 yield probe, pb, r
                 return
         new = np.linalg.qr(np.hstack([q, new, a @ omega[:, new.shape[1]:]]))[0][:, k:]

@@ -106,8 +106,7 @@ class SampleSet:
     def random_disk(
         cls, count: int, r_max: float = DEFAULT_RMAX, seed: int = DEFAULT_SEED
     ) -> "SampleSet":
-        if count < 0:
-            raise ValueError(f"a random sample count must be >= 0, got {count}")
+        _check_draw(count, r_max)
         # only an integer seed fixes the draw: a Generator advances on each
         # call and None draws fresh entropy, so those are not memoized
         fixed = isinstance(seed, int) and not isinstance(seed, bool)
@@ -153,11 +152,17 @@ def _draw_disk(cls, count, r_max, seed):
 _disk_memo = lru_cache(maxsize=32, typed=True)(_draw_disk)
 
 
+def _check_draw(count, r_max):
+    if count < 0:
+        raise ValueError(f"a random sample count must be >= 0, got {count}")
+    if not 0.0 < r_max < 1.0:
+        raise ValueError(f"random samples need 0 < r_max < 1, got {r_max}")
+
+
 def ball_points(count: int, dim: int, r_max: float = DEFAULT_RMAX, seed: int = DEFAULT_SEED):
     """Uniform-ish random points in the radius-``r_max`` ball of C^dim: per point,
     2 dim normals (real, then imaginary parts) normed as by np.linalg.norm, then a uniform."""
-    if count < 0:
-        raise ValueError(f"a random sample count must be >= 0, got {count}")
+    _check_draw(count, r_max)
     rng = np.random.default_rng(seed)
     g, radii, power = np.empty((count, 2 * dim)), [], 1.0 / (2 * dim)
     for row in g:   # the normals drawn into their row

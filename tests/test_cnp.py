@@ -24,7 +24,7 @@ from cnpcert.kernels import (
     WeightedHardy,
     row_blocks,
 )
-from cnpcert.linalg import RITZ_MIN_N, RITZ_RESIDUAL, Verdict, gram, hermitian_from_raw
+from cnpcert.linalg import RITZ_MIN_N, RITZ_PROBE, RITZ_RESIDUAL, Verdict, gram, hermitian_from_raw
 from cnpcert.sampling import SampleSet, ball_points
 from cnpcert.series import PowerSeries, Rational
 
@@ -863,6 +863,22 @@ def test_a_not_psd_sweep_at_n_2056_is_certified_from_one_range_finder_block(monk
     assert n == 2056 and steps == [None] and not assembled
     assert [r.verdict.status for r in reports] == [Verdict.NOT_PSD] * 4
     assert peak < 2 * 16 * n ** 2
+
+
+def test_a_not_psd_sweep_at_n_1160_stops_on_a_16_column_krylov_basis(monkeypatch):
+    # b = z^2: the compression of R onto the probe's columns of omega shows a
+    # second positive eigenvalue, and so does m on the Krylov basis
+    # [q1, orth(R q1 - q1 m11)]: the finder stops there, and each base is
+    # certified by a Rayleigh quotient
+    pts = SampleSet.default(grid=(24, 48))
+    steps = counted_steps(monkeypatch)
+    assembled = recorded(monkeypatch, cnp, "_defect_gram")
+    quotients = recorded(monkeypatch, cnp, "_rayleigh_quotient")
+    reports = cnp_basepoint_sweep(DBR_POWER_2, [0j, 0.3 + 0j, -0.2 + 0.4j], pts)
+    assert len(pts) == 1160 and steps == [None] and not assembled and len(quotients) == 3
+    assert [r.verdict.status for r in reports] == [Verdict.NOT_PSD] * 3
+    rec = quotients[0][0]
+    assert rec.q.shape == (1160, 2 * RITZ_PROBE) and rec.resid is None
 
 
 def test_a_base_on_a_sample_takes_its_quotient_on_the_kept_samples(monkeypatch):

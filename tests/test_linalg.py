@@ -313,23 +313,65 @@ def test_a_probe_that_misses_a_tail_falls_back_to_the_full_block_bitwise():
 
 @pytest.mark.parametrize("spec, grid, dim, stops", [
     ({"kind": "dbr", "b": {"family": "affine", "A": [0.5, 0], "B": [2, 0]}}, (24, 48), 0, False),
-    # its block's m shows a second positive eigenvalue
+    # its probe's compression and its Krylov basis show a second positive eigenvalue
     ({"kind": "dbr", "b": {"family": "blaschke", "zeros": [[0, 0], [0.5, 0]]}}, (24, 48), 0, True),
     ({"kind": "drury_arveson", "dim": 6}, (12, 24), 6, False),   # rank 7: one small entry, not two
 ])
 def test_r_above_the_probe_rank_is_factored_as_one_full_block_bitwise(spec, grid, dim, stops):
-    # dBR affine (rank ~18) and Blaschke {0, 0.5} (~80) at n = 1160, and
-    # DA(6) at 296: the probe's rank test fails, no probe step is yielded, and
-    # the block a @ omega completed from it is the single product's bit for bit
+    # dBR affine (rank ~18) at n = 1160 and DA(6) at 296: the probe's rank
+    # test fails, no probe step is yielded, and the block a @ omega completed
+    # from it is the single product's bit for bit. Blaschke {0, 0.5} (~80) at
+    # 1160: the first step is the Krylov basis [q1, orth(R q1 - q1 m11)], q1
+    # the probe's Q, and m = q^H R q, on which factor_reciprocal stops
     kernel, n = kernel_from_json(spec), grid[0] * grid[1] + 8
     r = gram(kernel, ball_points(n, dim) if dim else SampleSet.default(grid=grid), True)
     target = RITZ_RESIDUAL * float(np.min(np.abs(np.diagonal(r.entries))))
     first = next(range_steps(r.entries, target, r.r_norm))
     rec = cnp.factor_reciprocal(r)
+    if stops:
+        rng = np.random.default_rng(RITZ_SEED)
+        omega = rng.standard_normal((n, RITZ_BLOCK)) + 1j * rng.standard_normal((n, RITZ_BLOCK))
+        q1 = np.linalg.qr(r.entries @ omega[:, :RITZ_PROBE])[0]
+        m = rec.q.conj().T @ (r.entries @ rec.q)
+        assert rec.q.shape == (n, 2 * RITZ_PROBE) and rec.resid is None
+        assert np.array_equal(first[0], rec.q) and np.array_equal(first[1], rec.m)
+        assert np.array_equal(rec.q[:, :RITZ_PROBE], q1)
+        assert np.max(np.abs(rec.q.conj().T @ rec.q - np.eye(2 * RITZ_PROBE))) < 1e-14
+        assert np.max(np.abs(rec.m - 0.5 * (m + m.conj().T))) <= 1e-13 * np.max(np.abs(m))
+        return
     q, b, resid = one_block(r.entries)
     assert np.array_equal(first[0], q) and np.array_equal(first[1], b)
     assert np.array_equal(rec.q, q) and np.array_equal(rec.m, b)
-    assert rec.resid is None if stops else rec.resid == resid
+    assert rec.resid == resid
+
+
+@pytest.mark.parametrize("r_max", [0.9, 0.99])
+@pytest.mark.parametrize("grid", [(12, 24), (24, 48)])   # n = 296, 1160
+@pytest.mark.parametrize("spec", [
+    {"kind": "szego"},
+    {"kind": "drury_arveson", "dim": 2},
+    {"kind": "drury_arveson", "dim": 6},
+    {"kind": "dbr", "b": {"family": "affine", "A": [0.5, 0], "B": [2, 0]}},
+    {"kind": "dbr", "b": {"family": "blaschke", "zeros": [[0.9, 0.1]]}},
+    {"kind": "dbr", "b": {"family": "scaled_identity", "R": 2}},
+], ids=json.dumps)
+def test_the_krylov_gate_never_fires_on_a_complete_pick_kernel(monkeypatch, spec, grid, r_max):
+    # R = 1/K has one positive eigenvalue, so no compression of it shows a
+    # second beyond rounding: every step is the finder's without the gate bit
+    # for bit, and a first step past the probe is the single product's
+    kernel, n = kernel_from_json(spec), grid[0] * grid[1] + 8
+    pts = ball_points(n, kernel.dim, r_max) if kernel.dim else SampleSet.default(grid=grid, r_max=r_max)
+    r = gram(kernel, pts, True)
+    target = RITZ_RESIDUAL * float(np.min(np.abs(np.diagonal(r.entries))))
+    steps = list(range_steps(r.entries, target, r.r_norm))
+    monkeypatch.setattr(linalg, "_probe_second_eigenvalue", lambda omega, y: -math.inf)
+    ref = list(range_steps(r.entries, target, r.r_norm))
+    assert len(steps) == len(ref)
+    for (q, b, resid), (q0, b0, resid0) in zip(steps, ref):
+        assert np.array_equal(q, q0) and np.array_equal(b, b0) and resid == resid0
+    if steps[0][0].shape[1] != RITZ_PROBE:
+        q, b, _ = one_block(r.entries)
+        assert np.array_equal(steps[0][0], q) and np.array_equal(steps[0][1], b)
 
 
 # --------------------------------------------------------------- pick forms

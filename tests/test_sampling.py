@@ -209,6 +209,16 @@ def test_an_unseeded_or_generator_draw_is_fresh_on_each_call():
     assert again.points == SampleSet.random_disk(8, seed=seq).points
 
 
+@pytest.mark.parametrize("r_max", [-0.5, 0.0, 1.0, float("nan")])
+@pytest.mark.parametrize(
+    "draw", [SampleSet.random_disk, lambda count, r_max: ball_points(count, 2, r_max)], ids=["disk", "ball"]
+)
+def test_a_random_radius_outside_0_1_is_rejected_before_any_draw(monkeypatch, draw, r_max):
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew samples"))
+    with pytest.raises(ValueError, match=r"need 0 < r_max < 1, got"):
+        draw(48, r_max)
+
+
 # ------------------------------------------------------------- close pairs
 
 def brute_force_pairs(arr, eps):
