@@ -12,16 +12,17 @@ The smallest eigenvalue is one dense eigvalsh. The randomized range finder
 factors the base-free, numerically low-rank R = 1/K of a sample set, formed
 as K is symmetrized, through which cnp certifies large defects without forming them.
 
-Every n x n array is a plain numpy array from empty_matrix. Work over one
-that would otherwise make a full-size temporary runs in row blocks (see
-kernels.row_blocks): evaluating a kernel Gram at n = 1160 in one piece, for
-one, raised the peak RSS of a base-point sweep by 25-33 MiB, more than one
-n x n complex array.
+Every n x n array comes from empty_matrix; a large one after the first is a
+memory mapping of its own. Work over one that would otherwise make a full-size
+temporary runs in row blocks (see kernels.row_blocks): evaluating a kernel
+Gram at n = 1160 in one piece, for one, raised the peak RSS of a base-point
+sweep by 25-33 MiB, more than one n x n complex array.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +32,8 @@ from .errors import CnpcertError, DomainViolation, LengthMismatch, NoConvergence
 from .kernels import DEFECT_EPS, Kernel, row_blocks
 
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
+MAPPED_MIN_BYTES = 1 << 22   # n x n arrays from this size on are memory-mapped (see empty_matrix)
+_mapped = False              # ... once numpy has served one, where glibc is the allocator
 _EPS = float(np.finfo(float).eps)
 
 # Randomized range finder (see range_steps)
@@ -106,9 +109,19 @@ class HermitianMatrix:
 
 
 def empty_matrix(n: int) -> np.ndarray:
-    """An uninitialized n x n complex array: np.empty, the one place the
-    kernel, symmetrized and defect Grams are allocated."""
-    return np.empty((n, n), dtype=complex)
+    """An uninitialized n x n complex array, the one place the kernel, symmetrized
+    and defect Grams are allocated. The first of MAPPED_MIN_BYTES or more is numpy's:
+    glibc maps it and, once it is freed, raises its mmap and trim thresholds past
+    it, so row-block temporaries stay in a heap it no longer trims. Each later one
+    is a mapping of its own; in that heap, a small block left above one would split
+    its space for the next, and the peak RSS of a sweep would gain an n x n array."""
+    global _mapped
+    if not (_mapped and 16 * n * n >= MAPPED_MIN_BYTES):
+        _mapped = _mapped or (16 * n * n >= MAPPED_MIN_BYTES and hasattr(mmap, "MADV_HUGEPAGE"))
+        return np.empty((n, n), dtype=complex)
+    buf = mmap.mmap(-1, 16 * n * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    buf.madvise(mmap.MADV_HUGEPAGE)   # as numpy advises its own large arrays
+    return np.frombuffer(buf, dtype=complex).reshape(n, n)
 
 
 def hermitian_from_raw(raw) -> HermitianMatrix:

@@ -1,9 +1,10 @@
 """Reproducible finite sample sets in the unit disk and unit ball.
 
 A ``SampleSet`` is frozen and holds a tuple, so one set can be shared by
-every caller: ``radial_grid`` and a ``random_disk`` drawn from an integer
-seed are built once per process for each argument tuple (a small LRU memo
-behind their argument checks) and returned as the same object after that.
+every caller: ``radial_grid``, and a ``random_disk`` or ``ball_points``
+drawn from an integer seed, are built once per process for each argument
+tuple (a small LRU memo behind their argument checks) and returned as the
+same object after that.
 """
 
 from __future__ import annotations
@@ -160,9 +161,15 @@ def _check_draw(count, r_max):
 
 
 def ball_points(count: int, dim: int, r_max: float = DEFAULT_RMAX, seed: int = DEFAULT_SEED):
-    """Uniform-ish random points in the radius-``r_max`` ball of C^dim: per point,
-    2 dim normals (real, then imaginary parts) normed as by np.linalg.norm, then a uniform."""
+    """Uniform-ish random points in the radius-``r_max`` ball of C^dim, a tuple of
+    coordinate tuples: per point, 2 dim normals (real, then imaginary parts) normed
+    as by np.linalg.norm, then a uniform. Memoized for an integer seed, as random_disk."""
     _check_draw(count, r_max)
+    fixed = isinstance(seed, int) and not isinstance(seed, bool)
+    return (_ball_memo if fixed else _draw_ball)(count, dim, r_max, seed)
+
+
+def _draw_ball(count, dim, r_max, seed):
     rng = np.random.default_rng(seed)
     g, radii, power = np.empty((count, 2 * dim)), [], 1.0 / (2 * dim)
     for row in g:   # the normals drawn into their row
@@ -170,4 +177,7 @@ def ball_points(count: int, dim: int, r_max: float = DEFAULT_RMAX, seed: int = D
         radii.append(r_max * rng.random() ** power)
     v = g[:, :dim] + 1j * g[:, dim:]
     norms = np.sqrt([p.real.dot(p.real) + p.imag.dot(p.imag) for p in v])
-    return list(map(tuple, (np.asarray(radii)[:, None] * (v / norms[:, None])).tolist()))
+    return tuple(map(tuple, (np.asarray(radii)[:, None] * (v / norms[:, None])).tolist()))
+
+
+_ball_memo = lru_cache(maxsize=32, typed=True)(_draw_ball)

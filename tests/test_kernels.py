@@ -354,7 +354,7 @@ def edge_samples(kernel):
     """296 samples within r = 0.9, sample 250 moved to radius R_EDGE (in the
     second row block of the Gram)."""
     if kernel.dim:
-        pts = ball_points(296, 2, seed=5)
+        pts = list(ball_points(296, 2, seed=5))   # a memoized tuple: written to a copy
         pts[250] = R_EDGE * np.array([0.6j, -0.8])
     else:
         pts = np.array(SampleSet.default(seed=5, grid=(12, 24)).points)

@@ -1,5 +1,6 @@
 import json
 import math
+import mmap
 import tracemalloc
 import warnings
 
@@ -39,6 +40,19 @@ def herm(entries):
 
 
 # ------------------------------------------------------------------- gram
+
+@pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="maps only where glibc allocates")
+def test_a_large_array_after_the_first_is_a_mapping_of_its_own(monkeypatch):
+    # the first is numpy's, so glibc's thresholds rise as it is freed; small ones stay numpy's
+    monkeypatch.setattr(linalg, "_mapped", False)
+    n = math.isqrt(linalg.MAPPED_MIN_BYTES // 16)
+    first, small, later = linalg.empty_matrix(n), linalg.empty_matrix(n - 1), linalg.empty_matrix(n)
+    assert first.flags.owndata and small.flags.owndata
+    assert isinstance(later.base.base.obj, mmap.mmap)
+    assert later.shape == (n, n) and later.dtype == complex and later.flags.writeable
+    later[...] = 1j
+    assert np.all(later == 1j)
+
 
 def test_gram_szego_single_point():
     m = gram(Szego(), [0.0])

@@ -209,6 +209,20 @@ def test_an_unseeded_or_generator_draw_is_fresh_on_each_call():
     assert again.points == SampleSet.random_disk(8, seed=seq).points
 
 
+def test_a_seeded_ball_draw_is_built_once_and_a_generator_draw_is_fresh():
+    assert ball_points(40, 2, seed=20210) is ball_points(40, 2, 0.9, 20210)
+    assert isinstance(ball_points(40, 2, seed=20210), tuple)
+    args = [(40, 2, 0.9, 20210), (41, 2, 0.9, 20210), (40, 3, 0.9, 20210), (40, 2, 0.8, 20210), (40, 2, 0.9, 31)]
+    assert len({ball_points(*a) for a in args}) == 5
+    # a bool seed is not memoized under the int it equals
+    assert ball_points(8, 2, seed=True) is not ball_points(8, 2, seed=True)
+    rng = np.random.default_rng(5)
+    first, second = ball_points(8, 2, seed=rng), ball_points(8, 2, seed=rng)
+    assert first != second
+    ref = row_loop_ball_points(16, 2, seed=np.random.default_rng(5))
+    assert np.asarray(first + second, dtype=complex).tobytes() == np.asarray(ref, dtype=complex).tobytes()
+
+
 @pytest.mark.parametrize("r_max", [-0.5, 0.0, 1.0, float("nan")])
 @pytest.mark.parametrize(
     "draw", [SampleSet.random_disk, lambda count, r_max: ball_points(count, 2, r_max)], ids=["disk", "ball"]
