@@ -88,9 +88,15 @@ class Kernel:
         raise NotImplementedError
 
     def against(self, w):
-        """z -> evaluate(z, w) for a fixed ``w``, entry for entry the same; a
-        kernel computes here, once, what depends on ``w`` alone."""
-        return lambda z: self.evaluate(z, w)
+        """at(z, out=None) -> evaluate(z, w) for a fixed ``w``, entry for entry the same,
+        into ``out`` (returned) when given. A kernel computes here, once, what depends on
+        ``w`` alone; Szego, Drury-Arveson and dBR write ``out`` itself, the rest a copy."""
+        def at(z, out=None):
+            if out is None:
+                return self.evaluate(z, w)
+            out[...] = self.evaluate(z, w)
+            return out
+        return at
 
     def contains(self, pts) -> np.ndarray:
         """Boolean mask of points inside the open domain. Ball points are
@@ -128,10 +134,16 @@ class Szego(Kernel):
     """K(z, w) = 1 / (1 - conj(w) z) on the unit disk."""
 
     def evaluate(self, z, w):
-        zz, ww = np.asarray(z, complex), np.asarray(w, complex)
-        den = 1.0 - np.conj(ww) * zz
-        _guard_denominator(den, zz, ww, "Szego denominator")
-        return 1.0 / den
+        return self.against(w)(z)
+
+    def against(self, w):
+        cw = np.conj(ww := np.asarray(w, complex))
+        def at(z, out=None):
+            zz = np.asarray(z, complex)
+            den = np.subtract(1.0, np.multiply(cw, zz, out=out), out=out)
+            _guard_denominator(den, zz, ww, "Szego denominator")
+            return np.divide(1.0, den, out=out)
+        return at
 
 
 @dataclass(frozen=True)
@@ -146,15 +158,20 @@ class DruryArveson(Kernel):
         object.__setattr__(self, "dim", int(self.dim))
 
     def evaluate(self, z, w):
-        zz = np.asarray(z, complex)
+        return self.against(w)(z)
+
+    def against(self, w):
         ww = np.conj(np.asarray(w, complex))
-        # 1 - <z, w> one coordinate at a time, in place: no (..., dim) product array
-        den = np.asarray(zz[..., 0] * ww[..., 0])
-        for k in range(1, max(zz.shape[-1], ww.shape[-1])):
-            den += zz[..., k] * ww[..., k]
-        np.subtract(1.0, den, out=den)
-        _guard_denominator(den, zz, ww, "Drury-Arveson denominator", self.dim)
-        return np.divide(1.0, den, out=den)
+        def at(z, out=None):
+            zz = np.asarray(z, complex)
+            # 1 - <z, w> one coordinate at a time, in place: no (..., dim) product array
+            den = np.asarray(np.multiply(zz[..., 0], ww[..., 0], out=out))
+            for k in range(1, max(zz.shape[-1], ww.shape[-1])):
+                den += zz[..., k] * ww[..., k]
+            np.subtract(1.0, den, out=den)
+            _guard_denominator(den, zz, ww, "Drury-Arveson denominator", self.dim)
+            return np.divide(1.0, den, out=den)
+        return at
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +224,13 @@ class DeBrangesRovnyak(Kernel):
     def against(self, w):
         ww = np.asarray(w, complex)
         cw, bw = np.conj(ww), np.conj(self.symbol(ww))   # a Gram's row blocks share them
-
-        def at(z):   # in place: a block makes one array besides its result
+        def at(z, out=None):   # in place: a block makes one array besides its result
             zz = np.asarray(z, complex)
-            den = np.asarray(cw * zz)
+            den = np.asarray(np.multiply(cw, zz, out=out))
             np.subtract(1.0, den, out=den)
             _guard_denominator(den, zz, ww, "de Branges-Rovnyak denominator")
             num = np.asarray(bw * self.symbol(zz))
-            return np.divide(np.subtract(1.0, num, out=num), den, out=num)
+            return np.divide(np.subtract(1.0, num, out=num), den, out=den)
         return at
 
 

@@ -13,16 +13,17 @@ factors the base-free, numerically low-rank R = 1/K of a sample set, formed
 as K is symmetrized, through which cnp certifies large defects without forming them.
 
 Every n x n array comes from empty_matrix; a large one after the first is a
-memory mapping of its own. Work over one that would otherwise make a full-size
-temporary runs in row blocks (see kernels.row_blocks): evaluating a kernel
-Gram at n = 1160 in one piece, for one, raised the peak RSS of a base-point
-sweep by 25-33 MiB, more than one n x n complex array.
+memory mapping, new or the spare a released one left. Work over one that would
+otherwise make a full-size temporary runs in row blocks (see kernels.row_blocks):
+evaluating a kernel Gram at n = 1160 in one piece, for one, raised the peak RSS
+of a base-point sweep by 25-33 MiB, more than one n x n complex array.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -34,6 +35,7 @@ from .kernels import DEFECT_EPS, Kernel, row_blocks
 HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
 MAPPED_MIN_BYTES = 1 << 22   # n x n arrays from this size on are memory-mapped (see empty_matrix)
 _mapped = False              # ... once numpy has served one, where glibc is the allocator
+_spare = {}                  # {0: the last such mapping released}, kept for a request of its size
 _EPS = float(np.finfo(float).eps)
 
 # Randomized range finder (see range_steps)
@@ -114,14 +116,23 @@ def empty_matrix(n: int) -> np.ndarray:
     glibc maps it and, once it is freed, raises its mmap and trim thresholds past
     it, so row-block temporaries stay in a heap it no longer trims. Each later one
     is a mapping of its own; in that heap, a small block left above one would split
-    its space for the next, and the peak RSS of a sweep would gain an n x n array."""
+    its space for the next, and the peak RSS of a sweep would gain an n x n array.
+    Once the flat array under every view of a mapping is gone, the mapping is the
+    one spare, its pages faulted in, for the next request of its size; a request
+    of another size unmaps it first. So at most one n x n array is idle."""
     global _mapped
     if not (_mapped and 16 * n * n >= MAPPED_MIN_BYTES):
         _mapped = _mapped or (16 * n * n >= MAPPED_MIN_BYTES and hasattr(mmap, "MADV_HUGEPAGE"))
         return np.empty((n, n), dtype=complex)
-    buf = mmap.mmap(-1, 16 * n * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    buf.madvise(mmap.MADV_HUGEPAGE)   # as numpy advises its own large arrays
-    return np.frombuffer(buf, dtype=complex).reshape(n, n)
+    buf = _spare.pop(0, None)
+    if buf is None or len(buf) != 16 * n * n:
+        if buf is not None:
+            buf.close()
+        buf = mmap.mmap(-1, 16 * n * n, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        buf.madvise(mmap.MADV_HUGEPAGE)   # as numpy advises its own large arrays
+    flat = np.frombuffer(buf, dtype=complex)
+    weakref.finalize(flat, _spare.__setitem__, 0, buf)   # an older spare is dropped: unmapped
+    return flat.reshape(n, n)
 
 
 def hermitian_from_raw(raw) -> HermitianMatrix:
@@ -159,20 +170,23 @@ def hermitian_in_place(raw: np.ndarray, reciprocal: bool = False) -> HermitianMa
     asym, scale, least, excess = [], [], [], []
     r_rows, norm2 = (n if reciprocal else 0), 0.0
     low = np.empty(n) if reciprocal else None   # each row's least |K| from its block's first column on
+    blocks = row_blocks(n, raw[:1].nbytes)   # each works in scratch the size of the first, the largest
+    scratch = [np.empty(raw[blocks[0]].size, dtype=t) for t in (complex, complex, float)]
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):   # non-finite: scale says so
         root = 1.0 / np.sqrt(np.abs(raw.diagonal().real))
-        for blk in row_blocks(n, raw[:1].nbytes):
+        for blk in blocks:
             i, j = blk.start, blk.stop
             upper = raw[i:j, i:]
-            rows = np.conjugate(raw[i:, i:j].T)   # raw^H on the same entries
-            asym.append(np.max(np.abs(upper - rows)))
+            rows, diff, mods = (buf[:upper.size].reshape(upper.shape) for buf in scratch)
+            np.conjugate(raw[i:, i:j].T, out=rows)   # raw^H on the same entries
+            asym.append(np.max(np.abs(np.subtract(upper, rows, out=diff), out=mods)))
             np.add(rows, upper, out=upper)
             lower = raw[j:, i:j]
             if not reciprocal:
                 np.conjugate(upper[:, j - i:].T, out=lower)   # the mirrored sum, bit for bit
                 lower *= 0.5
             upper *= 0.5
-            mods = np.abs(upper)
+            np.abs(upper, out=mods)
             scale.append(np.max(mods))
             least.append(np.min(mods if low is None else mods.min(axis=1, out=low[i:j])))
             if i < r_rows and least[-1] >= DEFECT_EPS and scale[-1] < math.inf:
@@ -199,10 +213,10 @@ def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     n = points.shape[0]
     kernel.require_inside(points, DomainViolation, "sample(s) outside the kernel domain")
     Z, W = points[:, None], points[None]
-    raw, against = empty_matrix(n), kernel.against(W)
+    raw, at = empty_matrix(n), kernel.against(W)
     for rows in row_blocks(n, raw[:1].nbytes):
         try:
-            raw[rows] = against(Z[rows])
+            at(Z[rows], out=raw[rows])
         except CnpcertError:   # raised again on the whole matrix, so positions index it
             kernel.evaluate(Z, W)
             raise

@@ -684,8 +684,10 @@ def test_a_factored_sweep_allocates_one_n_by_n_array(monkeypatch):
 
 def mapped_bytes(monkeypatch):
     """Patch empty_matrix to count the bytes of its memory mappings, which
-    tracemalloc does not see; returns [bytes mapped now, most mapped at once]."""
-    held, fn = [0, 0], linalg.empty_matrix
+    tracemalloc does not see, each mapping once however often it is handed
+    out (a released one is handed out again); returns [bytes mapped now, most
+    mapped at once]."""
+    held, live, fn = [0, 0], weakref.WeakSet(), linalg.empty_matrix
 
     def release(nbytes):
         held[0] -= nbytes
@@ -695,7 +697,8 @@ def mapped_bytes(monkeypatch):
         while isinstance(buf, np.ndarray) and buf.base is not None:
             buf = buf.base
         buf = getattr(buf, "obj", buf)   # np.frombuffer's base is a memoryview of the mapping
-        if isinstance(buf, mmap.mmap):
+        if isinstance(buf, mmap.mmap) and buf not in live:
+            live.add(buf)
             held[0] += a.nbytes
             held[1] = max(held)
             weakref.finalize(buf, release, a.nbytes)

@@ -22,9 +22,11 @@ from cnpcert.kernels import (
     Sum,
     Szego,
     WeightedHardy,
+    row_blocks,
     unit_ball_probe,
 )
-from cnpcert.linalg import gram, hermitian_from_raw
+from cnpcert.descriptors import kernel_from_json
+from cnpcert.linalg import _kernel_matrix, gram, hermitian_from_raw
 from cnpcert.sampling import SampleSet, ball_points
 from cnpcert.series import PowerSeries
 
@@ -342,6 +344,54 @@ def test_dbr_gram_evaluates_the_symbol_on_the_sample_row_once(monkeypatch):
     assert n == 1160 and sizes.count(n) == 1 and sum(sizes) == 2 * n
     whole = hermitian_from_raw(kernel.evaluate(pts[:, None], pts[None]))
     assert m.entries.tobytes() == whole.entries.tobytes()
+
+
+# ------------------------------ Gram row blocks evaluated into the Gram's rows
+
+HALF = {"series": {"coeffs": [[0.25, 0], [0.5, 0]]}}
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "dbr", "b": {"family": "blaschke", "zeros": [[0, 0], [0.5, 0]]}},
+    {"kind": "dbr", "b": HALF},
+    {"kind": "drury_arveson", "dim": 2},
+    {"kind": "drury_arveson", "dim": 3},
+    {"kind": "szego"},
+    {"kind": "weighted_hardy", "weights": [1, 2, 3, 4]},
+    {"kind": "sum", "left": {"kind": "szego"}, "right": {"kind": "constant", "value": 0.5}},
+    {"kind": "pullback", "inner": {"kind": "szego"}, "map": HALF},
+    {"kind": "congruence", "inner": {"kind": "szego"}, "factor": HALF},
+    {"kind": "constant", "value": 0.7},
+], ids=lambda spec: spec["kind"])
+def test_a_gram_written_into_its_rows_is_the_whole_evaluation_bit_for_bit(spec):
+    # 296 samples make two row blocks: each is written straight into the Gram,
+    # or, for a kernel with no in-place route, evaluated and copied there
+    kernel = kernel_from_json(spec)
+    pts = ball_points(296, kernel.dim, seed=7) if kernel.dim else SampleSet.default(seed=7, grid=(12, 24))
+    points = kernel.points(pts)
+    assert len(row_blocks(len(points), 16 * len(points))) == 2
+    whole = np.broadcast_to(kernel.evaluate(points[:, None], points[None]), (296, 296))
+    assert _kernel_matrix(kernel, points).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("kernel, z, w, kind", [
+    (Szego(), 0.5, 0.3j, np.complex128),
+    (DruryArveson(2), [0.5, 0.1j], [0.3j, -0.2], np.ndarray),
+    (DeBrangesRovnyak(PowerSeries([0.25, 0.5])), 0.5, 0.3j, np.ndarray),
+])
+def test_a_scalar_evaluation_keeps_its_type_and_value(kernel, z, w, kind):
+    # a numpy scalar for Szego, a 0-d array for the ball and dBR, as each
+    # evaluated before it gained an in-place route
+    v = kernel.evaluate(z, w)
+    zz, ww = np.asarray(z, complex), np.asarray(w, complex)
+    if kernel.dim:
+        ref = 1.0 / (1.0 - np.sum(zz * np.conj(ww)))
+    elif isinstance(kernel, Szego):
+        ref = 1.0 / (1.0 - np.conj(ww) * zz)
+    else:
+        b = kernel.symbol
+        ref = (1.0 - np.conj(b(ww)) * b(zz)) / (1.0 - np.conj(ww) * zz)
+    assert type(v) is kind and np.shape(v) == () and complex(v) == complex(ref)
 
 
 # ------------------------------------- the NearSingular guard and its O(n) bound

@@ -3,6 +3,7 @@ import math
 import mmap
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -52,6 +53,58 @@ def test_a_large_array_after_the_first_is_a_mapping_of_its_own(monkeypatch):
     assert later.shape == (n, n) and later.dtype == complex and later.flags.writeable
     later[...] = 1j
     assert np.all(later == 1j)
+
+
+def mapping(a):
+    """The memory mapping under an array from empty_matrix."""
+    return a.base.base.obj   # the 2-D view of a flat np.frombuffer array, whose base views the mapping
+
+
+@pytest.fixture
+def mapped_n(monkeypatch):
+    """An n whose n x n arrays empty_matrix maps, with no array served yet and no spare."""
+    if not hasattr(mmap, "MADV_HUGEPAGE"):
+        pytest.skip("maps only where glibc allocates")
+    monkeypatch.setattr(linalg, "_mapped", True)
+    monkeypatch.setattr(linalg, "_spare", {})
+    return math.isqrt(linalg.MAPPED_MIN_BYTES // 16)
+
+
+def test_a_released_mapping_is_handed_out_again(mapped_n):
+    a = linalg.empty_matrix(mapped_n)
+    m = mapping(a)
+    del a
+    b = linalg.empty_matrix(mapped_n)
+    assert mapping(b) is m and linalg._spare.get(0) is None
+    assert b.shape == (mapped_n, mapped_n) and b.dtype == complex and b.flags.writeable
+
+
+@pytest.mark.parametrize("view", [
+    lambda a: a[3:5], lambda a: a.T, lambda a: a.real, lambda a: a.diagonal(), lambda a: a[2],
+], ids=["rows", "transpose", "real", "diagonal", "row"])
+def test_a_mapping_is_not_handed_out_while_a_view_of_it_lives(mapped_n, view):
+    a = linalg.empty_matrix(mapped_n)
+    a[...] = 1 + 2j
+    m, v = mapping(a), view(a)
+    del a
+    b = linalg.empty_matrix(mapped_n)
+    b[...] = 0.0
+    assert mapping(b) is not m and np.all(v == (1.0 if v.dtype == float else 1 + 2j))
+    del v
+    assert linalg._spare.get(0) is m
+
+
+def test_a_request_of_another_size_unmaps_the_spare_first(mapped_n):
+    spare = mapping(linalg.empty_matrix(mapped_n))   # released at once
+    assert linalg._spare.get(0) is spare and not spare.closed
+    other = linalg.empty_matrix(mapped_n + 1)
+    assert spare.closed and linalg._spare.get(0) is None
+    # of two released mappings only the last stays: the other is unmapped
+    first = weakref.ref(mapping(linalg.empty_matrix(mapped_n)))
+    assert first() is linalg._spare.get(0)
+    kept = mapping(other)
+    del other
+    assert first() is None and linalg._spare.get(0) is kept
 
 
 def test_gram_szego_single_point():
