@@ -57,7 +57,9 @@ _CRITERION_EXIT = {
 
 
 def _parse_complex(text: str) -> complex:
-    cleaned = text.strip().replace("i", "j")
+    cleaned = text.strip()
+    if cleaned.endswith("i"):   # the imaginary unit; the i of "inf" is left alone
+        cleaned = cleaned[:-1] + "j"
     try:
         return complex(cleaned)
     except ValueError as exc:

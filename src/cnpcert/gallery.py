@@ -55,7 +55,7 @@ def _entry_problems(obj, index: int) -> list:
     elif "expected" in obj:
         problems.append(f"{label}: 'expected' must be an object")
     try:
-        _samples_from_config(obj.get("samples", {}))
+        sample_set_from_config(obj.get("samples", {}))
     except ValueError as exc:
         problems.append(f"{label}: malformed 'samples': {exc}")
     return problems
@@ -100,9 +100,9 @@ def default_suite_dict() -> dict:
     return json.loads(text)
 
 
-def _samples_from_config(cfg) -> tuple:
-    """The SampleSet.default keywords and the extra points of an entry's
-    ``samples`` block; ValueError when a field is malformed."""
+def sample_set_from_config(cfg) -> SampleSet:
+    """The sample set of an entry's ``samples`` block: SampleSet.default plus
+    its extra points; ValueError when a field is malformed or out of range."""
     if not isinstance(cfg, dict):
         raise ValueError(f"expected an object, got {cfg!r}")
     grid, rmax = cfg.get("grid", DEFAULT_GRID), cfg.get("rmax", DEFAULT_RMAX)
@@ -118,12 +118,7 @@ def _samples_from_config(cfg) -> tuple:
     }
     if kwargs["n_random"] < 0:
         raise ValueError(f"random must be >= 0, got {kwargs['n_random']}")
-    return kwargs, complex_list_from_json(cfg.get("extra", []))
-
-
-def sample_set_from_config(cfg: dict) -> SampleSet:
-    kwargs, extra = _samples_from_config(cfg)
-    pts = SampleSet.default(**kwargs)
+    extra, pts = complex_list_from_json(cfg.get("extra", [])), SampleSet.default(**kwargs)
     return pts.extended(extra) if extra else pts
 
 

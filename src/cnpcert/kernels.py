@@ -53,16 +53,28 @@ def _guard_min_modulus(values, eps, exc_cls, what):
         raise exc_cls(f"{what} below {eps:g} in modulus at positions {where}")
 
 
-def _guard_denominator(den, z, w, what: str, dim: int = 0):
-    """NearSingular naming the positions where |den| < DOM_EPS, den = 1 - <z, w>
-    for disk points (dim 0) or points of the ball of C^dim (last axis). The n^2
-    pass is skipped when an O(n) bound clears it: |<z, w>| <= max||z|| max||w||
-    (Cauchy-Schwarz), and 8 (dim + 2) eps covers the rounding of den, of the
-    bound and of the moduli."""
+def _one_minus_inner(w, what: str, dim: int = 0):
+    """den(z, out=None) -> 1 - <z, w> for disk points (dim 0) or points of the ball of
+    C^dim (last axis, a coordinate at a time), into ``out`` when given; conj(w) and
+    max||w|| are taken once, here. NearSingular names the positions where |den| < DOM_EPS;
+    that n^2 pass is skipped when |<z, w>| <= max||z|| max||w|| (Cauchy-Schwarz) clears it,
+    8 (dim + 2) eps covering the rounding of den, of the bound and of the moduli."""
+    cw = np.conj(np.asarray(w, complex))
     norms = (lambda p: np.sqrt(np.sum(np.abs(p) ** 2, axis=-1))) if dim else np.abs
-    zmax, wmax = (float(np.max(norms(p), initial=0.0)) for p in (z, w))
-    if not 1.0 - zmax * wmax >= DOM_EPS + 8 * (dim + 2) * _EPS:
-        _guard_min_modulus(den, DOM_EPS, NearSingular, what)
+    wmax, slack = float(np.max(norms(cw), initial=0.0)), DOM_EPS + 8 * (dim + 2) * _EPS
+    def den(z, out=None):
+        zz = np.asarray(z, complex)
+        if not dim:   # a numpy scalar for scalar z and w
+            d = np.subtract(1.0, np.multiply(cw, zz, out=out), out=out)
+        else:
+            d = np.asarray(np.multiply(zz[..., 0], cw[..., 0], out=out))
+            for k in range(1, max(zz.shape[-1], cw.shape[-1])):
+                d += zz[..., k] * cw[..., k]
+            np.subtract(1.0, d, out=d)
+        if not 1.0 - float(np.max(norms(zz), initial=0.0)) * wmax >= slack:
+            _guard_min_modulus(d, DOM_EPS, NearSingular, what)
+        return d
+    return den
 
 
 @lru_cache(maxsize=1)   # cnp_criterion, then the DeBrangesRovnyak kernel, probe one (immutable) symbol
@@ -137,13 +149,8 @@ class Szego(Kernel):
         return self.against(w)(z)
 
     def against(self, w):
-        cw = np.conj(ww := np.asarray(w, complex))
-        def at(z, out=None):
-            zz = np.asarray(z, complex)
-            den = np.subtract(1.0, np.multiply(cw, zz, out=out), out=out)
-            _guard_denominator(den, zz, ww, "Szego denominator")
-            return np.divide(1.0, den, out=out)
-        return at
+        den = _one_minus_inner(w, "Szego denominator")
+        return lambda z, out=None: np.divide(1.0, den(z, out), out=out)
 
 
 @dataclass(frozen=True)
@@ -161,17 +168,8 @@ class DruryArveson(Kernel):
         return self.against(w)(z)
 
     def against(self, w):
-        ww = np.conj(np.asarray(w, complex))
-        def at(z, out=None):
-            zz = np.asarray(z, complex)
-            # 1 - <z, w> one coordinate at a time, in place: no (..., dim) product array
-            den = np.asarray(np.multiply(zz[..., 0], ww[..., 0], out=out))
-            for k in range(1, max(zz.shape[-1], ww.shape[-1])):
-                den += zz[..., k] * ww[..., k]
-            np.subtract(1.0, den, out=den)
-            _guard_denominator(den, zz, ww, "Drury-Arveson denominator", self.dim)
-            return np.divide(1.0, den, out=den)
-        return at
+        den = _one_minus_inner(w, "Drury-Arveson denominator", self.dim)
+        return lambda z, out=None: np.divide(1.0, d := den(z, out), out=d)   # 0-d for scalars
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,14 +221,11 @@ class DeBrangesRovnyak(Kernel):
 
     def against(self, w):
         ww = np.asarray(w, complex)
-        cw, bw = np.conj(ww), np.conj(self.symbol(ww))   # a Gram's row blocks share them
+        den, bw = _one_minus_inner(ww, "de Branges-Rovnyak denominator"), np.conj(self.symbol(ww))
         def at(z, out=None):   # in place: a block makes one array besides its result
-            zz = np.asarray(z, complex)
-            den = np.asarray(np.multiply(cw, zz, out=out))
-            np.subtract(1.0, den, out=den)
-            _guard_denominator(den, zz, ww, "de Branges-Rovnyak denominator")
-            num = np.asarray(bw * self.symbol(zz))
-            return np.divide(np.subtract(1.0, num, out=num), den, out=den)
+            d = np.asarray(den(z, out))
+            num = np.asarray(bw * self.symbol(np.asarray(z, complex)))
+            return np.divide(np.subtract(1.0, num, out=num), d, out=d)
         return at
 
 

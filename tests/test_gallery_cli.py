@@ -9,7 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cnpcert import dbr, sampling
-from cnpcert.cli import main
+from cnpcert.cli import _parse_complex, main
 from cnpcert.descriptors import symbol_from_json, witness_from_json
 from cnpcert.errors import SuiteFormat
 from cnpcert.gallery import default_suite_dict, load_suite, run_suite
@@ -599,6 +599,41 @@ def test_negative_random_in_a_samples_block_is_a_suite_format_error():
     doc["entries"][2]["samples"] = {"random": -1}
     with pytest.raises(SuiteFormat, match=f"{doc['entries'][2]['name']}: malformed 'samples'"):
         load_suite(doc)
+
+
+OUT_OF_RANGE_SUITE = {"entries": [
+    {"name": name, "b": {"family": "power", "k": 2}, "samples": samples,
+     "expected": {"cnp": "NOT_PSD", "criterion": "FAIL"}}
+    for name, samples in (("rmax_1_5", {"rmax": 1.5}), ("grid_0_3", {"grid": [0, 3]}),
+                          ("extra_2_0", {"extra": [[2, 0]]}))
+]}
+
+
+def test_out_of_range_samples_are_one_suite_format_error_naming_every_entry(tmp_path, capsys):
+    # passed validation; the gallery then exited 3 with a bare "radial grid
+    # needs ..." input error for the first entry only
+    with pytest.raises(SuiteFormat) as exc:
+        load_suite(OUT_OF_RANGE_SUITE)
+    assert [p.split(":")[0] for p in str(exc.value).split("; ")] == ["rmax_1_5", "grid_0_3", "extra_2_0"]
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(OUT_OF_RANGE_SUITE))
+    code, out, err = run_cli(capsys, ["gallery", "--suite", str(path)])
+    assert code == 3 and out == ""
+    assert "SUITE_FORMAT" in err and all(n in err for n in ("rmax_1_5", "grid_0_3", "extra_2_0"))
+
+
+@pytest.mark.parametrize("points", ["0.5,inf", "0.5,1e400", "0.5,-infi"])
+def test_an_infinite_sample_point_is_an_input_error_naming_its_finiteness(capsys, points):
+    # "inf" was read as "jnf" and reported as a number that does not parse
+    code, out, err = run_cli(capsys, ["cnp", "--kernel", '{"kind":"szego"}', "--points", points])
+    assert code == 3 and out == ""
+    assert "sample points must be finite" in err
+
+
+@pytest.mark.parametrize("text, value", [("0.3+0.1i", 0.3 + 0.1j), ("-0.5i", -0.5j), ("i", 1j),
+                                         (" 0.25 ", 0.25 + 0j)])
+def test_a_trailing_i_is_the_imaginary_unit(text, value):
+    assert _parse_complex(text) == value
 
 
 # -------------------------------------------------------------------- README

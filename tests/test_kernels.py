@@ -437,3 +437,22 @@ def test_samples_within_r_0_9_run_no_denominator_guard_pass(monkeypatch, kernel,
     reports = cnp.cnp_basepoint_sweep(kernel, bases, pts)
     assert all(r.verdict.status.value == "PSD" for r in reports)
     assert guarded and not [what for what in guarded if what.endswith("denominator")]
+
+
+@pytest.mark.parametrize("kernel", [Szego(), DBR_AFFINE, DruryArveson(2)],
+                         ids=["szego", "dbr", "drury_arveson"])
+def test_only_the_row_block_holding_an_edge_sample_runs_a_denominator_pass(monkeypatch, kernel):
+    # max||z|| is taken per row block, max||w|| once per Gram: rows 0-220 clear
+    # the bound, the 75-row block holding sample 250 runs the pass, and
+    # _kernel_matrix then evaluates the whole matrix to name the position
+    from cnpcert import kernels
+
+    shapes, guard = [], kernels._guard_min_modulus
+    def spy(values, eps, exc, what):
+        if what.endswith("denominator"):
+            shapes.append(np.shape(values))
+        return guard(values, eps, exc, what)
+    monkeypatch.setattr(kernels, "_guard_min_modulus", spy)
+    with pytest.raises(NearSingular, match=r"at positions \[\[250, 250\]\]$"):
+        gram(kernel, edge_samples(kernel))
+    assert shapes == [(75, 296), (296, 296)]
