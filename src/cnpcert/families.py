@@ -26,13 +26,12 @@ from .series import DEFAULT_ORDER, Rational
 
 
 def complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    pair = [v, 0.0] if isinstance(v, (int, float)) else v
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
         try:
-            return complex(float(v[0]), float(v[1]))
-        except TypeError as exc:
-            raise ValueError(f"expected a [re, im] pair of numbers, got {v!r}") from exc
+            return complex(float(pair[0]), float(pair[1]))
+        except (TypeError, OverflowError) as exc:   # OverflowError: an integer past the float range
+            raise ValueError(f"expected a number or [re, im] pair of floats, got {v!r}") from exc
     raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
 
 
@@ -47,13 +46,16 @@ def real_from_json(v) -> float:
     """A JSON number; a boolean, string, array or object is a ValueError."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected a real number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:   # an integer past the float range
+        raise ValueError(f"expected a real number in the float range, got {v!r}") from None
 
 
 def integer_from_json(v) -> int:
     """An integral JSON number (2 or 2.0); anything else is a ValueError
     rather than silently truncated."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not float(v).is_integer():
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not real_from_json(v).is_integer():
         raise ValueError(f"expected an integer, got {v!r}")
     return int(v)
 

@@ -21,7 +21,7 @@ from .cnp import cnp_certify
 from .dbr import cnp_criterion, dbr_kernel
 from .descriptors import symbol_from_json, witness_from_json
 from .errors import SuiteFormat
-from .families import complex_list_from_json, integer_from_json
+from .families import complex_list_from_json, integer_from_json, real_from_json
 from .sampling import DEFAULT_GRID, DEFAULT_RANDOM, DEFAULT_RMAX, DEFAULT_SEED, SampleSet
 from .series import DEFAULT_ORDER
 
@@ -108,12 +108,10 @@ def sample_set_from_config(cfg) -> SampleSet:
     grid, rmax = cfg.get("grid", DEFAULT_GRID), cfg.get("rmax", DEFAULT_RMAX)
     if not isinstance(grid, (list, tuple)) or len(grid) != 2:
         raise ValueError(f"grid must be an array of two integers, got {grid!r}")
-    if isinstance(rmax, bool) or not isinstance(rmax, (int, float)):
-        raise ValueError(f"rmax must be a number, got {rmax!r}")
     kwargs = {
         "seed": integer_from_json(cfg.get("seed", DEFAULT_SEED)),
         "grid": tuple(integer_from_json(g) for g in grid),
-        "r_max": float(rmax),
+        "r_max": real_from_json(rmax),
         "n_random": integer_from_json(cfg.get("random", DEFAULT_RANDOM)),
     }
     if kwargs["n_random"] < 0:

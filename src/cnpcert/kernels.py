@@ -239,7 +239,7 @@ class Constant(Kernel):
     def __post_init__(self):
         if isinstance(self.value, bool) or not isinstance(self.value, numbers.Real):
             raise ValueError(f"a constant kernel's value must be a number, got {self.value!r}")
-        v = float(self.value)
+        v = float(self.value) if abs(self.value) <= float(np.finfo(float).max) else np.inf   # no OverflowError
         if not np.isfinite(v) or v < 0.0:
             raise ValueError("constant kernels must have a finite nonnegative value")
         object.__setattr__(self, "value", v)

@@ -16,13 +16,21 @@ Every n x n array comes from empty_matrix; a large one after the first is a
 memory mapping, new or the spare a released one left. Work over one that would
 otherwise make a full-size temporary runs in row blocks (see kernels.row_blocks):
 evaluating a kernel Gram at n = 1160 in one piece, for one, raised the peak RSS
-of a base-point sweep by 25-33 MiB, more than one n x n complex array.
+of a base-point sweep by 25-33 MiB, more than one n x n complex array. Given 2 row
+blocks or more and 2 CPUs, a Gram's evaluation and each pass of hermitian_in_place
+share their blocks with one helper thread, kept for the process (_each_block). Block
+i:j reads K's lower triangle only in raw[i:, i:j] and writes only raw[i:j, i:] and
+raw[j:, i:j], so every result is bit for bit the serial one; the helper's scratch, one
+more block's (2.5 MiB at n = 1160), is made on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import mmap
+import os
+import threading
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -36,6 +44,8 @@ HERM_TOL = 1e-10   # relative asymmetry above this flags an assembly warning
 MAPPED_MIN_BYTES = 1 << 22   # n x n arrays from this size on are memory-mapped (see empty_matrix)
 _mapped = False              # ... once numpy has served one, where glibc is the allocator
 _spare = {}                  # {0: the last such mapping released}, kept for a request of its size
+_claim = threading.Lock()    # held by the caller sharing its row blocks with the helper thread
+_helper = []                 # its semaphores [go, done], once started, and the task go hands it
 _EPS = float(np.finfo(float).eps)
 
 # Randomized range finder (see range_steps)
@@ -135,6 +145,39 @@ def empty_matrix(n: int) -> np.ndarray:
     return flat.reshape(n, n)
 
 
+def _each_block(count: int, work, scratch=lambda: None) -> None:
+    """work(b, s) for b in range(count), each taker's s = scratch() made here (see the module docstring)."""
+    taken, errors = iter(range(count)), {}
+    def take(s):
+        while not errors and (b := next(taken, count)) < count:
+            try:
+                work(b, s)
+            except BaseException as exc:   # raised, the first block's, once both threads are done
+                errors[b] = exc
+    if count > 1 and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1 \
+            and _claim.acquire(blocking=False):   # no affinity, as on macOS: serial
+        if not _helper:   # started once; a forked child has no such thread, so starts its own
+            def serve(go, done):   # the task, and so the matrix and scratch, is dropped before done
+                while go.acquire():
+                    _helper.pop()()
+                    done.release()
+            _helper[:] = [threading.Semaphore(0), threading.Semaphore(0)]
+            threading.Thread(target=serve, args=_helper[:2], daemon=True).start()
+            os.register_at_fork(after_in_child=_helper.clear)
+        ctx, s = contextvars.copy_context(), scratch()   # the context holds numpy's errstate
+        _helper.append(lambda: ctx.run(take, s))
+        _helper[0].release()
+        try:
+            take(scratch())
+        finally:
+            _helper[1].acquire()
+            _claim.release()
+    else:
+        take(scratch())
+    if errors:
+        raise errors.pop(min(errors))
+
+
 def hermitian_from_raw(raw) -> HermitianMatrix:
     """0.5 (raw + raw^H), with its max modulus as scale and max |raw - raw^H|
     as asymmetry: hermitian_in_place on a copy of raw."""
@@ -157,69 +200,71 @@ def hermitian_in_place(raw: np.ndarray, reciprocal: bool = False) -> HermitianMa
     makes all three NaN. The scale's moduli, times 1 / sqrt|m_ii m_jj| off the diagonal (which
     symmetrizing leaves at raw's real parts), give cs_excess.
 
-    With ``reciprocal``, each halved upper block, its maxima taken, becomes
-    R = 1/K in place, adds its share of ||R||_F^2 and is mirrored as R, so K's
-    lower triangle is never written, until a block has an entry not finite or
-    below DEFECT_EPS in modulus: from its first row, r_rows, on, K is kept.
+    With ``reciprocal``, the halved upper blocks, their maxima taken, become R = 1/K
+    in place up to the first with an entry not finite or below DEFECT_EPS in modulus:
+    from its first row, r_rows, on, K is kept. Then each is mirrored, as R or K, so K's
+    lower triangle is never written, and adds its rows of R to ||R||_F^2 in block order.
     The moduli of each block also give each row's least |K| from the block's
     first column on; once R is formed in every row, their reciprocals, with an
     allowance for R's rounding, are r_row_max, a bound on what such a pass
     over R reads of each row.
     """
     n = raw.shape[0]
-    asym, scale, least, excess = [], [], [], []
-    r_rows, norm2 = (n if reciprocal else 0), 0.0
-    low = np.empty(n) if reciprocal else None   # each row's least |K| from its block's first column on
     blocks = row_blocks(n, raw[:1].nbytes)   # each works in scratch the size of the first, the largest
-    scratch = [np.empty(raw[blocks[0]].size, dtype=t) for t in (complex, complex, float)]
+    asym, scale, least, excess, norm2 = ([0.0] * len(blocks) for _ in range(5))
+    low = np.empty(n) if reciprocal else None   # each row's least |K| from its block's first column on
+    def measure(b, scratch):
+        i, j = blocks[b].start, blocks[b].stop
+        upper = raw[i:j, i:]
+        rows, diff, mods = (buf[:upper.size].reshape(upper.shape) for buf in scratch)
+        np.conjugate(raw[i:, i:j].T, out=rows)   # raw^H on the same entries
+        asym[b] = np.max(np.abs(np.subtract(upper, rows, out=diff), out=mods))
+        np.add(rows, upper, out=upper)
+        if not reciprocal:
+            np.conjugate(upper[:, j - i:].T, out=raw[j:, i:j])   # the mirrored sum, bit for bit
+            raw[j:, i:j] *= 0.5
+        upper *= 0.5
+        np.abs(upper, out=mods)
+        scale[b] = np.max(mods)
+        least[b] = np.min(mods if low is None else mods.min(axis=1, out=low[i:j]))
+        mods *= root[i:j, None]
+        mods *= root[i:]
+        mods.ravel()[::mods.shape[1] + 1] = 0.0   # the diagonal
+        at = divmod(int(np.argmax(mods)), mods.shape[1])
+        excess[b] = (float(np.square(mods[at]) - 1.0), i + min(at), i + max(at))   # inf, not OverflowError
+    def invert(b, _):   # R on the rows before r_rows, then the mirror of R or K
+        i, j = blocks[b].start, blocks[b].stop
+        np.divide(1.0, raw[i:j, i:], out=raw[i:j, i:], where=b < r_blocks)   # False: K is kept
+        np.conjugate(raw[i:j, j:].T, out=raw[j:, i:j])
+    def square(b, _):   # rows i:j are all R once every earlier block's mirror is written
+        norm2[b] = np.vdot(raw[blocks[b]], raw[blocks[b]]).real
+    size = raw[blocks[0]].size
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):   # non-finite: scale says so
         root = 1.0 / np.sqrt(np.abs(raw.diagonal().real))
-        for blk in blocks:
-            i, j = blk.start, blk.stop
-            upper = raw[i:j, i:]
-            rows, diff, mods = (buf[:upper.size].reshape(upper.shape) for buf in scratch)
-            np.conjugate(raw[i:, i:j].T, out=rows)   # raw^H on the same entries
-            asym.append(np.max(np.abs(np.subtract(upper, rows, out=diff), out=mods)))
-            np.add(rows, upper, out=upper)
-            lower = raw[j:, i:j]
-            if not reciprocal:
-                np.conjugate(upper[:, j - i:].T, out=lower)   # the mirrored sum, bit for bit
-                lower *= 0.5
-            upper *= 0.5
-            np.abs(upper, out=mods)
-            scale.append(np.max(mods))
-            least.append(np.min(mods if low is None else mods.min(axis=1, out=low[i:j])))
-            if i < r_rows and least[-1] >= DEFECT_EPS and scale[-1] < math.inf:
-                np.divide(1.0, upper, out=upper)   # rows i:j are all R: left of the block, R's mirror
-                norm2 += np.vdot(raw[blk], raw[blk]).real
-            else:
-                r_rows = min(r_rows, i)
-            if reciprocal:   # the mirror of R, or of K from r_rows on
-                np.conjugate(upper[:, j - i:].T, out=lower)
-            mods *= root[i:j, None]
-            mods *= root[i:]
-            mods.ravel()[::mods.shape[1] + 1] = 0.0   # the diagonal
-            at = divmod(int(np.argmax(mods)), mods.shape[1])
-            excess.append((float(np.square(mods[at]) - 1.0), i + min(at), i + max(at)))   # inf, not OverflowError
+        _each_block(len(blocks), measure, lambda: [np.empty(size, t) for t in (complex, complex, float)])
+        r_blocks = next((b for b, (s, m) in enumerate(zip(scale, least))
+                         if not (m >= DEFECT_EPS and s < math.inf)), len(blocks)) if reciprocal else 0
+        _each_block(len(blocks) if reciprocal else 0, invert)
+        _each_block(r_blocks, square)
+    r_rows = min(r_blocks * blocks[0].stop, n)
     raw.setflags(write=False)
     # |fl(1/K)| <= (1 + 8 eps) / |K| for the complex reciprocal, and |K| >= (1 - 2 eps) times
     # its rounded modulus; 2^-1060 covers a reciprocal rounded below the normal range
     row_max = (1.0 + 16 * _EPS) / low + 2.0 ** -1060 if r_rows == n else None
-    return HermitianMatrix(raw, float(np.max(scale)), float(np.max(asym)), max(excess),
-                           float(np.min(least)), r_rows, math.sqrt(norm2), row_max)
+    return HermitianMatrix(raw, float(np.max(scale)), float(np.max(asym)), max(excess), float(np.min(least)),
+                           r_rows, math.sqrt(np.add.accumulate([0.0] + norm2[:r_blocks])[-1]), row_max)
 
 
 def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:
     n = points.shape[0]
     kernel.require_inside(points, DomainViolation, "sample(s) outside the kernel domain")
     Z, W = points[:, None], points[None]
-    raw, at = empty_matrix(n), kernel.against(W)
-    for rows in row_blocks(n, raw[:1].nbytes):
-        try:
-            at(Z[rows], out=raw[rows])
-        except CnpcertError:   # raised again on the whole matrix, so positions index it
-            kernel.evaluate(Z, W)
-            raise
+    raw, at, blocks = empty_matrix(n), kernel.against(W), row_blocks(n, 16 * n)
+    try:
+        _each_block(len(blocks), lambda b, _: at(Z[blocks[b]], out=raw[blocks[b]]))
+    except CnpcertError:   # raised again on the whole matrix, so positions index it
+        kernel.evaluate(Z, W)
+        raise
     return raw
 
 

@@ -648,3 +648,30 @@ def test_the_readme_library_quickstart_runs():
     assert isinstance(h, Rational) and isinstance(g, Rational) and h.degree == g.degree == 1
     assert abs(h(ns["b"](0.3)) - 0.3) <= 1e-15
     assert ns["coeffs"].size == 65
+
+
+# ------------------------------- a JSON integer past the float range
+
+HUGE = "1" + "0" * 400   # 10^400, a JSON integer float() overflows on
+
+
+@pytest.mark.parametrize("argv", [
+    ["hbcheck", "--b", '{"family":"affine","A":[%s,0],"B":[2,0]}' % HUGE],
+    ["hbcheck", "--b", '{"family":"power","k":%s}' % HUGE],
+    ["hbcheck", "--b", '{"series":{"coeffs":[%s]}}' % HUGE],
+    ["cnp", "--kernel", '{"kind":"constant","value":%s}' % HUGE],
+    ["cnp", "--kernel", '{"kind":"drury_arveson","dim":%s}' % HUGE],
+], ids=["affine-A", "power-k", "series-coeff", "constant-value", "drury-arveson-dim"])
+def test_an_integer_past_the_float_range_is_an_input_error(capsys, argv):
+    # each raised OverflowError: a traceback and exit 1, read as FAIL or NOT_PSD
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "") and err.startswith("input error [ValueError]")
+
+
+def test_a_suite_rmax_past_the_float_range_is_a_suite_format_error(tmp_path, capsys):
+    doc = default_suite_dict()
+    doc["entries"][0]["samples"] = {"rmax": 10 ** 400}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["gallery", "--suite", str(path)])
+    assert (code, out) == (3, "") and "SUITE_FORMAT" in err and doc["entries"][0]["name"] in err

@@ -645,3 +645,195 @@ def test_gram_error_positions_index_the_whole_matrix():
 def test_gram_rejects_ball_shaped_points_on_a_disk_kernel():
     with pytest.raises(DomainMismatch):
         gram(Szego(), [[0.1, 0.2]])
+
+
+# ------------------------------ row blocks shared with one helper thread
+
+def on_cpus(monkeypatch, count):
+    """Make os.sched_getaffinity offer ``count`` CPUs: 1 forces the serial
+    row-block passes, 2 the passes shared with the helper thread."""
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def fields(m):
+    """Every field of a HermitianMatrix, as bytes or exact reprs."""
+    rows = None if m.r_row_max is None else m.r_row_max.tobytes()
+    return m.entries.tobytes(), repr((m.scale, m.asymmetry, m.cs_excess, m.min_modulus, m.r_rows, m.r_norm)), rows
+
+
+def both_paths(monkeypatch, build):
+    """fields(build()) on one CPU and on two; the second must have used the helper."""
+    out = []
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        out.append(fields(build()))
+    assert linalg._helper
+    return out
+
+
+HALF = {"series": {"coeffs": [[0.25, 0], [0.5, 0]]}}
+
+
+@pytest.mark.parametrize("reciprocal", [False, True])
+@pytest.mark.parametrize("spec", [
+    {"kind": "dbr", "b": {"family": "blaschke", "zeros": [[0, 0], [0.5, 0]]}},
+    {"kind": "dbr", "b": HALF},
+    {"kind": "drury_arveson", "dim": 2},
+    {"kind": "drury_arveson", "dim": 3},
+    {"kind": "szego"},
+    {"kind": "weighted_hardy", "weights": [1, 2, 3, 4]},
+    {"kind": "sum", "left": {"kind": "szego"}, "right": {"kind": "constant", "value": 0.5}},
+    {"kind": "pullback", "inner": {"kind": "szego"}, "map": HALF},
+    {"kind": "congruence", "inner": {"kind": "szego"}, "factor": HALF},
+    {"kind": "constant", "value": 0.7},
+], ids=lambda spec: spec["kind"])
+def test_a_gram_on_two_threads_is_the_serial_one_bit_for_bit(monkeypatch, spec, reciprocal):
+    # 1160 samples make 21 row blocks, taken in turn by the caller and the helper
+    kernel = kernel_from_json(spec)
+    pts = ball_points(1160, kernel.dim, seed=3) if kernel.dim else SampleSet.default(seed=3, grid=(24, 48))
+    assert len(row_blocks(1160, 16 * 1160)) == 21
+    serial, shared = both_paths(monkeypatch, lambda: gram(kernel, pts, reciprocal))
+    assert serial == shared
+    m, total = gram(kernel, pts, reciprocal), 0.0
+    for blk in row_blocks(m.n, 16 * m.n)[:len(row_blocks(m.r_rows, 16 * m.n))]:
+        total += np.vdot(m.entries[blk], m.entries[blk]).real   # ||R||_F^2 adds R's row blocks in order
+    assert m.r_norm == math.sqrt(total) and m.r_rows in (0, m.n)
+
+
+def test_r_stops_at_a_middle_row_block_on_two_threads_as_on_one(monkeypatch):
+    # 1 + 4 z conj(w) vanishes where z conj(w) = -1/4: at samples 600 and 601
+    kernel = kernel_from_json({"kind": "weighted_hardy", "weights": [1.0, 0.25]})
+    pts = list(SampleSet.default(grid=(24, 48)).points)
+    pts[600:600] = [0.5, -0.5]
+    serial, shared = both_paths(monkeypatch, lambda: gram(kernel, pts, True))
+    assert serial == shared
+    starts = [blk.start for blk in row_blocks(len(pts), 16 * len(pts))]
+    r_rows = gram(kernel, pts, True).r_rows
+    assert r_rows == max(s for s in starts if s <= 600) and 0 < r_rows < starts[-1]
+
+
+@pytest.mark.parametrize("reciprocal", [False, True])
+def test_a_non_finite_entry_in_the_last_row_block_reads_the_same_on_two_threads(monkeypatch, reciprocal):
+    pts = Szego().points(SampleSet.default(grid=(24, 48)))
+    def build():
+        raw = linalg._kernel_matrix(Szego(), pts)
+        raw[-1, -2] = np.inf
+        return hermitian_in_place(raw, reciprocal)
+    serial, shared = both_paths(monkeypatch, build)
+    assert serial == shared
+    m = build()
+    assert m.scale == math.inf and m.r_rows == (row_blocks(m.n, 16 * m.n)[-1].start if reciprocal else 0)
+
+
+def test_the_first_failing_row_block_is_raised_once_both_threads_are_done(monkeypatch):
+    # block 3 fails late, block 7 at once: block 3 was taken first, so its error is raised
+    import time
+
+    on_cpus(monkeypatch, 2)
+    done = []
+    def work(b, _):
+        if b == 3:
+            time.sleep(0.05)
+        if b in (3, 7):
+            raise ValueError(f"block {b}")
+        done.append(b)
+    with pytest.raises(ValueError, match="^block 3$"):
+        linalg._each_block(10, work)
+    assert set(done) >= {0, 1, 2}
+
+
+def test_the_earlier_of_two_near_singular_row_blocks_is_named_on_two_threads(monkeypatch):
+    # samples 250 and 1100 sit 5e-14 inside the circle, in row blocks 4 and 19
+    pts = np.array(SampleSet.default(seed=5, grid=(24, 48)).points)
+    pts[[250, 1100]] = (1.0 - 5e-14) * np.exp([0.7j, 2.1j])
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        with pytest.raises(Exception, match=r"at positions \[\[250, 250\], \[1100, 1100\]\]$"):
+            gram(Szego(), pts)
+
+
+def test_the_callers_errstate_and_warning_filters_reach_the_helper_thread(monkeypatch):
+    # block 0 waits until block 1 has started, so the two run on different threads
+    import threading
+
+    on_cpus(monkeypatch, 2)
+    started, seen = threading.Event(), {}
+    def work(b, _):
+        (started.set if b else lambda: started.wait(10))()
+        seen[b] = threading.get_ident(), np.geterr()["divide"]
+        np.divide(1.0, np.zeros(4))
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        linalg._each_block(2, work)
+    assert seen[0][0] != seen[1][0] and seen[0][1] == seen[1][1] == "raise"
+    seen.clear(), started.clear()
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            linalg._each_block(2, work)
+    assert seen[0][0] != seen[1][0] and seen[0][1] == seen[1][1] == "warn"
+
+
+def test_row_blocks_from_four_callers_at_once_are_each_taken_exactly_once(monkeypatch):
+    # more callers than CPUs, switching threads every microsecond: one at a time shares
+    # the helper, the others run alone, and no call loses or repeats a block or has one
+    # run after it returned
+    import sys
+    import threading
+    import time
+
+    on_cpus(monkeypatch, 2)
+    calls, late = [[] for _ in range(4)], []
+    def caller(taken):
+        for _ in range(10):
+            blocks, returned = [], []
+            def work(b, _):
+                time.sleep(1e-4)   # lets the other callers in
+                late.extend(returned)
+                blocks.append(b)
+            linalg._each_block(20, work)
+            returned.append(True)
+            taken.append(blocks)
+    threads = [threading.Thread(target=caller, args=(taken,)) for taken in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not late
+    assert [len(taken) for taken in calls] == [10] * 4
+    assert all(sorted(blocks) == list(range(20)) for taken in calls for blocks in taken)
+
+
+def test_an_80_sample_gram_starts_no_thread(monkeypatch):
+    import threading
+
+    on_cpus(monkeypatch, 2)
+    started = []
+    monkeypatch.setattr(linalg, "_helper", [])
+    monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(a) or pytest.fail("a thread"))
+    pts = SampleSet.default(grid=(6, 12))
+    assert len(pts.points) == 80 and len(row_blocks(80, 16 * 80)) == 1
+    r = gram(Szego(), pts, True)
+    assert r.r_rows == 80 and not started and linalg._helper == []
+
+
+@pytest.mark.skipif(not hasattr(linalg.os, "fork"), reason="no fork")
+def test_a_forked_child_starts_its_own_helper_thread(monkeypatch):
+    import os
+    import signal
+
+    on_cpus(monkeypatch, 2)
+    pts = SampleSet.default(grid=(12, 24))
+    ref = fields(gram(Szego(), pts, True))
+    assert linalg._helper
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)   # fork with a thread running
+        pid = os.fork()
+    if pid == 0:   # the child: a hung hand-off to the parent's helper would time out
+        signal.alarm(20)
+        os._exit(0 if fields(gram(Szego(), pts, True)) == ref else 1)
+    assert os.waitpid(pid, 0)[1] == 0
