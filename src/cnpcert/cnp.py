@@ -40,6 +40,9 @@ it is Hermitian bit for bit too, with no symmetrizing pass and no asymmetry
 to measure (_defect_gram). K is evaluated, and R
 formed from it, once per sample set, by the first base that gets past its own
 checks, so a lone certificate and each base of a sweep run the same lines.
+Every pass over R but the assembled defect's (range_steps' products and residual
+passes, each base's Rayleigh product and scale scan) shares its row blocks with
+the Gram's helper thread, bit for bit the serial pass (see linalg).
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ import numpy as np
 from .errors import VanishingKernel
 from .kernels import DEFECT_EPS, Kernel, NormalizedDefect, _guard_min_modulus, row_blocks
 from .linalg import (
-    RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, checked_tol, default_tol,
-    empty_matrix, gram, psd_verdict, range_steps,
+    RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, _each_block, _product, checked_tol,
+    default_tol, empty_matrix, gram, psd_verdict, range_steps,
 )
 
 EVIDENCE_NOTE = (
@@ -384,19 +387,28 @@ def _row_bounds(rec: Reciprocal, u: np.ndarray) -> np.ndarray | None:
 
 def _scan_rows(rec: Reciprocal, u: np.ndarray, runs) -> float:
     """max|1 - u_i R_ij conj(u_j)| over the rows of each (rows, i) of ``runs``,
-    at columns i on, where i starts the row block of ``rows``, NaN if any is."""
-    uc = u.conj()
-    return float(np.max([np.max(np.abs(np.subtract(1.0, u[rows, None] * rec.entries[rows, i:] * uc[i:])))
-                         for rows, i in runs]))
+    at columns i on, where i starts the row block of ``rows``, NaN if any is:
+    the max of the runs' maxima, taken on the Gram's helper thread too, each
+    thread in scratch of the largest run's size."""
+    uc, top, size = u.conj(), [0.0] * len(runs), max(rec.entries[rows, i:].size for rows, i in runs)
+    def scan(b, scratch):
+        rows, i = runs[b]
+        r = rec.entries[rows, i:]
+        d, mods = (buf[:r.size].reshape(r.shape) for buf in scratch)
+        np.multiply(u[rows, None], r, out=d)
+        d *= uc[i:]
+        top[b] = np.max(np.abs(np.subtract(1.0, d, out=d), out=mods))
+    _each_block(len(runs), scan, lambda: (np.empty(size, complex), np.empty(size)))
+    return float(np.max(top))
 
 
 def _rayleigh_quotient(rec: Reciprocal, u: np.ndarray, x: np.ndarray):
     """(x^H D x / x^H x, its rounding bound) for D = J - diag(u) R diag(conj u):
     an upper bound on D's smallest eigenvalue, evaluated directly, by one
-    product with R's own array."""
+    product with R's own array, in row blocks (linalg._product)."""
     y = u.conj() * x
     xx = float(np.vdot(x, x).real)
-    quotient = float(abs(x.sum()) ** 2 - np.vdot(y, rec.entries @ y).real) / xx
+    quotient = float(abs(x.sum()) ** 2 - np.vdot(y, _product(rec.entries, y)).real) / xx
     # Higham's gamma for the length-n sums in |sum x|^2, y^H R y and x^H x, R's rounding
     gamma = 3 * (x.size + 1) * _EPS
     return quotient, gamma * (np.sum(np.abs(x)) ** 2 + rec.rmax * np.sum(np.abs(y)) ** 2) / xx

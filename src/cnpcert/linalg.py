@@ -17,11 +17,16 @@ memory mapping, new or the spare a released one left. Work over one that would
 otherwise make a full-size temporary runs in row blocks (see kernels.row_blocks):
 evaluating a kernel Gram at n = 1160 in one piece, for one, raised the peak RSS
 of a base-point sweep by 25-33 MiB, more than one n x n complex array. Given 2 row
-blocks or more and 2 CPUs, a Gram's evaluation and each pass of hermitian_in_place
-share their blocks with one helper thread, kept for the process (_each_block). Block
-i:j reads K's lower triangle only in raw[i:, i:j] and writes only raw[i:j, i:] and
-raw[j:, i:j], so every result is bit for bit the serial one; the helper's scratch, one
-more block's (2.5 MiB at n = 1160), is made on the calling thread.
+blocks or more and 2 CPUs, a Gram's evaluation, each pass of hermitian_in_place and
+the range finder's residual passes share their blocks with one helper thread, kept
+for the process (_each_block). So do products with R (_product), in up to four row
+blocks of a multiple of 8 rows, each of more than 500 entries of the product where n
+allows: numpy holds the GIL around a smaller product, and each BLAS call packs the
+right-hand side again, so 1 MiB blocks would not pay for a narrow one. Block i:j reads
+K's lower triangle only in raw[i:, i:j] and writes only raw[i:j, i:] and raw[j:, i:j],
+a product's block only its own rows, and sums over blocks are added in block order, so
+every result is bit for bit the serial one; the helper's scratch, one more block's
+(2.5 MiB at n = 1160, 1 MiB for a residual pass), is made on the calling thread.
 """
 
 from __future__ import annotations
@@ -278,20 +283,30 @@ def gram(kernel: Kernel, pts, reciprocal: bool = False) -> HermitianMatrix:
     return hermitian_in_place(_kernel_matrix(kernel, points), reciprocal)
 
 
+def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for an n x n ``a``, by row blocks shared with the helper thread (see the module docstring)."""
+    n, out = a.shape[0], np.empty(a.shape[:1] + x.shape[1:], np.result_type(a, x))
+    step = 8 * -(-n // (8 * max(1, min(4, n * x[:1].size // 504))))
+    rows = [slice(i, i + step) for i in range(0, n, step)]
+    _each_block(len(rows), lambda b, _: np.matmul(a[rows[b]], x, out=out[rows[b]]))
+    return out
+
+
 def _ritz_residual(a: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of the Hermitian a - q b q^H, formed a row block at a
-    time from the diagonal on, in one block buffer, each off-diagonal entry
-    counted twice."""
+    time from the diagonal on, in one block buffer per thread, each off-diagonal
+    entry counted twice, and the blocks' sums added in block order."""
     qb, qh = q @ b, q.conj().T
     blocks = row_blocks(a.shape[0], a[:1].nbytes)
-    total, buf = 0.0, np.empty(a[blocks[0]].size, dtype=complex)
-    for rows in blocks:
-        i = rows.start
+    parts = [0.0] * len(blocks)
+    def block(b, buf):
+        rows, i = blocks[b], blocks[b].start
         t = buf[:a[rows, i:].size].reshape(a[rows, i:].shape)
         np.subtract(a[rows, i:], np.matmul(qb[rows], qh[:, i:], out=t), out=t)
         diag = t[:, :rows.stop - i]
-        total += 2.0 * np.vdot(t, t).real - np.vdot(diag, diag).real
-    return math.sqrt(total)
+        parts[b] = 2.0 * np.vdot(t, t).real - np.vdot(diag, diag).real
+    _each_block(len(blocks), block, lambda: np.empty(a[blocks[0]].size, dtype=complex))
+    return math.sqrt(np.add.accumulate([0.0] + parts)[-1])
 
 
 def _probe_second_eigenvalue(omega: np.ndarray, y: np.ndarray) -> float:
@@ -319,6 +334,8 @@ def range_steps(a: np.ndarray, target: float, resid: float):
     above n^2 eps ||a||_F, one power step (HMT section 4.5) makes a step, with no
     residual pass, of the Krylov basis [q1, orth(a q1 - q1 m11)], q1 the probe's
     Q. The rest of the block then completes the probe, bit for bit the single product.
+    Each product with a (_product) and each residual pass share their row blocks with
+    the helper thread, bit for bit the serial passes (see the module docstring).
     """
     n = a.shape[0]
     rng = np.random.default_rng(RITZ_SEED)
@@ -327,23 +344,23 @@ def range_steps(a: np.ndarray, target: float, resid: float):
     while target < resid < math.inf and q.shape[1] + RITZ_BLOCK <= n // RITZ_MAX_FRAC:
         k = q.shape[1]
         omega = rng.standard_normal((n, RITZ_BLOCK)) + 1j * rng.standard_normal((n, RITZ_BLOCK))
-        new = a @ omega[:, :0 if k else RITZ_PROBE]   # the probe's columns, none after the first block
+        new = _product(a, omega[:, :0 if k else RITZ_PROBE])   # the probe's columns, none after the first block
         low = not k and np.all(np.abs(np.linalg.qr(new, mode="r").diagonal()[-2:]) <= target)
         if low or not k and _probe_second_eigenvalue(omega[:, :RITZ_PROBE], new) > n * n * _EPS * resid:
             probe = np.linalg.qr(new)[0]   # low: a's rank is at most RITZ_PROBE - 2
-            ap = a @ probe
+            ap = _product(a, probe)
             if not low:   # the Krylov block orth(a q1 - q1 m11), from a joint QR
                 krylov = np.linalg.qr(np.hstack([probe, ap]))[0][:, RITZ_PROBE:]
-                probe, ap = np.hstack([probe, krylov]), np.hstack([ap, a @ krylov])
+                probe, ap = np.hstack([probe, krylov]), np.hstack([ap, _product(a, krylov)])
             pb = probe.conj().T @ ap
             pb = 0.5 * (pb + pb.conj().T)
             yield probe, pb, None
             if low and (r := _ritz_residual(a, probe, pb)) <= target:
                 yield probe, pb, r
                 return
-        new = np.linalg.qr(np.hstack([q, new, a @ omega[:, new.shape[1]:]]))[0][:, k:]
+        new = np.linalg.qr(np.hstack([q, new, _product(a, omega[:, new.shape[1]:])]))[0][:, k:]
         q = np.hstack([q, new])
-        aq = np.hstack([aq, a @ new])
+        aq = np.hstack([aq, _product(a, new)])
         b = q.conj().T @ aq
         b = 0.5 * (b + b.conj().T)
         yield q, b, None

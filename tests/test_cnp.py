@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cnpcert import cnp, linalg
 from cnpcert.cnp import EVIDENCE_NOTE, SWEEP_ANOMALY_NOTE, cnp_basepoint_sweep, cnp_certify
 from cnpcert.dbr import dbr_kernel
+from cnpcert.descriptors import kernel_from_json
 from cnpcert.errors import DomainMismatch, DomainViolation, VanishingKernel
 from cnpcert.families import family_symbol
 from cnpcert.kernels import (
@@ -1199,3 +1200,76 @@ def test_cnp_is_invariant_under_an_automorphism_before_the_symbol(b, a_mod, a_ph
         assert mov.verdict.status is rep.verdict.status
         tol = min(rep.verdict.tol, mov.verdict.tol)
         assert abs(mov.verdict.min_eig - rep.verdict.min_eig) <= 0.1 * tol
+
+
+# ------------------------- the passes over R on the Gram's helper thread
+
+def on_cpus(monkeypatch, count):
+    """Make os.sched_getaffinity offer ``count`` CPUs: 1 forces the serial
+    row-block passes, 2 the passes shared with the helper thread."""
+    monkeypatch.setattr(linalg.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def on_one_and_two_cpus(monkeypatch, build):
+    """[build() on one CPU, build() on two], with the two-CPU passes shared."""
+    out = []
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        out.append(build())
+    assert linalg._helper
+    return out
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_a_defect_scale_on_two_threads_is_the_serial_one_bit_for_bit(monkeypatch, case):
+    for rec, u in scanned_defects(monkeypatch, case):
+        full = [(rows, rows.start) for rows in row_blocks(u.size, rec.entries[:1].nbytes)]
+        serial, shared = on_one_and_two_cpus(
+            monkeypatch, lambda: (cnp._defect_scale(rec, u).hex(), cnp._scan_rows(rec, u, full).hex()))
+        assert serial == shared and serial[1] == full_defect_scale(rec, u).hex()
+
+
+@pytest.mark.parametrize("at", [0, 700, 1159])
+def test_a_nan_in_any_row_block_makes_the_scan_nan_on_two_threads(monkeypatch, at):
+    # a NaN of u takes the full scan (no row bounds); a NaN of R, in one run only
+    pts = SampleSet.default(grid=(24, 48))
+    rec = cnp.factor_reciprocal(gram(DBR_BLASCHKE, pts, True))
+    u = base_u(DBR_BLASCHKE, pts, -0.2 + 0.4j)
+    v = u.copy()
+    v[at] = np.nan
+    bad = rec._replace(entries=rec.entries.copy())
+    bad.entries[at, -1] = np.nan
+    runs = [(rows, rows.start) for rows in row_blocks(u.size, rec.entries[:1].nbytes)]
+    with np.errstate(invalid="ignore"):
+        serial, shared = on_one_and_two_cpus(
+            monkeypatch, lambda: (cnp._defect_scale(rec, v).hex(), cnp._scan_rows(bad, u, runs).hex()))
+    assert serial == shared == ("nan", "nan")
+
+
+def test_a_rayleigh_quotient_on_two_threads_is_the_serial_one_bit_for_bit(monkeypatch):
+    # Blaschke {0, 0.5} at n = 1160: R y is a product of two row blocks
+    pts = SampleSet.default(grid=(24, 48))
+    rec = cnp.factor_reciprocal(gram(DBR_BLASCHKE, pts, True))
+    rng = np.random.default_rng(8)
+    for base in [0j, 0.3 + 0j, -0.2 + 0.4j]:
+        u = base_u(DBR_BLASCHKE, pts, base)
+        x = rng.standard_normal(len(pts)) + 1j * rng.standard_normal(len(pts))
+        serial, shared = on_one_and_two_cpus(monkeypatch, lambda: repr(cnp._rayleigh_quotient(rec, u, x)))
+        assert serial == shared
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ({"kind": "dbr", "b": {"family": "affine", "A": [0.5, 0.0], "B": [2.0, 0.0]}}, Verdict.PSD),
+    ({"kind": "dbr", "b": {"family": "blaschke", "zeros": [[0.0, 0.0], [0.5, 0.0]]}}, Verdict.NOT_PSD),
+    ({"kind": "drury_arveson", "dim": 2}, Verdict.PSD),
+], ids=["dbr-affine", "dbr-blaschke", "drury-arveson-2"])
+def test_a_sweep_at_1160_samples_reports_the_same_on_one_and_two_cpus(monkeypatch, spec, expected):
+    kernel = kernel_from_json(spec)
+    if kernel.dim:
+        pts, bases = ball_points(1160, 2), [(0j, 0j), (0.3 + 0j, 0j), (-0.2 + 0.1j, 0.4j)]
+    else:
+        pts, bases = SampleSet.default(grid=(24, 48)), [0j, 0.3 + 0j, -0.2 + 0.4j]
+    serial, shared = on_one_and_two_cpus(monkeypatch, lambda: [
+        json.dumps(r.to_json_dict()) for r in cnp_basepoint_sweep(kernel, bases, pts)])
+    assert serial == shared
+    assert [json.loads(r)["verdict"] for r in serial] == [expected.value] * 3

@@ -819,6 +819,9 @@ def test_an_80_sample_gram_starts_no_thread(monkeypatch):
     assert len(pts.points) == 80 and len(row_blocks(80, 16 * 80)) == 1
     r = gram(Szego(), pts, True)
     assert r.r_rows == 80 and not started and linalg._helper == []
+    # nor does a certificate on them, which assembles its defect from R
+    rep = cnp.cnp_certify(kernel_from_json({"kind": "dbr", "b": HALF}), 0.3, pts)
+    assert rep.verdict.status is Verdict.PSD and not started and linalg._helper == []
 
 
 @pytest.mark.skipif(not hasattr(linalg.os, "fork"), reason="no fork")
@@ -837,3 +840,67 @@ def test_a_forked_child_starts_its_own_helper_thread(monkeypatch):
         signal.alarm(20)
         os._exit(0 if fields(gram(Szego(), pts, True)) == ref else 1)
     assert os.waitpid(pid, 0)[1] == 0
+
+
+# ---------------------- the range finder's passes over R on the helper thread
+
+def shared_blocks(monkeypatch):
+    """Record the block count of every _each_block call."""
+    counts, each = [], linalg._each_block
+    monkeypatch.setattr(linalg, "_each_block", lambda count, *a: counts.append(count) or each(count, *a))
+    return counts
+
+
+def random_square(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("n", [300, 1160])
+@pytest.mark.parametrize("width", [None, 0, 1, 8, 16, 24, 32])
+def test_a_product_with_r_on_two_threads_is_the_serial_one_bit_for_bit(monkeypatch, n, width):
+    # up to four blocks of a multiple of 8 rows, each of more than 500 entries of the
+    # product where n allows (numpy holds the GIL around a smaller one): a 1-D x is
+    # two blocks at n = 1160 and one at n = 300; a product with no columns is one block
+    a, rng = random_square(n, 1), np.random.default_rng(2)
+    shape = (n,) if width is None else (n, width)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    counts, out = shared_blocks(monkeypatch), []
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        out.append(linalg._product(a, x))
+    assert out[0].shape == out[1].shape == shape and out[0].tobytes() == out[1].tobytes()
+    assert counts[0] == counts[1] == min(4, max(1, n * (1 if width is None else width) // 504))
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_a_ritz_residual_on_two_threads_is_the_serial_one_bit_for_bit(monkeypatch, k):
+    # 21 row blocks at n = 1160, their sums added in block order on either path
+    a = random_square(1160, 3)
+    a = a + a.conj().T
+    q = np.linalg.qr(random_square(1160, 4)[:, :k])[0]
+    b = q.conj().T @ a @ q
+    counts, out = shared_blocks(monkeypatch), []
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        out.append(_ritz_residual(a, q, b))
+    assert counts == [21, 21] and out[0].hex() == out[1].hex()
+    total, qb = 0.0, q @ b
+    for blk in row_blocks(1160, a[:1].nbytes):   # from the diagonal on, off-diagonal entries twice
+        t = a[blk, blk.start:] - qb[blk] @ q.conj().T[:, blk.start:]
+        total += 2.0 * np.vdot(t, t).real - np.vdot(t[:, :blk.stop - blk.start], t[:, :blk.stop - blk.start]).real
+    assert out[0] == math.sqrt(total)
+
+
+@pytest.mark.parametrize("at", [(3, 1100), (600, 601)])   # off and in a block's diagonal square
+def test_a_ritz_residual_over_an_inf_entry_is_the_same_on_two_threads(monkeypatch, at):
+    a = random_square(1160, 5)
+    a[at] = np.inf
+    q = np.linalg.qr(random_square(1160, 6)[:, :8])[0]
+    b = np.eye(8, dtype=complex)
+    out = []
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        with np.errstate(invalid="ignore"):
+            out.append(_ritz_residual(a, q, b))
+    assert out[0].hex() == out[1].hex() and not math.isfinite(out[0])
