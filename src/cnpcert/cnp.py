@@ -40,9 +40,9 @@ it is Hermitian bit for bit too, with no symmetrizing pass and no asymmetry
 to measure (_defect_gram). K is evaluated, and R
 formed from it, once per sample set, by the first base that gets past its own
 checks, so a lone certificate and each base of a sweep run the same lines.
-Every pass over R but the assembled defect's (range_steps' products and residual
-passes, each base's Rayleigh product and scale scan) shares its row blocks with
-the Gram's helper thread, bit for bit the serial pass (see linalg).
+The range finder's products and residual passes and each base's Rayleigh product share
+their row blocks with the Gram's helper thread, bit for bit the serial pass (see
+linalg); a base's scale scan and assembled defect run on the calling thread.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 from .errors import VanishingKernel
 from .kernels import DEFECT_EPS, Kernel, NormalizedDefect, _guard_min_modulus, row_blocks
 from .linalg import (
-    RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, _each_block, _product, checked_tol,
+    RITZ_MIN_N, RITZ_RESIDUAL, HermitianMatrix, PsdVerdict, Verdict, _product, checked_tol,
     default_tol, empty_matrix, gram, psd_verdict, range_steps,
 )
 
@@ -257,7 +257,7 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
     """R of ``kernel_gram``, a finite Gram with R formed in its array as K
     was symmetrized (gram(..., True)), unless some |K(z, w)| is below
     DEFECT_EPS: VanishingKernel then names the K(z, w) positions, from the
-    square where the Gram kept K. Only the Gram's n, scale, asymmetry and
+    whole K that the Gram kept. Only the Gram's n, scale, asymmetry and
     min_modulus still describe K, and its r_norm = ||R||_F is the range
     finder's first residual. From RITZ_MIN_N samples on, the range finder, on
     RITZ_PROBE columns for Szego's R and DA(d)'s (rank 2 and d + 1; range_steps),
@@ -274,12 +274,10 @@ def factor_reciprocal(kernel_gram: HermitianMatrix) -> Reciprocal:
     each length-n sum in m, and n max|R| bounds ||R||_2. Then every base's
     defect has a negative eigenvalue (Agler-McCarthy), which each base
     certifies by a Rayleigh quotient (see _rayleigh_quotient)."""
-    r, n, kmin, i = kernel_gram.entries, kernel_gram.n, kernel_gram.min_modulus, kernel_gram.r_rows
-    if kmin < DEFECT_EPS:   # a full-size temporary, on this path alone
-        mods = np.abs(r)
-        mods[:i] = mods[:, :i] = np.inf   # R, formed where no K(z, w) vanished
-        _guard_min_modulus(mods, DEFECT_EPS, VanishingKernel, "K(z, w)")
-    if i < n:
+    r, n, kmin = kernel_gram.entries, kernel_gram.n, kernel_gram.min_modulus
+    if kmin < DEFECT_EPS:   # then the array holds K
+        _guard_min_modulus(r, DEFECT_EPS, VanishingKernel, "K(z, w)")
+    if not kernel_gram.r_rows:
         raise ValueError("R = 1/K is not formed in this Gram")
     rec = Reciprocal(r, None, None, None, 1.0 / kmin, kernel_gram.r_row_max)
     if n < RITZ_MIN_N:
@@ -388,17 +386,12 @@ def _row_bounds(rec: Reciprocal, u: np.ndarray) -> np.ndarray | None:
 def _scan_rows(rec: Reciprocal, u: np.ndarray, runs) -> float:
     """max|1 - u_i R_ij conj(u_j)| over the rows of each (rows, i) of ``runs``,
     at columns i on, where i starts the row block of ``rows``, NaN if any is:
-    the max of the runs' maxima, taken on the Gram's helper thread too, each
-    thread in scratch of the largest run's size."""
-    uc, top, size = u.conj(), [0.0] * len(runs), max(rec.entries[rows, i:].size for rows, i in runs)
-    def scan(b, scratch):
-        rows, i = runs[b]
-        r = rec.entries[rows, i:]
-        d, mods = (buf[:r.size].reshape(r.shape) for buf in scratch)
-        np.multiply(u[rows, None], r, out=d)
+    the max of the runs' maxima, on the calling thread."""
+    uc, top = u.conj(), []
+    for rows, i in runs:
+        d = u[rows, None] * rec.entries[rows, i:]
         d *= uc[i:]
-        top[b] = np.max(np.abs(np.subtract(1.0, d, out=d), out=mods))
-    _each_block(len(runs), scan, lambda: (np.empty(size, complex), np.empty(size)))
+        top.append(np.max(np.abs(np.subtract(1.0, d, out=d))))
     return float(np.max(top))
 
 

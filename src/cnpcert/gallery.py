@@ -54,10 +54,14 @@ def _entry_problems(obj, index: int) -> list:
                 problems.append(f"{label}: expected.{key} must be one of {sorted(allowed)}")
     elif "expected" in obj:
         problems.append(f"{label}: 'expected' must be an object")
-    try:
-        sample_set_from_config(obj.get("samples", {}))
-    except ValueError as exc:
-        problems.append(f"{label}: malformed 'samples': {exc}")
+    def read(field, get):   # get(), or None with its ValueError or KeyError a problem of ``field``
+        try:
+            return get()
+        except (ValueError, KeyError) as exc:
+            problems.append(f"{label}: malformed '{field}': {'missing ' if isinstance(exc, KeyError) else ''}{exc}")
+    if "b" in obj and (b := read("b", lambda: symbol_from_json(obj["b"]))) is not None:
+        read("witness", lambda: witness_from_json(obj.get("witness"), b))
+    read("samples", lambda: sample_set_from_config(obj.get("samples", {})))
     return problems
 
 

@@ -9,8 +9,8 @@ three-valued verdict quantized around a tolerance, so "positive
 semi-definite" stays honest under floating point.
 
 The smallest eigenvalue is one dense eigvalsh. The randomized range finder
-factors the base-free, numerically low-rank R = 1/K of a sample set, formed
-as K is symmetrized, through which cnp certifies large defects without forming them.
+factors the base-free, numerically low-rank R = 1/K of a sample set, formed on every
+row or on none as K is symmetrized, through which cnp certifies large defects without forming them.
 
 Every n x n array comes from empty_matrix; a large one after the first is a
 memory mapping, new or the spare a released one left. Work over one that would
@@ -102,7 +102,7 @@ class HermitianMatrix:
     # Cauchy-Schwarz, so m is not PSD ((-1, 0, 0) below two rows, -inf not taken)
     cs_excess: tuple = (-math.inf, 0, 0)
     min_modulus: float = math.nan   # min abs entry, from scale's pass (NaN: not taken)
-    r_rows: int = 0            # entries are R = 1/K but on [r_rows:, r_rows:] (hermitian_in_place)
+    r_rows: int = 0            # n: entries are R = 1/K, 0: K (hermitian_in_place)
     r_norm: float = math.nan   # ||R||_F, once r_rows = n
     # once r_rows = n, per row i a bound rho_i >= |R_ij|, as rounded, for j from the
     # first column of row i's row block on: all of row i that a row-block pass over
@@ -205,12 +205,12 @@ def hermitian_in_place(raw: np.ndarray, reciprocal: bool = False) -> HermitianMa
     makes all three NaN. The scale's moduli, times 1 / sqrt|m_ii m_jj| off the diagonal (which
     symmetrizing leaves at raw's real parts), give cs_excess.
 
-    With ``reciprocal``, the halved upper blocks, their maxima taken, become R = 1/K
-    in place up to the first with an entry not finite or below DEFECT_EPS in modulus:
-    from its first row, r_rows, on, K is kept. Then each is mirrored, as R or K, so K's
-    lower triangle is never written, and adds its rows of R to ||R||_F^2 in block order.
+    With ``reciprocal``, once every block's maxima are taken, the halved upper blocks all
+    become R = 1/K in place, r_rows = n, unless one has an entry not finite or below DEFECT_EPS
+    in modulus: then K is kept whole, r_rows = 0. Each is then mirrored, as R or K, so K's
+    lower triangle is never written, and a block of R adds its rows to ||R||_F^2 in block order.
     The moduli of each block also give each row's least |K| from the block's
-    first column on; once R is formed in every row, their reciprocals, with an
+    first column on; once R is formed, their reciprocals, with an
     allowance for R's rounding, are r_row_max, a bound on what such a pass
     over R reads of each row.
     """
@@ -237,9 +237,10 @@ def hermitian_in_place(raw: np.ndarray, reciprocal: bool = False) -> HermitianMa
         mods.ravel()[::mods.shape[1] + 1] = 0.0   # the diagonal
         at = divmod(int(np.argmax(mods)), mods.shape[1])
         excess[b] = (float(np.square(mods[at]) - 1.0), i + min(at), i + max(at))   # inf, not OverflowError
-    def invert(b, _):   # R on the rows before r_rows, then the mirror of R or K
+    def invert(b, _):   # R where it is formed, then the mirror of R or K
         i, j = blocks[b].start, blocks[b].stop
-        np.divide(1.0, raw[i:j, i:], out=raw[i:j, i:], where=b < r_blocks)   # False: K is kept
+        if r_rows:
+            np.divide(1.0, raw[i:j, i:], out=raw[i:j, i:])
         np.conjugate(raw[i:j, j:].T, out=raw[j:, i:j])
     def square(b, _):   # rows i:j are all R once every earlier block's mirror is written
         norm2[b] = np.vdot(raw[blocks[b]], raw[blocks[b]]).real
@@ -247,17 +248,16 @@ def hermitian_in_place(raw: np.ndarray, reciprocal: bool = False) -> HermitianMa
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):   # non-finite: scale says so
         root = 1.0 / np.sqrt(np.abs(raw.diagonal().real))
         _each_block(len(blocks), measure, lambda: [np.empty(size, t) for t in (complex, complex, float)])
-        r_blocks = next((b for b, (s, m) in enumerate(zip(scale, least))
-                         if not (m >= DEFECT_EPS and s < math.inf)), len(blocks)) if reciprocal else 0
+        # not the built-in min or max, which pass over a NaN that is not first
+        r_rows = n if reciprocal and all(m >= DEFECT_EPS and s < math.inf for s, m in zip(scale, least)) else 0
         _each_block(len(blocks) if reciprocal else 0, invert)
-        _each_block(r_blocks, square)
-    r_rows = min(r_blocks * blocks[0].stop, n)
+        _each_block(len(blocks) if r_rows else 0, square)
     raw.setflags(write=False)
     # |fl(1/K)| <= (1 + 8 eps) / |K| for the complex reciprocal, and |K| >= (1 - 2 eps) times
     # its rounded modulus; 2^-1060 covers a reciprocal rounded below the normal range
-    row_max = (1.0 + 16 * _EPS) / low + 2.0 ** -1060 if r_rows == n else None
+    row_max = (1.0 + 16 * _EPS) / low + 2.0 ** -1060 if r_rows else None
     return HermitianMatrix(raw, float(np.max(scale)), float(np.max(asym)), max(excess), float(np.min(least)),
-                           r_rows, math.sqrt(np.add.accumulate([0.0] + norm2[:r_blocks])[-1]), row_max)
+                           r_rows, math.sqrt(np.add.accumulate([0.0] + norm2)[-1]), row_max)
 
 
 def _kernel_matrix(kernel: Kernel, points: np.ndarray) -> np.ndarray:

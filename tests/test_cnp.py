@@ -827,13 +827,14 @@ def test_a_vanishing_kernel_gram_entry_is_named_at_its_samples(pts, pair, base_r
 
 
 def test_a_k_that_vanishes_in_a_late_row_block_is_named_at_the_positions_of_the_whole_k():
-    # the Gram forms R on the rows before the last row block and keeps K from
-    # there on; the scan of that square names the pairs the whole K's scan did
+    # K vanishes in the last row block only, and the Gram forms R on no row:
+    # it keeps the whole K, whose scan names the pairs
     pts = SampleSet.default(grid=(24, 48)).extended([0.5, -0.5, 0.5j, -0.5j, 0.4, -0.625])
-    pairs = np.argwhere(np.abs(gram(VANISHING_PAIR, pts).entries) < 1e-12)[:4].tolist()
+    k = gram(VANISHING_PAIR, pts)
+    pairs = np.argwhere(np.abs(k.entries) < 1e-12)[:4].tolist()
     assert pairs == [[1160, 1161], [1161, 1160], [1162, 1163], [1163, 1162]]
     kernel_gram = gram(VANISHING_PAIR, pts, True)
-    assert 0 < kernel_gram.r_rows < 1160
+    assert kernel_gram.r_rows == 0 and np.array_equal(kernel_gram.entries, k.entries)
     message = f"K(z, w) below 1e-12 in modulus at positions {pairs}"
     with pytest.raises(VanishingKernel, match=re.escape(message)):
         cnp.factor_reciprocal(kernel_gram)
@@ -863,6 +864,26 @@ def test_a_kernel_gram_that_is_not_finite_is_named_at_its_first_entry(weight, gr
         assert rep.verdict.status is Verdict.INCONCLUSIVE and not rep.vanish_flag
         assert rep.to_json_dict()["min_eig"] is None
         assert rep.notes[0] == note and rep.notes[-1] == EVIDENCE_NOTE
+
+
+@pytest.mark.parametrize("at", [(0, 5), (600, 700), (1159, 1158)])
+def test_a_nan_of_k_in_any_row_block_forms_no_r_and_is_named_on_two_threads_as_on_one(monkeypatch, at):
+    # Python's min and max over the blocks' least moduli and scales pass over
+    # a NaN after the first block's, so they would form R for the last two
+    pts = SampleSet.default(grid=(24, 48))
+    grams = []
+    def nan_gram(kernel, points, reciprocal=False):
+        raw = linalg._kernel_matrix(kernel, kernel.points(points))
+        raw[at] = np.nan
+        grams.append(linalg.hermitian_in_place(raw, reciprocal))
+        return grams[-1]
+    monkeypatch.setattr(cnp, "gram", nan_gram)
+    reports = on_one_and_two_cpus(monkeypatch, lambda: cnp_certify(Szego(), 0j, pts).to_json_dict())
+    assert reports[0] == reports[1]
+    note = f"NON_FINITE: K(z, w) is not finite at position {sorted(at)}"
+    assert reports[0]["verdict"] == "INCONCLUSIVE" and reports[0]["notes"][0] == note
+    for m in grams:
+        assert m.n == 1160 and m.r_rows == 0 and m.r_row_max is None and m.r_norm == 0.0
 
 
 # ------------------------- a second positive eigenvalue of 1/K: early stop
@@ -1244,6 +1265,18 @@ def test_a_nan_in_any_row_block_makes_the_scan_nan_on_two_threads(monkeypatch, a
         serial, shared = on_one_and_two_cpus(
             monkeypatch, lambda: (cnp._defect_scale(rec, v).hex(), cnp._scan_rows(bad, u, runs).hex()))
     assert serial == shared == ("nan", "nan")
+
+
+def test_a_defect_scale_runs_on_the_calling_thread_alone(monkeypatch):
+    # the pruned scans are small, and the two threads would mostly trade the GIL
+    cases = scanned_defects(monkeypatch, "blaschke-1160")
+    on_cpus(monkeypatch, 2)
+    shared, each = [], linalg._each_block
+    for module in (linalg, cnp):   # cnp would call it by its own name
+        monkeypatch.setattr(module, "_each_block", lambda *a: shared.append(a) or each(*a), raising=False)
+    for rec, u in cases:
+        cnp._defect_scale(rec, u)
+    assert len(cases) == 3 and shared == []
 
 
 def test_a_rayleigh_quotient_on_two_threads_is_the_serial_one_bit_for_bit(monkeypatch):

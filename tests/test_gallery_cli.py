@@ -622,6 +622,33 @@ def test_out_of_range_samples_are_one_suite_format_error_naming_every_entry(tmp_
     assert "SUITE_FORMAT" in err and all(n in err for n in ("rmax_1_5", "grid_0_3", "extra_2_0"))
 
 
+BAD_SYMBOL_SUITE = {"entries": [
+    {"name": name, "b": b, "witness": witness, "expected": {"cnp": "NOT_PSD", "criterion": "FAIL"}}
+    for name, b, witness in (("unknown_family", {"family": "nope"}, None),
+                             ("shipped_power_2", {"family": "power", "k": 2}, "shipped"),
+                             ("b_is_5", 5, None),
+                             ("affine_without_b", {"family": "affine", "A": [0.5, 0]}, None))
+]}
+
+
+def test_unreadable_symbols_and_witnesses_are_one_suite_format_error_naming_every_entry(tmp_path, capsys):
+    # the gallery exited 3 with a bare "input error [ValueError]" or
+    # "[KeyError]" for the first such entry only, and named no entry
+    with pytest.raises(SuiteFormat) as exc:
+        load_suite(BAD_SYMBOL_SUITE)
+    assert str(exc.value) == "; ".join([
+        "unknown_family: malformed 'b': unknown symbol family 'nope'",
+        "shipped_power_2: malformed 'witness': a map of degree 2 has no shipped witness; degree 1 does",
+        "b_is_5: malformed 'b': symbol spec must be a JSON object",
+        "affine_without_b: malformed 'b': missing 'B'",
+    ])
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(BAD_SYMBOL_SUITE))
+    code, out, err = run_cli(capsys, ["gallery", "--suite", str(path)])
+    assert (code, out) == (3, "")
+    assert "SUITE_FORMAT" in err and all(e["name"] in err for e in BAD_SYMBOL_SUITE["entries"])
+
+
 @pytest.mark.parametrize("points", ["0.5,inf", "0.5,1e400", "0.5,-infi"])
 def test_an_infinite_sample_point_is_an_input_error_naming_its_finiteness(capsys, points):
     # "inf" was read as "jnf" and reported as a number that does not parse

@@ -607,24 +607,23 @@ def test_r_row_bounds_hold_over_every_magnitude_and_phase_of_k():
     assert np.all(upper_row_max(r.entries) <= r.r_row_max)
 
 
-def test_r_stops_at_the_first_row_block_where_k_vanishes():
+def test_r_is_formed_on_no_row_where_k_vanishes_in_the_last_row_block():
     # 1 + 4 z conj(w) vanishes only at pairs of the six appended samples, in
-    # the last row block: R is formed on the rows before it, and K is kept on
-    # the square from that block's first row on
+    # the last row block: R is formed on every row or on none, so K is kept
+    # on all of them, as the Gram without R has it
     kernel = kernel_from_json({"kind": "weighted_hardy", "weights": [1.0, 0.25]})
     pts = SampleSet.default(grid=(24, 48)).extended([0.5, -0.5, 0.5j, -0.5j, 0.4, -0.625])
     k, r = gram(kernel, pts), gram(kernel, pts, True)
-    i, vanishing = r.r_rows, np.argwhere(np.abs(k.entries) < 1e-12)
-    assert i == row_blocks(r.n, r.entries[:1].nbytes)[-1].start < vanishing.min()
-    assert np.array_equal(r.entries[i:, i:], k.entries[i:, i:])
-    assert np.array_equal(r.entries[:i], 1.0 / k.entries[:i])
-    assert np.array_equal(r.entries[:, :i], 1.0 / k.entries[:, :i])
+    vanishing = np.argwhere(np.abs(k.entries) < 1e-12)
+    assert row_blocks(r.n, r.entries[:1].nbytes)[-1].start < vanishing.min()
+    assert (r.r_rows, r.r_norm, r.r_row_max) == (0, 0.0, None)
+    assert np.array_equal(r.entries, k.entries)
     assert (r.scale, r.asymmetry, r.cs_excess, r.min_modulus) == \
         (k.scale, k.asymmetry, k.cs_excess, k.min_modulus)
 
 
 def test_a_gram_that_keeps_k_on_a_row_block_has_no_r_row_bounds():
-    # as in test_r_stops_at_the_first_row_block_where_k_vanishes
+    # as in test_r_is_formed_on_no_row_where_k_vanishes_in_the_last_row_block
     kernel = kernel_from_json({"kind": "weighted_hardy", "weights": [1.0, 0.25]})
     r = gram(kernel, SampleSet.default(grid=(24, 48)).extended([0.5, -0.5, 0.5j, -0.5j, 0.4, -0.625]), True)
     assert r.r_rows < r.n and r.r_row_max is None
@@ -700,16 +699,18 @@ def test_a_gram_on_two_threads_is_the_serial_one_bit_for_bit(monkeypatch, spec, 
     assert m.r_norm == math.sqrt(total) and m.r_rows in (0, m.n)
 
 
-def test_r_stops_at_a_middle_row_block_on_two_threads_as_on_one(monkeypatch):
-    # 1 + 4 z conj(w) vanishes where z conj(w) = -1/4: at samples 600 and 601
+def test_k_that_vanishes_in_a_middle_row_block_is_kept_whole_on_two_threads_as_on_one(monkeypatch):
+    # 1 + 4 z conj(w) vanishes where z conj(w) = -1/4: at samples 600 and 601,
+    # in a row block with blocks before and after it, and no row gets R
     kernel = kernel_from_json({"kind": "weighted_hardy", "weights": [1.0, 0.25]})
     pts = list(SampleSet.default(grid=(24, 48)).points)
     pts[600:600] = [0.5, -0.5]
     serial, shared = both_paths(monkeypatch, lambda: gram(kernel, pts, True))
     assert serial == shared
     starts = [blk.start for blk in row_blocks(len(pts), 16 * len(pts))]
-    r_rows = gram(kernel, pts, True).r_rows
-    assert r_rows == max(s for s in starts if s <= 600) and 0 < r_rows < starts[-1]
+    assert 0 < max(s for s in starts if s <= 600) < starts[-1]
+    m = gram(kernel, pts, True)
+    assert m.r_rows == 0 and m.r_row_max is None and np.array_equal(m.entries, gram(kernel, pts).entries)
 
 
 @pytest.mark.parametrize("reciprocal", [False, True])
@@ -722,7 +723,7 @@ def test_a_non_finite_entry_in_the_last_row_block_reads_the_same_on_two_threads(
     serial, shared = both_paths(monkeypatch, build)
     assert serial == shared
     m = build()
-    assert m.scale == math.inf and m.r_rows == (row_blocks(m.n, 16 * m.n)[-1].start if reciprocal else 0)
+    assert m.scale == math.inf and m.r_rows == 0 and m.r_row_max is None
 
 
 def test_the_first_failing_row_block_is_raised_once_both_threads_are_done(monkeypatch):
